@@ -6,7 +6,7 @@ constructive extractions with re-verifiable certificates.
 """
 
 from .poset import Poset, build, chain, antichain, dual, direct_product, \
-    direct_sum, lexicographic_sum, transitive_reduction, is_isomorphic
+    direct_sum, lexicographic_sum, is_isomorphic
 from .downsets import DownSet, DownSetFamily, down_closure, enumerate_downsets, \
     enumerate_ideals, downset_lattice
 from .semilattice import MapWitness, StructureReport, structure_report, \

@@ -9,15 +9,15 @@ SEARCH_BUDGET = 10 ** 7   # visited nodes (isomorphism / embedding / subset sear
 def resolve(explicit, default):
     """Pick the budget for one operation.
 
-    Explicit arguments win; otherwise OC_BUDGET (when set and parseable)
-    overrides the module default.
+    Explicit arguments win; otherwise OC_BUDGET, when set, overrides the
+    module default. A set OC_BUDGET that is not a positive integer raises
+    ValueError.
     """
     if explicit is not None:
         return explicit
     raw = os.environ.get("OC_BUDGET")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return default
+    if raw is None:
+        return default
+    if raw.strip().isdecimal() and int(raw) > 0:
+        return int(raw)
+    raise ValueError(f"OC_BUDGET must be a positive integer, got {raw!r}")

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 
+from . import budget as _budget
 from . import constructions as _constructions
 from . import downsets as _downsets
 from . import families as _families
@@ -45,8 +46,7 @@ def _load_poset(path: str):
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _emit(obj, out_path=None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write(text: str, out_path=None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -54,22 +54,14 @@ def _emit(obj, out_path=None) -> None:
         sys.stdout.write(text)
 
 
+def _emit(obj, out_path=None) -> None:
+    _write(json.dumps(obj, sort_keys=True, indent=2) + "\n", out_path)
+
+
 def _cmd_generate(args) -> int:
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.a is not None:
-        params["a"] = args.a
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.scheme is not None:
-        params["scheme"] = args.scheme
-    if args.seed is not None:
-        params["seed"] = args.seed
-    if args.tail is not None:
-        params["tail"] = args.tail
-    if args.trunc is not None:
-        params["trunc"] = args.trunc
+    params = {name: getattr(args, name)
+              for name in ("n", "a", "alpha", "scheme", "seed", "tail", "trunc")
+              if getattr(args, name) is not None}
     spec = _families.FamilySpec(args.family, params, args.with_bottom)
     p = _families.generate(spec)
     _emit(_poset.to_json_dict(p), args.out)
@@ -119,6 +111,9 @@ def _cmd_ideals(args) -> int:
 def _cmd_ramsey(args) -> int:
     p = _load_poset(args.infile)
     antichain = [int(x) for x in args.antichain.split(",")]
+    for x in antichain:
+        if not 0 <= x < p.n:
+            raise ValueError(f"--antichain index {x} outside 0..{p.n - 1}")
     cert = _constructions.ramsey_extract(p, antichain, args.m)
     _emit(cert.to_json_dict(), args.out)
     return EXIT_OK if cert.ok() else EXIT_FAIL
@@ -143,6 +138,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     report = _suites.run_suite(args.suite, args.trials, args.seed, args.max_n)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_FAIL
@@ -160,13 +157,7 @@ def _cmd_verify_cert(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    p = _load_poset(args.infile)
-    text = _poset.to_dot(p)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(_poset.to_dot(_load_poset(args.infile)), args.out)
     return EXIT_OK
 
 
@@ -247,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     x = sub.add_parser("export", help="DOT Hasse diagram")
     x.add_argument("infile")
-    x.add_argument("--dot", action="store_true", default=True)
     x.add_argument("--out")
     x.set_defaults(func=_cmd_export)
 
@@ -264,6 +254,8 @@ def main(argv=None) -> int:
         print("--jobs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     try:
+        # a malformed OC_BUDGET is a usage error for every subcommand
+        _budget.resolve(None, None)
         return args.func(args)
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

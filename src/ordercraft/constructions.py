@@ -22,6 +22,7 @@ from .errors import (
     ConstructionStalled,
     DepthUnreachable,
     IndependenceTooSmall,
+    IndexOutOfRange,
     NoMonochromaticSubset,
     NotAntichain,
     NotDistributive,
@@ -60,10 +61,6 @@ class ChainOfDownSets:
             if not (lo.mask & ~hi.mask == 0 and lo.mask != hi.mask):
                 raise ValueError("chain members must be strictly nested")
 
-    @property
-    def union_mask(self) -> int:
-        return self.members[0].mask if self.decreasing else self.members[-1].mask
-
     def suffixes(self):
         """Tails of the descending view, longest first, length >= 2."""
         desc = self.members if self.decreasing else tuple(reversed(self.members))
@@ -92,6 +89,7 @@ def ideal_join(host: Poset, x: int, ideal_mask: int) -> int:
     """
     jt = host.join_table()
     mask = ideal_mask | (1 << x)
+    # inline bit loops: this runs once per (member, x, J) of a separating check
     frontier = [x]
     while frontier:
         nxt = []
@@ -115,13 +113,6 @@ def ideal_join(host: Poset, x: int, ideal_mask: int) -> int:
     return out
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _is_separating_masks(host: Poset, masks: Sequence[int]):
     """Core check over member masks; returns (bool, violating (I,x) or None).
 
@@ -138,14 +129,12 @@ def _is_separating_masks(host: Poset, masks: Sequence[int]):
     union = 0
     for m in masks:
         union |= m
-    least = min(masks, key=lambda m: bin(m).count("1")) if len(masks) > 1 else None
-    irr_mask = 0
-    for x in _semilattice._join_irreducibles_no_zero(host):
-        irr_mask |= 1 << x
+    least = min(masks, key=int.bit_count) if len(masks) > 1 else None
+    irr_mask = sum(1 << x for x in _semilattice._join_irreducibles_no_zero(host))
     for i_mask in masks:
         if i_mask == union or i_mask == least:
             continue
-        for x in _bits(union & ~i_mask & irr_mask):
+        for x in _poset.bits(union & ~i_mask & irr_mask):
             if not any(i_mask & ~ideal_join(host, x, j_mask) for j_mask in masks):
                 return False, (i_mask, x)
     return True, None
@@ -195,8 +184,7 @@ def verify_certificate(cert: Certificate):
     Returns the recomputed (name, ok) list; a certificate is valid when every
     recomputed entry is true and the stored evidence matches.
     """
-    recomputed = _EVIDENCE_CHECKERS[cert.kind](cert.payload)
-    return recomputed
+    return _EVIDENCE_CHECKERS[cert.kind](cert.payload)
 
 
 def certificate_valid(cert: Certificate) -> bool:
@@ -216,13 +204,13 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
     if not ok:
         raise NotSeparating("input chain is not separating")
     jt = host.join_table()
-    desc = sorted((d.mask for d in chain.members), key=lambda m: -bin(m).count("1"))
+    desc = sorted((d.mask for d in chain.members), key=lambda m: -m.bit_count())
     union = desc[0]
     proper = [m for m in desc if m != union]
     xs: list = []
     if proper:
         i_cur = proper[0]
-        x0 = min(_bits(union & ~i_cur))
+        x0 = min(_poset.bits(union & ~i_cur))
         xs.append(x0)
         while True:
             x_join = xs[0]
@@ -234,7 +222,7 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
                     continue
                 blocked = ideal_join(host, x_join, j_mask)
                 if i_cur & ~blocked:
-                    step = (j_mask, min(_bits(i_cur & ~blocked)))
+                    step = (j_mask, min(_poset.bits(i_cur & ~blocked)))
                     break
             if step is None:
                 break
@@ -284,13 +272,13 @@ def _truncation_unbounded(host: Poset, mask: int) -> bool:
     one that sits on top of a single predecessor looks genuinely principal,
     while a join-reducible top is the footprint of a truncated unbounded
     ideal."""
-    members = list(_bits(mask))
+    members = list(_poset.bits(mask))
     maxima = [x for x in members if host.up[x] & mask == 0]
     if len(maxima) != 1:
         return True  # not up-directed at the top; treat as unbounded
     top = maxima[0]
     rest = mask & ~(1 << top)
-    second = [x for x in _bits(rest) if host.up[x] & rest == 0]
+    second = [x for x in _poset.bits(rest) if host.up[x] & rest == 0]
     return len(second) >= 2
 
 
@@ -322,13 +310,13 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
             raise NotSeparating("a suffix of the chain is separating")
 
     union = masks[0]
-    least = min(masks, key=lambda m: bin(m).count("1"))
+    least = min(masks, key=int.bit_count)
     # the window's least member stands in for the unseen tail, as in the
     # separating check; it neither bounds nor gets walked through
     bounded = [m for m in masks
                if m != least and not _truncation_unbounded(host, m)]
     e_set = set()
-    for x in _bits(union):
+    for x in _poset.bits(union):
         dm = host.down_incl(x)
         if any(m & ~dm == 0 and m != dm for m in bounded):
             e_set.add(x)
@@ -360,11 +348,11 @@ def _descending_walk(host, bounded, e_set, union, depth):
     current_mask = union
     while len(xs) < depth:
         step = None
-        for x in sorted(e for e in _bits(current_mask) if e in e_set):
+        for x in (e for e in _poset.bits(current_mask) if e in e_set):
             dm = host.down_incl(x)
-            for m in sorted(bounded, key=lambda m: -bin(m).count("1")):
+            for m in sorted(bounded, key=lambda m: -m.bit_count()):
                 if m & ~dm == 0 and m != dm:
-                    if step is None or bin(m).count("1") > bin(step[1]).count("1"):
+                    if step is None or m.bit_count() > step[1].bit_count():
                         step = (x, m)
                     break
         if step is None:
@@ -379,7 +367,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
     witnesses (x_n, I_n), strengthen them to rows y_n with the join-control
     conditions, and map the grid through (i,j) -> y_i v y_j."""
     start = next(i for i, m in enumerate(masks)
-                 if not any(x in e_set for x in _bits(m)))
+                 if not any(x in e_set for x in _poset.bits(m)))
     sub = masks[start:]
 
     # phase 1: x_n in I_{n-1} minus I_n with I_n inside {x_n} v J for all
@@ -393,7 +381,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
         for i_mask in group:
             if i_mask == prev:
                 continue
-            for x in sorted(_bits(prev & ~i_mask)):
+            for x in _poset.bits(prev & ~i_mask):
                 if all(i_mask & ~ideal_join(host, x, j) == 0 for j in group):
                     found = (x, i_mask)
                     break
@@ -416,7 +404,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
         for e in ys[1:]:
             running = jt[running][e]
         prev_ideal = i_masks[n]  # I_{n-1}
-        z = next((c for c in sorted(_bits(prev_ideal))
+        z = next((c for c in _poset.bits(prev_ideal)
                   if not host.leq(c, running)), None)
         if z is None:
             stall = f"no element of I_{n - 1} escapes the running join"
@@ -429,7 +417,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
             yj = ys[j + 1]
             for e in ys[j + 2:n]:
                 yj = jt[yj][e]
-            tj = next((c for c in sorted(_bits(prev_ideal))
+            tj = next((c for c in _poset.bits(prev_ideal)
                        if host.leq(yj, jt[xs[j]][c])), None)
             if tj is None:
                 stall = f"no t_{j} witness at step {n}"
@@ -517,24 +505,11 @@ def _monochromatic_subset(host: Poset, xs, m: int):
     n = len(xs)
     chosen: list = []
 
-    def cls_ok(c: int) -> Optional[bool]:
-        base = None
-        for a in range(len(chosen)):
-            for b in range(a + 1, len(chosen)):
-                t = _triple_class(host, xs, chosen[a], chosen[b], c)
-                if base is None:
-                    base = t
-                if t != base:
-                    return False
-        first = _first_class()
-        if first is not None and base is not None and base != first:
-            return False
-        return True
-
-    def _first_class():
-        if len(chosen) >= 3:
-            return _triple_class(host, xs, chosen[0], chosen[1], chosen[2])
-        return None
+    def cls_ok(c: int) -> bool:
+        # the triples inside chosen share one class; each new one must match it
+        want = _triple_class(host, xs, *chosen[:3])
+        return all(_triple_class(host, xs, chosen[a], chosen[b], c) == want
+                   for a in range(len(chosen)) for b in range(a + 1, len(chosen)))
 
     def grow(start: int):
         if len(chosen) == m:
@@ -542,7 +517,7 @@ def _monochromatic_subset(host: Poset, xs, m: int):
         for c in range(start, n):
             if n - c < m - len(chosen):
                 return False
-            if len(chosen) >= 2 and not cls_ok(c):
+            if len(chosen) >= 3 and not cls_ok(c):
                 continue
             chosen.append(c)
             if grow(c + 1):
@@ -566,6 +541,9 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
     """
     _semilattice.require_meet_table(host)
     xs = list(antichain)
+    for x in xs:
+        if not 0 <= x < host.n:
+            raise IndexOutOfRange(f"antichain element {x} outside 0..{host.n - 1}")
     if m < 3:
         raise ValueError("m must be >= 3")
     if len(set(xs)) != len(xs):

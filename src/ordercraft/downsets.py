@@ -154,15 +154,8 @@ def enumerate_ideals(p: Poset) -> DownSetFamily:
 
 def family_poset(family: DownSetFamily) -> Poset:
     """The family ordered by inclusion, element order = family order."""
-    masks = family.masks()
-    n = len(masks)
-    up = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and masks[i] & ~masks[j] == 0:
-                up[i] |= 1 << j
     labels = ["{" + ",".join(map(str, d.sorted_members())) + "}" for d in family.sets]
-    return Poset(n, up, labels)
+    return _poset.inclusion_order(family.masks(), labels)
 
 
 def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
@@ -178,7 +171,8 @@ def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
         masks = set(family.masks())
         for a in masks:
             for b in masks:
-                assert a | b in masks and a & b in masks
+                if a | b not in masks or a & b not in masks:
+                    raise AssertionError("downsets not closed under union and intersection")
     return lattice
 
 
@@ -192,22 +186,31 @@ def family_union_lattice(family: DownSetFamily,
     if not family.sets:
         raise ValueError("family must be non-empty")
     limit = _budget.resolve(element_budget, _budget.ENUM_BUDGET)
-    masks = set(family.masks())
-    frontier = list(masks)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(masks):
-                u = a | b
-                if u not in masks:
-                    masks.add(u)
-                    if len(masks) > limit:
-                        raise BudgetExceeded(f"more than {limit} unions")
-                    nxt.append(u)
-        frontier = nxt
+    masks = union_closure(set(), family.masks(), limit)
     host = family.host
     sets = canonical_sort(_from_mask(host, m) for m in masks)
     return family_poset(DownSetFamily(host, sets, "custom"))
+
+
+def union_closure(closed, new, limit: int) -> set:
+    """The union-closed set of masks ``closed`` extended by ``new``: only
+    unions with a new mask, or with one they produce, are formed. Raises
+    BudgetExceeded when the unions it adds take the set past ``limit``."""
+    out = set(closed)
+    out.update(new)
+    frontier = list(new)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(out):
+                u = a | b
+                if u not in out:
+                    out.add(u)
+                    if len(out) > limit:
+                        raise BudgetExceeded(f"more than {limit} unions")
+                    nxt.append(u)
+        frontier = nxt
+    return out
 
 
 def completely_meet_irreducibles(lattice: Poset):

@@ -185,33 +185,20 @@ def finite_powerset(n: int) -> Poset:
     return Poset(size, up, labels)
 
 
-def powerset_mask_of(poset: Poset, i: int) -> int:
-    """Inverse of finite_powerset indexing (identity by construction)."""
-    return i
-
-
 def omega_star_grid(n: int, with_bottom: bool = False) -> Poset:
     """Pairs (i,j), 0 <= i < j <= n, with (i,j) <= (i',j') iff i' <= i and
     j <= j'. A join-semilattice: (i,j) v (i',j') = (min i, max j)."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    coords = [(i, j) for i in range(n) for j in range(i + 1, n + 1)]
-    coords.sort()
+    coords = grid_coords(n)
     idx = {c: k for k, c in enumerate(coords)}
-    m = len(coords)
-    up = [0] * m
-    for (i, j) in coords:
-        mask = 0
-        for (a, b) in coords:
-            if (a, b) != (i, j) and a <= i and j <= b:
-                mask |= 1 << idx[(a, b)]
-        up[idx[(i, j)]] = mask
-    labels = [f"({i},{j})" for (i, j) in coords]
-    p = Poset(m, up, labels)
+    p = _from_leq(coords, lambda c, d: d[0] <= c[0] and c[1] <= d[1],
+                  [f"({i},{j})" for (i, j) in coords])
     jt = p.join_table()
     for (i, j) in coords:
         for (a, b) in coords:
-            assert jt[idx[(i, j)]][idx[(a, b)]] == idx[(min(i, a), max(j, b))]
+            if jt[idx[(i, j)]][idx[(a, b)]] != idx[(min(i, a), max(j, b))]:
+                raise AssertionError(f"join of ({i},{j}) and ({a},{b}) is not coordinatewise")
     if with_bottom:
         p = _poset.add_bottom(p, "()")
     return p
@@ -277,17 +264,23 @@ def gamma_coords(n: int):
 
 
 def _poset_from_coords(coords) -> Poset:
-    idx = {c: k for k, c in enumerate(coords)}
-    m = len(coords)
-    up = [0] * m
-    for a in coords:
+    return _from_leq(coords, _delta_leq, [f"({i},{j})" for (i, j) in coords])
+
+
+def _from_leq(elements, leq, labels) -> Poset:
+    """Poset on distinct elements, in list order, ordered by the test leq."""
+    up = []
+    for i, a in enumerate(elements):
         mask = 0
-        for b in coords:
-            if a != b and _delta_leq(a, b):
-                mask |= 1 << idx[b]
-        up[idx[a]] = mask
-    labels = [f"({i},{j})" for (i, j) in coords]
-    return Poset(m, up, labels)
+        for j, b in enumerate(elements):
+            if i != j and leq(a, b):
+                mask |= 1 << j
+        up.append(mask)
+    return Poset(len(elements), up, labels)
+
+
+def _componentwise(a, b) -> bool:
+    return a[0] <= b[0] and a[1] <= b[1]
 
 
 def v_family(n: int) -> Poset:
@@ -315,18 +308,8 @@ def omega_eta(n: int) -> Poset:
     if n < 0:
         raise UnsupportedParams("n must be >= 0")
     coords = [(m, i) for m in range(n + 1) for i in range(1 << m)]
-    idx = {c: k for k, c in enumerate(coords)}
-    size = len(coords)
-    up = [0] * size
-    for (m, i) in coords:
-        x = Fraction(i, 1 << m)
-        mask = 0
-        for (m2, i2) in coords:
-            if (m, i) != (m2, i2) and m <= m2 and x <= Fraction(i2, 1 << m2):
-                mask |= 1 << idx[(m2, i2)]
-        up[idx[(m, i)]] = mask
-    labels = [f"({m},{i}/{1 << m})" for (m, i) in coords]
-    return Poset(size, up, labels)
+    return _from_leq([(m, Fraction(i, 1 << m)) for (m, i) in coords], _componentwise,
+                     [f"({m},{i}/{1 << m})" for (m, i) in coords])
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +394,14 @@ def sierpinskisation(alpha, n: int, scheme: str = "column_alternating",
     # monotonic condition: positions increase with the natural order per column
     per_col = {}
     for m, (col, position) in enumerate(seq):
-        assert per_col.get(col, -1) < position
+        if per_col.get(col, -1) >= position:
+            raise AssertionError(f"position {position} repeats in column {col}")
         per_col[col] = position
     # order equals the intersection of the two recorded linear orders
     for x in range(n):
         for y in range(n):
-            if x != y:
-                assert p.lt(x, y) == (x < y and alpha_key(x) < alpha_key(y))
+            if x != y and p.lt(x, y) != (x < y and alpha_key(x) < alpha_key(y)):
+                raise AssertionError(f"order at ({x},{y}) is not the intersection")
     return p
 
 
@@ -480,33 +464,27 @@ def lattice_sierp(alpha_prime, n: int) -> Poset:
         cells = [(i, cols[j]) for i in range(n) for j in range(len(cols)) if j <= i]
     order = sorted(cells, key=lambda c: (c[0], _cnf_key(c[1])))
     idx = {c: k for k, c in enumerate(order)}
-    size = len(order)
-    up = [0] * size
-    for (i, a) in order:
-        mask = 0
-        for (i2, a2) in order:
-            if (i, a) != (i2, a2) and i <= i2 and _cnf_key(a) <= _cnf_key(a2):
-                mask |= 1 << idx[(i2, a2)]
-        up[idx[(i, a)]] = mask
-    labels = [f"({i},{OrdinalCNF(a) if len(a) > 1 else a[0]})" for (i, a) in order]
-    p = Poset(size, up, labels)
+    p = _from_leq([(i, _cnf_key(a)) for (i, a) in order], _componentwise,
+                  [f"({i},{OrdinalCNF(a) if len(a) > 1 else a[0]})" for (i, a) in order])
     # join closure within the window, with joins matching the product order
     jt = p.join_table()
     for (i, a) in order:
         for (i2, a2) in order:
             want = (max(i, i2), max(a, a2, key=_cnf_key))
-            assert jt[idx[(i, a)]][idx[(i2, a2)]] == idx[want]
+            if jt[idx[(i, a)]][idx[(i2, a2)]] != idx[want]:
+                raise AssertionError(f"join at ({i},{a}), ({i2},{a2}) leaves the window")
     # line invariants
     verticals = {}
     horizontals = {}
     for (i, a) in order:
         verticals.setdefault(i, []).append(a)
         horizontals.setdefault(a, []).append(i)
-    assert all(v for v in verticals.values())
+    if not all(v for v in verticals.values()):
+        raise AssertionError("a vertical line is empty")
     column_count = len({i for (i, _a) in order})
     for a, line in horizontals.items():
-        first = min(line)
-        assert len(line) == column_count - first  # cofinite in the window
+        if len(line) != column_count - min(line):
+            raise AssertionError(f"horizontal line {a} is not cofinite in the window")
     return p
 
 
@@ -539,9 +517,7 @@ def generate(spec: FamilySpec) -> Poset:
     if fam == "finite_powerset":
         out = finite_powerset(int(take("n", required=True)))
     elif fam == "omega_star_grid":
-        out = omega_star_grid(int(take("n", required=True)), spec.with_bottom)
-        _reject_leftovers(fam, p)
-        return out
+        out = omega_star_grid(int(take("n", required=True)))
     elif fam == "delta":
         out = delta(int(take("n", required=True)))
     elif fam == "gamma":

@@ -86,32 +86,17 @@ def random_join_semilattice(n: int, seed: int) -> Poset:
     candidates = [m for m in all_masks if m]
     rng.shuffle(candidates)
     for m in candidates:
-        closure = set(family)
-        frontier = [m]
-        closure.add(m)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(closure):
-                    if a | b not in closure:
-                        closure.add(a | b)
-                        nxt.append(a | b)
-            frontier = nxt
+        # unions of downsets of base are downsets of base: the limit never trips
+        closure = _downsets.union_closure(family, [m], len(all_masks))
         if len(closure) <= n:
             family = closure
         if len(family) == n:
             break
-    masks = sorted(family, key=lambda m: (bin(m).count("1"), m))
-    size = len(masks)
-    up = [0] * size
-    for i in range(size):
-        for j in range(size):
-            if i != j and masks[i] & ~masks[j] == 0:
-                up[i] |= 1 << j
-    labels = [format(m, "b") for m in masks]
-    out = Poset(size, up, labels)
+    masks = sorted(family, key=lambda m: (m.bit_count(), m))
+    out = _poset.inclusion_order(masks, [format(m, "b") for m in masks])
     _semilattice.require_join_table(out)
-    assert out.bottom() is not None
+    if out.bottom() is None:
+        raise AssertionError("union-closed family lost its least element")
     return _log(out)
 
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ordercraft import budget, cli
 from ordercraft import families as F
 from ordercraft import poset as P
 
@@ -95,6 +96,42 @@ class TestExitCodes:
         monkeypatch.setenv("OC_BUDGET", "50")
         code, _, err = run_cli(["ideals", str(big)])
         assert code == 4, err
+
+    def test_ramsey_index_outside_host_is_2(self, tmp_path):
+        b3 = tmp_path / "b3.json"
+        b3.write_text(P.to_json(F.finite_powerset(3)))
+        code, _o, err = run_cli(["ramsey", str(b3), "--antichain", "1,2,99", "--m", "3"])
+        assert code == 2, err
+        assert "99" in err and "Traceback" not in err
+
+    def test_verify_trials_below_one_is_2(self):
+        code, out, err = run_cli(["verify", "--suite", "ideal_principal", "--trials", "-3"])
+        assert code == 2 and out == ""
+        assert "--trials" in err
+
+    def test_malformed_budget_is_2(self, tmp_path, monkeypatch):
+        f = tmp_path / "c.json"
+        f.write_text(P.to_json(P.chain(3)))
+        for raw in ("abc", "0", "-5", ""):
+            monkeypatch.setenv("OC_BUDGET", raw)
+            with pytest.raises(ValueError, match="OC_BUDGET"):
+                budget.resolve(None, 10)
+            assert cli.main(["ideals", str(f)]) == 2
+        monkeypatch.setenv("OC_BUDGET", "50")
+        assert budget.resolve(None, 10) == 50 and budget.resolve(7, 10) == 7
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"version": 1, "n": "x", "relation": {"kind": "covers", "pairs": []}},
+        {"version": 1, "n": -1, "relation": {"kind": "covers", "pairs": []}},
+        {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [[0, 1, 1]]}},
+        {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [0]}},
+    ], ids=["list", "n_string", "n_negative", "pair_of_three", "pair_not_list"])
+    def test_document_not_a_poset_is_3(self, doc, tmp_path, capsys):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["analyze", str(f)]) == 3
+        assert "input error" in capsys.readouterr().err
 
     def test_verify_exit_zero_on_pass(self):
         code, out, _ = run_cli(

@@ -13,6 +13,7 @@ from ordercraft import semilattice as S
 from ordercraft.errors import (
     DepthUnreachable,
     IndependenceTooSmall,
+    IndexOutOfRange,
     NoMonochromaticSubset,
     NotAntichain,
     NotSeparating,
@@ -166,6 +167,12 @@ class TestDichotomy:
 
 
 class TestRamsey:
+    def test_index_outside_host(self):
+        with pytest.raises(IndexOutOfRange, match="99"):
+            C.ramsey_extract(F.finite_powerset(3), [1, 2, 99], 3)
+        with pytest.raises(IndexOutOfRange):
+            C.ramsey_extract(F.finite_powerset(3), [1, 2, -1], 3)
+
     def test_delta_plant(self):
         d5 = F.delta(5)
         coords = F.delta_coords(5)

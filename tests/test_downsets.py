@@ -150,6 +150,31 @@ class TestDownsetLattice:
         assert P.is_isomorphic(ideal_poset, parts) is not None
 
 
+def brute_union_closure(masks):
+    """Oracle: add all pairwise unions until nothing changes."""
+    out = set(masks)
+    while True:
+        more = {a | b for a in out for b in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+class TestUnionClosure:
+    @given(st.sets(st.integers(min_value=0, max_value=255), max_size=6),
+           st.sets(st.integers(min_value=0, max_value=255), max_size=4))
+    def test_matches_brute_force_fixpoint(self, base, new):
+        closed = brute_union_closure(base)
+        assert D.union_closure(closed, new, 256) == brute_union_closure(closed | new)
+        assert D.union_closure(set(), base, 256) == closed
+
+    def test_budget_counts_added_unions(self):
+        singletons = [1 << i for i in range(4)]
+        assert len(D.union_closure(set(), singletons, 15)) == 15
+        with pytest.raises(BudgetExceeded, match="more than 14 unions"):
+            D.union_closure(set(), singletons, 14)
+
+
 class TestFamilyUnionLattice:
     def test_singletons_of_antichain(self):
         host = P.antichain(3)

@@ -37,6 +37,12 @@ def random_posets(draw, max_n=8):
     return P.build(n, "leq", pairs)
 
 
+class TestBits:
+    @given(st.integers(min_value=0, max_value=1 << 300))
+    def test_matches_bit_scan(self, m):
+        assert list(P.bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
 class TestBuild:
     def test_chain_from_covers(self):
         p = P.build(3, "covers", [(0, 1), (1, 2)])

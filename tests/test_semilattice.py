@@ -137,6 +137,19 @@ class TestIndependence:
                      for c in itertools.combinations(range(lat.n), k))
         assert (S.find_independent_set(lat, k) is not None) == oracle
 
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_search_agrees_with_subset_oracle_without_least_element(self, n, k):
+        # the omega* grid is a join-semilattice with no least element, so the
+        # search draws its candidates from the irreducibles of a zero-free poset
+        grid = F.omega_star_grid(n)
+        assert grid.bottom() is None
+        oracle = any(S.is_independent(grid, list(c))
+                     for c in itertools.combinations(range(grid.n), k))
+        found = S.find_independent_set(grid, k)
+        assert (found is not None) == oracle == (k <= 2)
+        assert found is None or S.is_independent(grid, found)
     def test_budget(self):
         from ordercraft.errors import BudgetExceeded
         with pytest.raises(BudgetExceeded):
