@@ -25,7 +25,8 @@ JSON_VERSION = 1
 class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
-    __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet")
+    __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
+                 "_report")
 
     def __init__(self, n: int, up: Sequence[int], labels=None):
         # `up` is trusted to be irreflexive and transitive; build() validates.
@@ -48,6 +49,7 @@ class Poset:
         self._covers = None
         self._join = None
         self._meet = None
+        self._report = None  # semilattice.structure_report fills it
 
     # -- basic queries -----------------------------------------------------
 
@@ -504,12 +506,19 @@ def from_json_dict(data: dict) -> Poset:
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     rel = data["relation"]
-    for pair in rel["pairs"]:
+    if not isinstance(rel, dict):
+        raise ValueError(f"relation must be an object, got {rel!r}")
+    pairs = rel["pairs"]
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"pairs must be a list, got {pairs!r}")
+    for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
                 and all(type(x) is int for x in pair)):
             raise ValueError(f"pair {pair!r} is not two integers")
-    return build(n, rel["kind"], [tuple(p) for p in rel["pairs"]],
-                 data.get("labels"))
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, (list, tuple)):
+        raise ValueError(f"labels must be a list, got {labels!r}")
+    return build(n, rel["kind"], [tuple(p) for p in pairs], labels)
 
 
 def to_json(p: Poset) -> str:

@@ -40,42 +40,73 @@ class StructureReport:
 
 
 def structure_report(p: Poset) -> StructureReport:
-    """Exhaustive identity checks over all pairs/triples."""
-    jt = p.join_table()
-    mt = p.meet_table()
-    has_join = _missing_pair(jt) is None
-    has_meet = _missing_pair(mt) is None
-    is_lattice = has_join and has_meet
-    distributive = modular = None
-    if is_lattice:
-        distributive = True
-        modular = True
-        rng = range(p.n)
-        for x in rng:
-            mx = mt[x]
-            for y in rng:
-                jxy = jt[x][y]
-                mxy = mx[y]
-                for z in rng:
-                    # distributivity: x ^ (y v z) == (x ^ y) v (x ^ z)
-                    if mx[jt[y][z]] != jt[mxy][mx[z]]:
-                        distributive = False
-                    # modular law: x <= z implies x v (y ^ z) == (x v y) ^ z
-                    if p.leq(x, z) and jt[x][mt[y][z]] != mt[jxy][z]:
-                        modular = False
-                if distributive is False and modular is False:
-                    break
-            if distributive is False and modular is False:
-                break
-    return StructureReport(
-        is_join_semilattice=has_join,
-        is_meet_semilattice=has_meet,
-        is_lattice=is_lattice,
-        is_distributive=distributive,
-        is_modular=modular,
-        join_table=tuple(tuple(r) for r in jt) if has_join else None,
-        meet_table=tuple(tuple(r) for r in mt) if has_meet else None,
-    )
+    """Join/meet existence from the tables; for lattices, distributivity by
+    Birkhoff's join-preservation test and modularity by the cover
+    semimodularity test (see :func:`_lattice_laws`). Computed once per
+    Poset and cached on it."""
+    if p._report is None:
+        jt = p.join_table()
+        mt = p.meet_table()
+        has_join = _missing_pair(jt) is None
+        has_meet = _missing_pair(mt) is None
+        is_lattice = has_join and has_meet
+        distributive, modular = _lattice_laws(p, jt, mt) if is_lattice else (None, None)
+        p._report = StructureReport(
+            is_join_semilattice=has_join,
+            is_meet_semilattice=has_meet,
+            is_lattice=is_lattice,
+            is_distributive=distributive,
+            is_modular=modular,
+            join_table=tuple(tuple(r) for r in jt) if has_join else None,
+            meet_table=tuple(tuple(r) for r in mt) if has_meet else None,
+        )
+    return p._report
+
+
+def _lattice_laws(p: Poset, jt, mt):
+    """(distributive, modular) for a finite lattice p, from its covers.
+
+    Distributive: with J the elements of exactly one lower cover (the
+    join-irreducibles), x -> J(x) = {j in J : j <= x} is injective and
+    meet-preserving on any finite lattice. It is a lattice embedding into
+    2^J, which makes p distributive, iff J(x v y) = J(x) | J(y) for every
+    pair; conversely every join-irreducible of a distributive lattice is
+    join-prime (Birkhoff). O(n^2) mask operations.
+
+    Modular: a distributive lattice is modular; otherwise a lattice of
+    finite length is modular iff it is upper semimodular (distinct upper
+    covers a, b of some x have a v b covering both) and lower semimodular
+    (the dual, with meets), both checked over pairs of covers (Birkhoff).
+    """
+    n = p.n
+    upper = [0] * n
+    lower = [0] * n
+    for a, b in p.cover_pairs():
+        upper[a] |= 1 << b
+        lower[b] |= 1 << a
+    j_mask = sum(1 << x for x in range(n) if lower[x].bit_count() == 1)
+    below = [p.down_incl(x) & j_mask for x in range(n)]
+    for x in range(n):
+        bx, row = below[x], jt[x]
+        for y in range(x + 1, n):
+            if below[row[y]] != bx | below[y]:
+                return False, _semimodular(upper, jt) and _semimodular(lower, mt)
+    return True, True
+
+
+def _semimodular(covers, table) -> bool:
+    """Any two distinct covers a, b of an element (upper covers with the
+    join table, or lower covers with the meet table) are both covered by
+    a v b (resp. both cover a ^ b)."""
+    for cov in covers:
+        cs = list(_poset.bits(cov))
+        for i, a in enumerate(cs):
+            row = table[a]
+            for b in cs[i + 1:]:
+                c = row[b]
+                if not ((covers[a] >> c) & 1 and (covers[b] >> c) & 1):
+                    return False
+    return True
 
 
 def _missing_pair(table):

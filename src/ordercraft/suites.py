@@ -22,7 +22,7 @@ from .errors import UnknownSuite
 from .poset import Poset
 
 SUITES = ("tm21", "irr_eq", "sum_prod", "ideal_principal", "lem2_3",
-          "fvee", "thm8_pipe", "separating")
+          "fvee", "thm8_pipe", "separating", "structure")
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,89 @@ def random_join_semilattice(n: int, seed: int) -> Poset:
     if out.bottom() is None:
         raise AssertionError("union-closed family lost its least element")
     return _log(out)
+
+
+def small_lattices():
+    """Named small lattices, each separating two outcomes of the structure
+    report: M3 (modular, not distributive), N5 (not modular), and S7 and its
+    dual (upper, resp. lower, semimodular but not modular)."""
+    s7 = _poset.build(7, "covers", [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3),
+                                    (2, 5), (3, 6), (4, 6), (5, 6)])
+    return {
+        "M3": _poset.build(5, "covers",
+                           [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+        "N5": _families.l_alpha(2),
+        "S7": s7,
+        "S7_dual": _poset.dual(s7),
+    }
+
+
+def _add_bounds(p: Poset) -> Poset:
+    """p with a new least and a new greatest element."""
+    with_bottom = _poset.add_bottom(p, "bottom")
+    return _poset.dual(_poset.add_bottom(_poset.dual(with_bottom), "top"))
+
+
+def random_lattice(rng: Random, max_n: int):
+    """(kind, poset) covering all three outcomes of the structure report:
+    downset lattices of random posets and their duals (distributive),
+    products of a small named lattice or a chain with a small downset
+    lattice or named lattice (modular or not), and random posets with a
+    bottom and top added, redrawn up to eight times until one is a lattice
+    (the last draw is returned either way)."""
+    kind = rng.choice(["downsets", "dual", "product", "bounded"])
+    if kind in ("downsets", "dual"):
+        q = random_poset(rng.randint(1, max_n), rng.random(), rng.randrange(1 << 30))
+        lat = _downsets.downset_lattice(q)
+        return kind, _poset.dual(lat) if kind == "dual" else lat
+    if kind == "product":
+        named = list(small_lattices().values())
+        left = rng.choice(named + [_poset.chain(rng.randint(2, 3))])
+        q = random_poset(rng.randint(1, 3), rng.random(), rng.randrange(1 << 30))
+        right = rng.choice(named + [_downsets.downset_lattice(q)])
+        return kind, _log(_poset.direct_product(left, right))
+    for _attempt in range(8):
+        q = random_poset(rng.randint(1, max_n), rng.random(), rng.randrange(1 << 30))
+        out = _log(_add_bounds(q))
+        if _has_all(out.join_table()) and _has_all(out.meet_table()):
+            break
+    return kind, out
+
+
+def _has_all(table) -> bool:
+    return all(None not in row for row in table)
+
+
+def structure_oracle(p: Poset):
+    """(distributive, modular) of p by the distributive and modular laws
+    checked over every triple, or (None, None) when p is not a lattice.
+
+    The O(n^3) oracle for semilattice.structure_report, whose cover-based
+    kernel it shares nothing with but the join and meet tables."""
+    jt = p.join_table()
+    mt = p.meet_table()
+    if not (_has_all(jt) and _has_all(mt)):
+        return None, None
+    distributive = True
+    modular = True
+    rng = range(p.n)
+    for x in rng:
+        mx = mt[x]
+        for y in rng:
+            jxy = jt[x][y]
+            mxy = mx[y]
+            for z in rng:
+                # distributivity: x ^ (y v z) == (x ^ y) v (x ^ z)
+                if mx[jt[y][z]] != jt[mxy][mx[z]]:
+                    distributive = False
+                # modular law: x <= z implies x v (y ^ z) == (x v y) ^ z
+                if p.leq(x, z) and jt[x][mt[y][z]] != mt[jxy][z]:
+                    modular = False
+            if distributive is False and modular is False:
+                break
+        if distributive is False and modular is False:
+            break
+    return distributive, modular
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +351,16 @@ def _suite_separating(rng: Random, max_n: int):
     return size_ok and _constructions.certificate_valid(cert) and not gok, bundle
 
 
+def _suite_structure(rng: Random, max_n: int):
+    kind, p = random_lattice(rng, max_n)
+    bundle = {"poset": _poset.to_json_dict(p), "kind": kind}
+    rep = _semilattice.structure_report(p)
+    kernel = (rep.is_distributive, rep.is_modular)
+    oracle = structure_oracle(p)
+    bundle["results"] = {"kernel": list(kernel), "oracle": list(oracle)}
+    return kernel == oracle, bundle
+
+
 _SUITE_FUNCS = {
     "tm21": (_suite_tm21, 10),
     "irr_eq": (_suite_irr_eq, 7),
@@ -277,6 +370,7 @@ _SUITE_FUNCS = {
     "fvee": (_suite_fvee, 4),
     "thm8_pipe": (_suite_thm8_pipe, 5),
     "separating": (_suite_separating, 6),
+    "structure": (_suite_structure, 5),
 }
 
 

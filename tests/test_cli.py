@@ -126,7 +126,12 @@ class TestExitCodes:
         {"version": 1, "n": -1, "relation": {"kind": "covers", "pairs": []}},
         {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [[0, 1, 1]]}},
         {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [0]}},
-    ], ids=["list", "n_string", "n_negative", "pair_of_three", "pair_not_list"])
+        {"version": 1, "n": 2, "relation": [1]},
+        {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": 5}},
+        {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": []},
+         "labels": 5},
+    ], ids=["list", "n_string", "n_negative", "pair_of_three", "pair_not_list",
+            "relation_not_object", "pairs_not_list", "labels_not_list"])
     def test_document_not_a_poset_is_3(self, doc, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))

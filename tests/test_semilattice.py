@@ -4,12 +4,13 @@ certified-map machinery."""
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ordercraft import downsets as D
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import semilattice as S
+from ordercraft import suites as SU
 from ordercraft.errors import (
     BaseHypothesisViolated,
     NoLeastElement,
@@ -66,6 +67,84 @@ class TestStructureReport:
             for x in range(p.n) for y in range(p.n) for z in range(p.n)
             if p.leq(x, z))
         assert rep.is_modular == oracle
+
+
+NAMED = SU.small_lattices()
+
+
+@st.composite
+def lattices(draw):
+    """Downset lattices of random posets and their duals, products with M3,
+    N5, S7 and its dual, and random posets with a bottom and top added that
+    are lattices."""
+    kind = draw(st.sampled_from(["downsets", "dual", "product", "bounded"]))
+    if kind in ("downsets", "dual"):
+        lat = D.downset_lattice(draw(random_posets(max_n=5)))
+        return P.dual(lat) if kind == "dual" else lat
+    if kind == "product":
+        factor = draw(st.sampled_from(sorted(NAMED)))
+        other = draw(st.one_of(st.sampled_from(sorted(NAMED)).map(NAMED.get),
+                               random_posets(max_n=3).map(D.downset_lattice)))
+        return P.direct_product(NAMED[factor], other)
+    q = draw(random_posets(max_n=6))
+    bounded = P.dual(P.add_bottom(P.dual(P.add_bottom(q)), "1"))
+    assume(S.structure_report(bounded).is_lattice)
+    return bounded
+
+
+class TestStructureKernelAgainstOracle:
+    @settings(max_examples=120)
+    @given(lattices())
+    def test_flags_match_triple_loop_on_lattices(self, lat):
+        rep = S.structure_report(lat)
+        assert rep.is_lattice
+        assert (rep.is_distributive, rep.is_modular) == SU.structure_oracle(lat)
+
+    @pytest.mark.parametrize("lat, expected", [
+        (P.direct_product(NAMED["M3"], P.chain(2)), (False, True)),
+        (P.direct_product(pentagon(), F.finite_powerset(2)), (False, False)),
+        (NAMED["S7"], (False, False)),
+        (NAMED["S7_dual"], (False, False)),
+        (F.finite_powerset(3), (True, True)),
+        (P.chain(1), (True, True)),
+    ], ids=["m3_x_2", "n5_x_b2", "s7", "s7_dual", "b3", "one_element"])
+    def test_fixed_cases(self, lat, expected):
+        rep = S.structure_report(lat)
+        assert (rep.is_distributive, rep.is_modular) == expected
+        assert SU.structure_oracle(lat) == expected
+
+    def test_non_lattice_has_no_laws(self):
+        assert SU.structure_oracle(P.antichain(2)) == (None, None)
+        rep = S.structure_report(P.antichain(2))
+        assert rep.is_distributive is None and rep.is_modular is None
+
+
+class TestStructureReportCache:
+    def test_computed_once_per_poset(self):
+        p = D.downset_lattice(F.delta(2))
+        assert S.structure_report(p) is S.structure_report(p)
+
+    def test_derived_posets_do_not_inherit_the_report(self):
+        p = pentagon()
+        rep = S.structure_report(p)
+        flipped, renamed = P.dual(p), p.relabel([str(i) for i in range(p.n)])
+        assert flipped._report is None and renamed._report is None
+        assert S.structure_report(flipped) is not rep
+        assert S.structure_report(renamed) is not rep
+
+    def test_pipeline_computes_the_host_report_once(self, monkeypatch):
+        from ordercraft import constructions as C
+        calls = []
+        kernel = S._lattice_laws
+
+        def counting(p, jt, mt):
+            calls.append(p)
+            return kernel(p, jt, mt)
+
+        monkeypatch.setattr(S, "_lattice_laws", counting)
+        host = D.downset_lattice(F.delta(3))
+        C.thm8_pipeline(host, 4)
+        assert calls == [host]
 
 
 class TestIrreducibles:

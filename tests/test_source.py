@@ -15,3 +15,37 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names(tree):
+    """Every identifier a module uses: names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_structure_oracle_stays_outside_the_kernel():
+    # the triple-loop oracle checks semilattice.structure_report, so only the
+    # suites (and the tests) may call it; the kernel must not reach it
+    oracle = "structure_oracle"
+    suites = ast.parse((SRC / "suites.py").read_text())
+    defined = [node for node in ast.walk(suites)
+               if isinstance(node, ast.FunctionDef) and node.name == oracle]
+    assert len(defined) == 1
+    suite_fn = next(node for node in ast.walk(suites)
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "_suite_structure")
+    assert oracle in set(_names(suite_fn))
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if path.name != "suites.py"
+                   and oracle in set(_names(ast.parse(path.read_text()))))
+    assert users == []
+    # nor may the kernel's module import the suites at all
+    kernel = ast.parse((SRC / "semilattice.py").read_text())
+    assert "suites" not in set(_names(kernel))
+    assert "_lattice_laws" in {node.name for node in ast.walk(kernel)
+                               if isinstance(node, ast.FunctionDef)}
