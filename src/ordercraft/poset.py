@@ -26,7 +26,7 @@ class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
     __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
-                 "_report")
+                 "_report", "_linext")
 
     def __init__(self, n: int, up: Sequence[int], labels=None):
         # `up` is trusted to be irreflexive and transitive; build() validates.
@@ -50,6 +50,7 @@ class Poset:
         self._join = None
         self._meet = None
         self._report = None  # semilattice.structure_report fills it
+        self._linext = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -140,16 +141,18 @@ class Poset:
 
     def linear_extension(self):
         """Repeated removal of the smallest-index minimal element."""
-        removed = 0
-        out = []
-        full = (1 << self.n) - 1
-        while removed != full:
-            for i in range(self.n):
-                if not (removed >> i) & 1 and self.down[i] & ~removed == 0:
-                    out.append(i)
-                    removed |= 1 << i
-                    break
-        return out
+        if self._linext is None:
+            removed = 0
+            out = []
+            full = (1 << self.n) - 1
+            while removed != full:
+                for i in range(self.n):
+                    if not (removed >> i) & 1 and self.down[i] & ~removed == 0:
+                        out.append(i)
+                        removed |= 1 << i
+                        break
+            self._linext = tuple(out)
+        return list(self._linext)
 
     def height(self) -> int:
         """Number of elements in a longest chain."""
@@ -159,28 +162,43 @@ class Poset:
         return max(best, default=0)
 
     def width(self, limit: Optional[int] = None) -> int:
-        """Largest antichain size by branch-and-bound over the ground set."""
+        """Largest antichain size, n minus a maximum matching of the strict
+        comparabilities (Dilworth; Fulkerson): left copy i, right copy j, an
+        edge when i < j.
+
+        Kuhn's augmenting paths over the up masks, iterative, with one seen
+        mask per search; a visited node is one right vertex claimed.
+        """
         limit = _budget.resolve(limit, _budget.SEARCH_BUDGET)
-        order = sorted(range(self.n), key=lambda i: (self.up[i] | self.down[i]).bit_count())
-        comp = [self.up[i] | self.down[i] for i in range(self.n)]
-        best = 0
+        up = self.up
+        owner = [-1] * self.n      # right vertex -> matched left vertex
+        matched = 0
         visited = 0
-
-        def grow(idx: int, chosen: int, size: int):
-            nonlocal best, visited
-            visited += 1
-            if visited > limit:
-                raise BudgetExceeded("antichain search budget exhausted")
-            best = max(best, size)
-            if size + (self.n - idx) <= best:
-                return
-            for k in range(idx, self.n):
-                e = order[k]
-                if chosen & comp[e] == 0:
-                    grow(k + 1, chosen | (1 << e), size + 1)
-
-        grow(0, 0, 0)
-        return best
+        for root in range(self.n):
+            seen = 0
+            lefts = [root]         # left vertices along the current path
+            rights = []            # rights[k]: the right vertex lefts[k] claimed
+            while lefts:
+                free = up[lefts[-1]] & ~seen
+                if not free:
+                    lefts.pop()
+                    if rights:
+                        rights.pop()
+                    continue
+                low = free & -free
+                seen |= low
+                visited += 1
+                if visited > limit:
+                    raise BudgetExceeded("antichain search budget exhausted")
+                j = low.bit_length() - 1
+                rights.append(j)
+                if owner[j] < 0:
+                    for left, right in zip(lefts, rights):
+                        owner[right] = left
+                    matched += 1
+                    break
+                lefts.append(owner[j])
+        return self.n - matched
 
     def basic_stats(self, width_budget: Optional[int] = None) -> dict:
         return {

@@ -13,16 +13,17 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
+from . import budget as _budget
 from . import constructions as _constructions
 from . import downsets as _downsets
 from . import families as _families
 from . import poset as _poset
 from . import semilattice as _semilattice
-from .errors import UnknownSuite
+from .errors import BudgetExceeded, UnknownSuite
 from .poset import Poset
 
 SUITES = ("tm21", "irr_eq", "sum_prod", "ideal_principal", "lem2_3",
-          "fvee", "thm8_pipe", "separating", "structure")
+          "fvee", "thm8_pipe", "separating", "structure", "width")
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,34 @@ def structure_oracle(p: Poset):
         if distributive is False and modular is False:
             break
     return distributive, modular
+
+
+def width_oracle(p: Poset, limit: Optional[int] = None) -> int:
+    """Largest antichain size by branch-and-bound over the ground set.
+
+    The exponential oracle for Poset.width, whose matching kernel it shares
+    nothing with but the up and down masks."""
+    limit = _budget.resolve(limit, _budget.SEARCH_BUDGET)
+    order = sorted(range(p.n), key=lambda i: (p.up[i] | p.down[i]).bit_count())
+    comp = [p.up[i] | p.down[i] for i in range(p.n)]
+    best = 0
+    visited = 0
+
+    def grow(idx: int, chosen: int, size: int):
+        nonlocal best, visited
+        visited += 1
+        if visited > limit:
+            raise BudgetExceeded("antichain search budget exhausted")
+        best = max(best, size)
+        if size + (p.n - idx) <= best:
+            return
+        for k in range(idx, p.n):
+            e = order[k]
+            if chosen & comp[e] == 0:
+                grow(k + 1, chosen | (1 << e), size + 1)
+
+    grow(0, 0, 0)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +390,16 @@ def _suite_structure(rng: Random, max_n: int):
     return kernel == oracle, bundle
 
 
+def _suite_width(rng: Random, max_n: int):
+    seed = rng.randrange(1 << 30)
+    p = random_poset(rng.randint(1, max_n), rng.random(), seed)
+    bundle = {"poset": _poset.to_json_dict(p), "seed": seed}
+    kernel = p.width()
+    oracle = width_oracle(p)
+    bundle["results"] = {"kernel": kernel, "oracle": oracle}
+    return kernel == oracle, bundle
+
+
 _SUITE_FUNCS = {
     "tm21": (_suite_tm21, 10),
     "irr_eq": (_suite_irr_eq, 7),
@@ -371,6 +410,7 @@ _SUITE_FUNCS = {
     "thm8_pipe": (_suite_thm8_pipe, 5),
     "separating": (_suite_separating, 6),
     "structure": (_suite_structure, 5),
+    "width": (_suite_width, 12),
 }
 
 

@@ -11,10 +11,10 @@ from ordercraft import families as F
 from ordercraft import poset as P
 
 
-def run_cli(args, tmp_path=None):
+def run_cli(args, tmp_path=None, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "ordercraft.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -154,6 +154,18 @@ class TestCommands:
         assert code == 0
         assert data["is_meet_semilattice"] and not data["is_join_semilattice"]
         assert data["stats"]["width"] == 3
+
+    def test_analyze_boolean_lattice_of_rank_8(self, tmp_path):
+        # width by matching is polynomial; a search over antichains of B_8 is not
+        f = tmp_path / "b8.json"
+        code, _out, err = run_cli(
+            ["generate", "--family", "finite_powerset", "--n", "8", "--out", str(f)])
+        assert code == 0, err
+        code, out, err = run_cli(["analyze", str(f)], timeout=60)
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["n"] == 256 and data["stats"]["width"] == 70
+        assert data["is_distributive"]
 
     def test_ideals_counts(self, tmp_path):
         f = tmp_path / "c.json"

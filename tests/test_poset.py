@@ -1,12 +1,14 @@
 """Core poset construction, combinators, isomorphism, and serialization."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordercraft import families as F
 from ordercraft import poset as P
-from ordercraft.errors import CyclicRelation, IndexOutOfRange
+from ordercraft.errors import BudgetExceeded, CyclicRelation, IndexOutOfRange
 
 
 def brute_closure(n, pairs):
@@ -252,7 +254,15 @@ class TestStats:
                 if p.lt(i, j):
                     assert pos[i] < pos[j]
 
-    @given(random_posets(max_n=7))
+    def test_linear_extension_is_cached_and_copied(self):
+        p = P.build(3, "covers", [(2, 0), (1, 0)])
+        first = p.linear_extension()
+        assert first == [1, 2, 0] and p._linext == (1, 2, 0)
+        first.append(99)
+        assert p.linear_extension() == [1, 2, 0]
+        assert p.linear_extension() is not p.linear_extension()
+
+    @given(random_posets(max_n=9))
     def test_width_matches_brute_force(self, p):
         best = 0
         for r in range(p.n + 1):
@@ -261,6 +271,21 @@ class TestStats:
                        for i, j in itertools.combinations(combo, 2)):
                     best = max(best, r)
         assert p.width() == best
+
+    @pytest.mark.parametrize("n", range(6, 11))
+    def test_boolean_lattice_width_is_sperner(self, n):
+        assert F.finite_powerset(n).width() == comb(n, n // 2)
+
+    def test_product_of_chains_width_is_shorter_chain(self):
+        for a in range(1, 7):
+            for b in range(1, 7):
+                assert P.direct_product(P.chain(a), P.chain(b)).width() == min(a, b)
+
+    def test_width_budget_counts_claimed_vertices(self):
+        b6 = F.finite_powerset(6)
+        with pytest.raises(BudgetExceeded, match="antichain search budget"):
+            b6.width(limit=5)
+        assert b6.width(limit=10 ** 4) == 20
 
 
 class TestSerialization:

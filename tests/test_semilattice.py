@@ -72,6 +72,34 @@ class TestStructureReport:
 NAMED = SU.small_lattices()
 
 
+def pairwise_irreducibles(p):
+    """Oracle: x other than the least element is join-irreducible unless two
+    elements strictly below it join to x, checked over every such pair."""
+    jt = p.join_table()
+    bot = p.bottom()
+    out = []
+    for x in range(p.n):
+        if x == bot:
+            continue
+        below = list(P.bits(p.down[x]))
+        if not any(jt[a][b] == x for a in below for b in below):
+            out.append(x)
+    return out
+
+
+@st.composite
+def join_closed_hosts(draw):
+    """Posets holding every binary join: random union-closed families,
+    downset lattices, and omega_star_grid, which has no least element."""
+    kind = draw(st.sampled_from(["semilattice", "downsets", "grid"]))
+    if kind == "semilattice":
+        return SU.random_join_semilattice(draw(st.integers(1, 12)),
+                                          draw(st.integers(0, 1 << 20)))
+    if kind == "downsets":
+        return D.downset_lattice(draw(random_posets(max_n=6)))
+    return F.omega_star_grid(draw(st.integers(1, 6)))
+
+
 @st.composite
 def lattices(draw):
     """Downset lattices of random posets and their duals, products with M3,
@@ -123,6 +151,12 @@ class TestStructureReportCache:
     def test_computed_once_per_poset(self):
         p = D.downset_lattice(F.delta(2))
         assert S.structure_report(p) is S.structure_report(p)
+
+    def test_report_holds_the_posets_own_tables(self):
+        p = pentagon()
+        rep = S.structure_report(p)
+        assert rep.join_table is p.join_table()
+        assert rep.meet_table is p.meet_table()
 
     def test_derived_posets_do_not_inherit_the_report(self):
         p = pentagon()
@@ -177,6 +211,10 @@ class TestIrreducibles:
     def test_requires_join_semilattice(self):
         with pytest.raises(NotJoinSemilattice):
             S.join_irreducibles(P.antichain(2))
+
+    @given(join_closed_hosts())
+    def test_cover_count_matches_pairwise_loop(self, p):
+        assert S._join_irreducibles_no_zero(p) == pairwise_irreducibles(p)
 
     @given(random_posets(max_n=6))
     def test_primes_subset_irreducibles_and_downset_lattice_equality(self, p):

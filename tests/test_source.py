@@ -28,24 +28,41 @@ def _names(tree):
             yield node.name
 
 
-def test_structure_oracle_stays_outside_the_kernel():
-    # the triple-loop oracle checks semilattice.structure_report, so only the
-    # suites (and the tests) may call it; the kernel must not reach it
-    oracle = "structure_oracle"
+def _oracle_only_in_suites(oracle, suite):
+    """The oracle is defined once in suites.py, called by its suite, and
+    named by no other module."""
     suites = ast.parse((SRC / "suites.py").read_text())
     defined = [node for node in ast.walk(suites)
                if isinstance(node, ast.FunctionDef) and node.name == oracle]
     assert len(defined) == 1
     suite_fn = next(node for node in ast.walk(suites)
                     if isinstance(node, ast.FunctionDef)
-                    and node.name == "_suite_structure")
+                    and node.name == suite)
     assert oracle in set(_names(suite_fn))
     users = sorted(path.name for path in SRC.glob("*.py")
                    if path.name != "suites.py"
                    and oracle in set(_names(ast.parse(path.read_text()))))
     assert users == []
+
+
+def test_structure_oracle_stays_outside_the_kernel():
+    # the triple-loop oracle checks semilattice.structure_report, so only the
+    # suites (and the tests) may call it; the kernel must not reach it
+    _oracle_only_in_suites("structure_oracle", "_suite_structure")
     # nor may the kernel's module import the suites at all
     kernel = ast.parse((SRC / "semilattice.py").read_text())
     assert "suites" not in set(_names(kernel))
     assert "_lattice_laws" in {node.name for node in ast.walk(kernel)
                                if isinstance(node, ast.FunctionDef)}
+
+
+def test_width_oracle_stays_outside_the_kernel():
+    # the branch-and-bound checks Poset.width, so only the width suite may
+    # call it; the matching kernel keeps no search of its own
+    _oracle_only_in_suites("width_oracle", "_suite_width")
+    kernel = ast.parse((SRC / "poset.py").read_text())
+    assert "suites" not in set(_names(kernel))
+    width = next(node for node in ast.walk(kernel)
+                 if isinstance(node, ast.FunctionDef) and node.name == "width")
+    assert [node.name for node in ast.walk(width)
+            if isinstance(node, ast.FunctionDef)] == ["width"]

@@ -47,6 +47,10 @@ class TestRunSuite:
         assert a.failures == b.failures
         assert a.ok
 
+    def test_width_kernel_agrees_with_oracle(self):
+        rep = SU.run_suite("width", 300, 0)
+        assert rep.ok and rep.trials == 300
+
     def test_report_json(self):
         rep = SU.run_suite("irr_eq", 5, 1)
         data = rep.to_json_dict()
