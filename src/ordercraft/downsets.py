@@ -152,21 +152,25 @@ def enumerate_ideals(p: Poset) -> DownSetFamily:
     return DownSetFamily(p, ideals, "ideals")
 
 
+def _set_labels(family: DownSetFamily):
+    return ["{" + ",".join(map(str, d.sorted_members())) + "}" for d in family.sets]
+
+
 def family_poset(family: DownSetFamily) -> Poset:
     """The family ordered by inclusion, element order = family order."""
-    labels = ["{" + ",".join(map(str, d.sorted_members())) + "}" for d in family.sets]
-    return _poset.inclusion_order(family.masks(), labels)
+    return _poset.inclusion_order(family.masks(), _set_labels(family))
 
 
 def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
     """All downsets of p ordered by inclusion, in canonical family order.
 
     Joins are unions and meets are intersections, so the result is a
-    distributive lattice by construction; closure under both operations is
-    asserted here and full identity checks live in the test suite.
+    distributive lattice by construction, built by set_lattice from the
+    masks; closure under both operations is asserted here and full identity
+    checks live in the test suite.
     """
     family = enumerate_downsets(p, element_budget)
-    lattice = family_poset(family)
+    lattice = _poset.set_lattice(p, family.masks(), _set_labels(family))
     if lattice.n <= 256:
         masks = set(family.masks())
         for a in masks:

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import budget as _budget
 from . import poset as _poset
-from .errors import UnsupportedOrdinal, UnsupportedParams
+from .errors import BudgetExceeded, UnsupportedOrdinal, UnsupportedParams
 from .poset import Poset
 
 OMEGA = "w"  # sentinel second coordinate, strictly above every integer
@@ -169,20 +170,20 @@ class FamilySpec:
 
 
 def finite_powerset(n: int) -> Poset:
-    """B_n: subsets of an n-set in mask encoding, ordered by inclusion."""
+    """B_n: subsets of an n-set in mask encoding, ordered by inclusion.
+
+    Raises BudgetExceeded before building anything when 2^n is over the
+    enumeration budget."""
     if n < 0:
         raise UnsupportedParams("n must be >= 0")
+    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
+    if n >= limit.bit_length():  # 2^n > limit, without forming 2^n
+        raise BudgetExceeded(
+            f"finite_powerset n={n} has 2^{n} elements, more than {limit}")
     size = 1 << n
-    up = [0] * size
-    for x in range(size):
-        m = 0
-        for y in range(size):
-            if x != y and x & y == x:
-                m |= 1 << y
-        up[x] = m
     labels = ["{" + ",".join(str(i) for i in range(n) if (x >> i) & 1) + "}"
               for x in range(size)]
-    return Poset(size, up, labels)
+    return _poset.set_lattice(_poset.antichain(n), range(size), labels)
 
 
 def omega_star_grid(n: int, with_bottom: bool = False) -> Poset:

@@ -26,20 +26,23 @@ class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
     __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
-                 "_report", "_linext")
+                 "_report", "_linext", "_sets")
 
-    def __init__(self, n: int, up: Sequence[int], labels=None):
-        # `up` is trusted to be irreflexive and transitive; build() validates.
+    def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
+        # `up` is trusted to be irreflexive and transitive (build() validates);
+        # `down`, when given, is trusted to be its transpose (set_lattice()
+        # derives both from validated covers).
         self.n = n
         self.up = tuple(up)
-        down = [0] * n
-        # inline bit loop: a bits() generator here cost +29% per construction
-        for i in range(n):
-            m = self.up[i]
-            while m:
-                low = m & -m
-                down[low.bit_length() - 1] |= 1 << i
-                m ^= low
+        if down is None:
+            down = [0] * n
+            # inline bit loop: a bits() generator here cost +29% per construction
+            for i in range(n):
+                m = self.up[i]
+                while m:
+                    low = m & -m
+                    down[low.bit_length() - 1] |= 1 << i
+                    m ^= low
         self.down = tuple(down)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -51,6 +54,7 @@ class Poset:
         self._meet = None
         self._report = None  # semilattice.structure_report fills it
         self._linext = None
+        self._sets = None  # set_lattice fills it: element i is the set _sets[i]
 
     # -- basic queries -----------------------------------------------------
 
@@ -223,6 +227,14 @@ class Poset:
         return self._meet
 
     def _bound_table(self, upward: bool):
+        if self._sets is not None:
+            # a ring of sets: the join is the union, the meet the intersection;
+            # copy() trims each row to its exact size
+            sets = self._sets
+            index = {m: i for i, m in enumerate(sets)}
+            if upward:
+                return [[index[a | b] for b in sets].copy() for a in sets]
+            return [[index[a & b] for b in sets].copy() for a in sets]
         n = self.n
         incl = [(self.up[i] if upward else self.down[i]) | (1 << i) for i in range(n)]
         by_cone = {incl[i]: i for i in range(n)}
@@ -397,6 +409,46 @@ def inclusion_order(masks: Sequence[int], labels=None) -> Poset:
                 m |= 1 << j
         up.append(m)
     return Poset(len(masks), up, labels)
+
+
+def set_lattice(base: Poset, masks: Sequence[int], labels=None) -> Poset:
+    """The lattice of all downsets of base, given as bitmasks over base with
+    every mask after its subsets; element order = list order.
+
+    D is covered by D | {e} for each e minimal outside D, so the covers and
+    the order are read off the masks in O(n * base.n), and the join and meet
+    tables are unions and intersections. Raises ValueError unless the masks
+    are every downset of base, once each, in that order.
+    """
+    n = len(masks)
+    index = {m: i for i, m in enumerate(masks)}
+    if n == 0 or masks[0] != 0 or len(index) != n:
+        raise ValueError("masks must list each downset once, the empty set first")
+    covers = []
+    for i, d in enumerate(masks):
+        for e, below in enumerate(base.down):
+            if below & ~d == 0 and not (d >> e) & 1:
+                j = index.get(d | (1 << e), -1)
+                if j <= i:
+                    raise ValueError(
+                        f"downset {d | (1 << e)} missing or before its subset {d}")
+                covers.append((i, j))
+    # every mask but the empty set must top a cover; then each is reached
+    # from the empty set by adding minimal elements, so is a downset
+    if len({j for _i, j in covers}) != n - 1:
+        raise ValueError("masks must all be downsets of base")
+    up = [0] * n
+    down = [0] * n
+    for i, j in covers:  # i ascending, so down[i] is complete
+        down[j] |= down[i] | (1 << i)
+    for i, j in reversed(covers):  # i descending, so up[j] is complete
+        up[i] |= up[j] | (1 << j)
+    p = Poset(n, up, labels, down)
+    p._covers = tuple(sorted(covers))
+    # subsets first: the smallest-index minimal element is always the next index
+    p._linext = tuple(range(n))
+    p._sets = tuple(masks)
+    return p
 
 
 # -- isomorphism -------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import BudgetExceeded, UnknownSuite
 from .poset import Poset
 
 SUITES = ("tm21", "irr_eq", "sum_prod", "ideal_principal", "lem2_3",
-          "fvee", "thm8_pipe", "separating", "structure", "width")
+          "fvee", "thm8_pipe", "separating", "structure", "width", "tables")
 
 
 @dataclass(frozen=True)
@@ -210,6 +210,31 @@ def width_oracle(p: Poset, limit: Optional[int] = None) -> int:
 
     grow(0, 0, 0)
     return best
+
+
+def bound_oracle(p: Poset, upward: bool):
+    """n*n table of least upper (greatest lower) bounds, or None where a pair
+    has none, found by scanning leq over every element for each pair.
+
+    The oracle for Poset.join_table and meet_table, sharing nothing with the
+    cone lookup or the set masks behind them."""
+    def below(a, b):
+        return p.leq(a, b) if upward else p.leq(b, a)
+
+    table = []
+    for i in range(p.n):
+        row = []
+        for j in range(p.n):
+            bounds = [k for k in range(p.n) if below(i, k) and below(j, k)]
+            best = bounds[0] if bounds else None
+            for k in bounds:
+                if below(k, best):
+                    best = k
+            if best is not None and not all(below(best, k) for k in bounds):
+                best = None
+            row.append(best)
+        table.append(row)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +425,29 @@ def _suite_width(rng: Random, max_n: int):
     return kernel == oracle, bundle
 
 
+def _suite_tables(rng: Random, max_n: int):
+    # plain and bounded posets draw up to 2 * max_n elements, so that many
+    # pairs have bounds but no least or greatest one; with a bottom and a
+    # top added, every pair has bounds
+    kind = rng.choice(["poset", "bounded", "downsets", "powerset"])
+    if kind == "powerset":
+        p = _families.finite_powerset(rng.randint(0, 5))
+    elif kind == "downsets":
+        q = random_poset(rng.randint(1, max_n), rng.random(), rng.randrange(1 << 30))
+        p = _downsets.downset_lattice(q)
+    else:
+        p = random_poset(rng.randint(1, 2 * max_n), rng.random(), rng.randrange(1 << 30))
+        if kind == "bounded":
+            p = _log(_add_bounds(p))
+    dual = rng.random() < 0.5
+    if dual:
+        p = _poset.dual(p)
+    bundle = {"poset": _poset.to_json_dict(p), "kind": kind, "dual": dual}
+    ok = (p.join_table() == bound_oracle(p, True)
+          and p.meet_table() == bound_oracle(p, False))
+    return ok, bundle
+
+
 _SUITE_FUNCS = {
     "tm21": (_suite_tm21, 10),
     "irr_eq": (_suite_irr_eq, 7),
@@ -411,6 +459,7 @@ _SUITE_FUNCS = {
     "separating": (_suite_separating, 6),
     "structure": (_suite_structure, 5),
     "width": (_suite_width, 12),
+    "tables": (_suite_tables, 6),
 }
 
 

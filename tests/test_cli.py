@@ -97,6 +97,13 @@ class TestExitCodes:
         code, _, err = run_cli(["ideals", str(big)])
         assert code == 4, err
 
+    def test_powerset_over_budget_is_4(self):
+        # the size check runs before any element is built
+        code, out, err = run_cli(
+            ["generate", "--family", "finite_powerset", "--n", "24"], timeout=10)
+        assert code == 4 and out == "", err
+        assert "n=24" in err and "1000000" in err
+
     def test_ramsey_index_outside_host_is_2(self, tmp_path):
         b3 = tmp_path / "b3.json"
         b3.write_text(P.to_json(F.finite_powerset(3)))

@@ -1,6 +1,7 @@
 """Downset/ideal enumeration and the derived lattice constructions."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,6 +107,42 @@ class TestEnumeration:
 
 
 class TestDownsetLattice:
+    @settings(max_examples=60, deadline=None)
+    @given(random_posets(max_n=7))
+    def test_matches_inclusion_order(self, p):
+        # the set-built lattice against the pairwise inclusion order of the
+        # same masks, whose tables come from the cone lookup
+        family = D.enumerate_downsets(p)
+        lat = D.downset_lattice(p)
+        ref = P.inclusion_order(family.masks(), lat.labels)
+        assert lat._sets is not None and ref._sets is None
+        assert lat == ref and lat.down == ref.down
+        assert lat.cover_pairs() == ref.cover_pairs()
+        assert lat.linear_extension() == ref.linear_extension()
+        assert lat.height() == ref.height()
+        assert lat.join_table() == ref.join_table()
+        assert lat.meet_table() == ref.meet_table()
+        P.validate(lat)
+
+    def test_json_round_trip_uses_the_cone_path(self):
+        lat = D.downset_lattice(F.delta(3))
+        back = P.from_json_dict(P.to_json_dict(lat))
+        assert back == lat and back._sets is None
+        assert back.join_table() == lat.join_table()
+        assert back.meet_table() == lat.meet_table()
+
+    @pytest.mark.parametrize("base", [
+        P.antichain(6),
+        # 48 elements: a comprehension of that length keeps spare capacity
+        P.direct_sum(P.antichain(4), P.chain(2)),
+    ])
+    def test_table_rows_have_exact_size(self, base):
+        # spare capacity in each row of two n*n tables is megabytes at n = 2048
+        lat = D.downset_lattice(base)
+        exact = sys.getsizeof([None] * lat.n)
+        for table in (lat.join_table(), lat.meet_table()):
+            assert [sys.getsizeof(row) for row in table] == [exact] * lat.n
+
     def test_antichain_gives_powerset(self):
         lat = D.downset_lattice(P.antichain(3))
         assert P.is_isomorphic(lat, F.finite_powerset(3)) is not None

@@ -7,7 +7,7 @@ from ordercraft import downsets as D
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import semilattice as S
-from ordercraft.errors import UnsupportedOrdinal, UnsupportedParams
+from ordercraft.errors import BudgetExceeded, UnsupportedOrdinal, UnsupportedParams
 
 
 class TestPowerset:
@@ -20,6 +20,15 @@ class TestPowerset:
         b3 = F.finite_powerset(3)
         jt = b3.join_table()
         assert all(jt[x][y] == x | y for x in range(8) for y in range(8))
+
+    def test_over_budget_raises_before_building(self, monkeypatch):
+        monkeypatch.setenv("OC_BUDGET", "64")
+        assert F.finite_powerset(6).n == 64
+        with pytest.raises(BudgetExceeded, match="n=7 .* more than 64"):
+            F.finite_powerset(7)
+        monkeypatch.delenv("OC_BUDGET")
+        with pytest.raises(BudgetExceeded, match="n=10000 .* more than 1000000"):
+            F.finite_powerset(10 ** 4)
 
 
 class TestGrid:

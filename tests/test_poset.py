@@ -288,6 +288,66 @@ class TestStats:
         assert b6.width(limit=10 ** 4) == 20
 
 
+def inclusion_powerset(n):
+    """Oracle: B_n by comparing every pair of subsets, O(4^n)."""
+    size = 1 << n
+    up = [0] * size
+    for x in range(size):
+        m = 0
+        for y in range(size):
+            if x != y and x & y == x:
+                m |= 1 << y
+        up[x] = m
+    labels = ["{" + ",".join(str(i) for i in range(n) if (x >> i) & 1) + "}"
+              for x in range(size)]
+    return P.Poset(size, up, labels)
+
+
+class TestSetLattice:
+    @pytest.mark.parametrize("n", range(7))
+    def test_powerset_matches_pairwise_inclusion(self, n):
+        got, want = F.finite_powerset(n), inclusion_powerset(n)
+        assert got == want and got.down == want.down
+        assert got.cover_pairs() == want.cover_pairs()
+        assert got.linear_extension() == want.linear_extension()
+        assert got.height() == want.height() == n + 1
+        assert got.join_table() == want.join_table()
+        assert got.meet_table() == want.meet_table()
+
+    def test_only_set_lattices_keep_masks(self):
+        b3 = F.finite_powerset(3)
+        assert b3._sets == tuple(range(8))
+        assert P.build(8, "covers", b3.cover_pairs())._sets is None
+
+    def test_views_carry_no_sets(self):
+        # dual, relabel and induced do not inherit the masks: the dual's join
+        # is the original meet, which a union of the masks would get wrong
+        lat = F.finite_powerset(4)
+        dual = P.dual(lat)
+        for view in (dual, lat.relabel(list("abcdefghijklmnop")),
+                     P.induced(lat, [0, 1, 2, 3])):
+            assert view._sets is None
+        assert dual.join_table() == lat.meet_table()
+        assert dual.meet_table() == lat.join_table()
+
+    @pytest.mark.parametrize("masks", [
+        [],                 # no empty set
+        [1, 0, 2, 3],       # empty set not first
+        [0, 1, 1, 2, 3],    # a repeat
+        [0, 1, 2],          # {0,1} missing
+        [0, 1, 3, 2],       # {0,1} before its subset {1}
+        [0, 1, 2, 3, 4],    # 4 is not a subset of the base
+    ])
+    def test_rejects_masks_that_are_not_the_downsets(self, masks):
+        with pytest.raises(ValueError):
+            P.set_lattice(P.antichain(2), masks)
+
+    def test_rejects_a_non_downset(self):
+        # over the chain 0 < 1, {1} is not a downset
+        with pytest.raises(ValueError, match="downsets"):
+            P.set_lattice(P.chain(2), [0, 1, 2, 3])
+
+
 class TestSerialization:
     @given(random_posets())
     def test_json_round_trip(self, p):

@@ -66,3 +66,13 @@ def test_width_oracle_stays_outside_the_kernel():
                  if isinstance(node, ast.FunctionDef) and node.name == "width")
     assert [node.name for node in ast.walk(width)
             if isinstance(node, ast.FunctionDef)] == ["width"]
+
+
+def test_bound_oracle_stays_outside_the_kernel():
+    # the leq scan checks join_table and meet_table, so only the tables suite
+    # may call it; the cone lookup and the set masks stay in poset.py
+    _oracle_only_in_suites("bound_oracle", "_suite_tables")
+    kernel = ast.parse((SRC / "poset.py").read_text())
+    assert "suites" not in set(_names(kernel))
+    assert "_bound_table" in {node.name for node in ast.walk(kernel)
+                              if isinstance(node, ast.FunctionDef)}

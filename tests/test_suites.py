@@ -51,6 +51,20 @@ class TestRunSuite:
         rep = SU.run_suite("width", 300, 0)
         assert rep.ok and rep.trials == 300
 
+    def test_tables_agree_with_oracle(self):
+        rep = SU.run_suite("tables", 300, 0)
+        assert rep.ok and rep.trials == 300
+
+    def test_bound_oracle_finds_missing_joins(self):
+        # the bowtie 0, 1 < 2, 3: the pair 0, 1 has two minimal upper bounds
+        # and no join, and dually 2, 3 have no meet
+        bowtie = P.build(4, "covers", [(0, 2), (0, 3), (1, 2), (1, 3)])
+        assert SU.bound_oracle(bowtie, True) == [
+            [0, None, 2, 3], [None, 1, 2, 3], [2, 2, 2, None], [3, 3, None, 3]]
+        assert SU.bound_oracle(bowtie, False) == [
+            [0, None, 0, 0], [None, 1, 1, 1], [0, 1, 2, None], [0, 1, None, 3]]
+        assert SU.bound_oracle(bowtie, True) == bowtie.join_table()
+
     def test_report_json(self):
         rep = SU.run_suite("irr_eq", 5, 1)
         data = rep.to_json_dict()
