@@ -26,7 +26,7 @@ class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
     __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
-                 "_report", "_linext", "_sets")
+                 "_gaps", "_report", "_linext", "_sets")
 
     def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
         # `up` is trusted to be irreflexive and transitive (build() validates);
@@ -52,6 +52,7 @@ class Poset:
         self._covers = None
         self._join = None
         self._meet = None
+        self._gaps = None  # semilattice._table_gap fills it
         self._report = None  # semilattice.structure_report fills it
         self._linext = None
         self._sets = None  # set_lattice fills it: element i is the set _sets[i]
@@ -159,10 +160,13 @@ class Poset:
         return list(self._linext)
 
     def height(self) -> int:
-        """Number of elements in a longest chain."""
+        """Number of elements in a longest chain, whose steps are covers."""
+        above = [[] for _ in range(self.n)]
+        for i, j in self.cover_pairs():
+            above[i].append(j)
         best = [0] * self.n
         for i in reversed(self.linear_extension()):
-            best[i] = max((best[j] for j in bits(self.up[i])), default=0) + 1
+            best[i] = max([best[j] for j in above[i]], default=0) + 1
         return max(best, default=0)
 
     def width(self, limit: Optional[int] = None) -> int:
@@ -228,13 +232,7 @@ class Poset:
 
     def _bound_table(self, upward: bool):
         if self._sets is not None:
-            # a ring of sets: the join is the union, the meet the intersection;
-            # copy() trims each row to its exact size
-            sets = self._sets
-            index = {m: i for i, m in enumerate(sets)}
-            if upward:
-                return [[index[a | b] for b in sets].copy() for a in sets]
-            return [[index[a & b] for b in sets].copy() for a in sets]
+            return self._set_table(upward)
         n = self.n
         incl = [(self.up[i] if upward else self.down[i]) | (1 << i) for i in range(n)]
         by_cone = {incl[i]: i for i in range(n)}
@@ -246,6 +244,37 @@ class Poset:
                 k = by_cone.get(common)
                 row[j] = k
                 table[j][i] = k
+        return table
+
+    def _set_table(self, upward: bool):
+        """Join (meet) table of a ring of sets, built row by row along the
+        covers. A cover d < a adds one element e, so a v b = (d v b) + e and
+        d ^ b = (a ^ b) - e: the join row of a is the row of d mapped by
+        step[e], the identity with d -> a on every cover labelled e, and the
+        meet row of d is the row of a mapped by the identity with a -> d.
+        Joins start from the identity row of the empty set (index 0), meets
+        from that of the top (index n - 1); subsets come first, so each row's
+        source is already built. copy() trims each row to its exact size."""
+        n, sets = self.n, self._sets
+        ident = list(range(n))
+        steps = [None] * sets[-1].bit_length()
+        source = [0] * n   # row -> the row it is mapped from
+        label = [0] * n    # row -> the element e of that cover
+        for d, a in self._covers:
+            e = (sets[a] ^ sets[d]).bit_length() - 1
+            step = steps[e]
+            if step is None:
+                step = steps[e] = ident.copy()
+            if upward:
+                step[d], source[a], label[a] = ident[a], d, e
+            else:
+                step[a], source[d], label[d] = ident[d], a, e
+        rows = range(1, n) if upward else range(n - 2, -1, -1)
+        table = [None] * n
+        table[0 if upward else n - 1] = ident.copy()
+        for r in rows:
+            step = steps[label[r]]
+            table[r] = [step[c] for c in table[source[r]]].copy()
         return table
 
     def join(self, i: int, j: int) -> Optional[int]:

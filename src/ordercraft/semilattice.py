@@ -47,8 +47,8 @@ def structure_report(p: Poset) -> StructureReport:
     if p._report is None:
         jt = p.join_table()
         mt = p.meet_table()
-        has_join = _missing_pair(jt) is None
-        has_meet = _missing_pair(mt) is None
+        has_join = _table_gap(p, upward=True) is None
+        has_meet = _table_gap(p, upward=False) is None
         is_lattice = has_join and has_meet
         distributive, modular = _lattice_laws(p, jt, mt) if is_lattice else (None, None)
         p._report = StructureReport(
@@ -121,9 +121,18 @@ def _missing_pair(table):
     return None
 
 
+def _table_gap(p: Poset, upward: bool):
+    """_missing_pair of p's join (meet) table, scanned once per Poset."""
+    if p._gaps is None:
+        p._gaps = {}
+    if upward not in p._gaps:
+        p._gaps[upward] = _missing_pair(p.join_table() if upward else p.meet_table())
+    return p._gaps[upward]
+
+
 def require_join_table(p: Poset):
     jt = p.join_table()
-    missing = _missing_pair(jt)
+    missing = _table_gap(p, upward=True)
     if missing:
         raise NotJoinSemilattice(f"elements {missing[0]} and {missing[1]} have no join")
     return jt
@@ -131,7 +140,7 @@ def require_join_table(p: Poset):
 
 def require_meet_table(p: Poset):
     mt = p.meet_table()
-    missing = _missing_pair(mt)
+    missing = _table_gap(p, upward=False)
     if missing:
         raise StructureMismatch(f"elements {missing[0]} and {missing[1]} have no meet")
     return mt
@@ -167,20 +176,14 @@ def join_primes(p: Poset):
     bot = p.bottom()
     if bot is None:
         raise NoLeastElement("join-primes need a least element")
-    out = []
-    for x in range(p.n):
-        if x == bot:
-            continue
-        prime = True
-        for a in range(p.n):
-            if prime:
-                for b in range(a, p.n):
-                    if p.leq(x, jt[a][b]) and not p.leq(x, a) and not p.leq(x, b):
-                        prime = False
-                        break
-        if prime:
-            out.append(x)
-    return out
+    below = [p.down_incl(a) for a in range(p.n)]  # bit x of below[a]: x <= a
+    not_prime = 1 << bot
+    for a in range(p.n):
+        row, below_a = jt[a], below[a]
+        for b in range(a, p.n):
+            # the x <= a v b with x not<= a and x not<= b
+            not_prime |= below[row[b]] & ~(below_a | below[b])
+    return [x for x in range(p.n) if not (not_prime >> x) & 1]
 
 
 def _join_irreducibles_no_zero(p: Poset):
@@ -399,10 +402,10 @@ def embedding_search(pattern: Poset, target: Poset, mode: str = "order",
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode in ("join", "sublattice"):
-        if _missing_pair(pattern.join_table()) or _missing_pair(target.join_table()):
+        if _table_gap(pattern, upward=True) or _table_gap(target, upward=True):
             raise StructureMismatch("join mode needs join-semilattices on both sides")
     if mode in ("meet", "sublattice"):
-        if _missing_pair(pattern.meet_table()) or _missing_pair(target.meet_table()):
+        if _table_gap(pattern, upward=False) or _table_gap(target, upward=False):
             raise StructureMismatch("meet mode needs meet-semilattices on both sides")
 
     limit = _budget.resolve(node_budget, _budget.SEARCH_BUDGET)

@@ -10,6 +10,7 @@ from ordercraft import downsets as D
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import semilattice as S
+from ordercraft.suites import bound_oracle
 from ordercraft.errors import BudgetExceeded, NotALattice
 
 from test_poset import random_posets
@@ -25,6 +26,30 @@ def brute_downsets(p):
                    for x in s):
                 out.append(frozenset(s))
     return set(out)
+
+
+def brute_height(p):
+    """Oracle: longest chain by recursion over every strictly larger element."""
+    memo = {}
+
+    def longest(i):  # elements in a longest chain starting at i
+        if i not in memo:
+            memo[i] = 1 + max((longest(j) for j in range(p.n) if p.lt(i, j)), default=0)
+        return memo[i]
+
+    return max((longest(i) for i in range(p.n)), default=0)
+
+
+def assert_set_tables(lat):
+    """A set lattice's tables against the cone path of a relabelled copy,
+    against the order scan, and against the swapped tables of its dual."""
+    cone, dual = lat.relabel(lat.labels), P.dual(lat)
+    assert lat._sets is not None and cone._sets is None and dual._sets is None
+    for upward, table, dual_table in ((True, lat.join_table(), dual.meet_table()),
+                                      (False, lat.meet_table(), dual.join_table())):
+        assert table == (cone.join_table() if upward else cone.meet_table())
+        assert table == bound_oracle(lat, upward)
+        assert dual_table == table == bound_oracle(dual, not upward)
 
 
 def brute_ideals(p):
@@ -78,6 +103,17 @@ class TestEnumeration:
         got = {d.members for d in D.enumerate_downsets(p).sets}
         assert got == brute_downsets(p)
 
+    @given(random_posets(max_n=8))
+    def test_mask_order_is_member_order(self, p):
+        # the int key the enumeration sorts by against the (size, sorted
+        # members) order, on the downsets of p and on every subset of its
+        # elements (the downsets of the antichain)
+        for q in (p, P.antichain(p.n)):
+            masks = D._downset_masks(q, None)
+            assert set(masks) == {sum(1 << x for x in s) for s in brute_downsets(q)}
+            assert masks == sorted(masks, key=lambda m: (
+                bin(m).count("1"), [x for x in range(q.n) if (m >> x) & 1]))
+
     @given(random_posets(max_n=7))
     def test_canonical_order(self, p):
         sets = D.enumerate_downsets(p).sets
@@ -114,9 +150,10 @@ class TestDownsetLattice:
         # same masks, whose tables come from the cone lookup
         family = D.enumerate_downsets(p)
         lat = D.downset_lattice(p)
-        ref = P.inclusion_order(family.masks(), lat.labels)
+        labels = ["{" + ",".join(map(str, d.sorted_members())) + "}" for d in family.sets]
+        ref = P.inclusion_order(family.masks(), labels)
         assert lat._sets is not None and ref._sets is None
-        assert lat == ref and lat.down == ref.down
+        assert lat == ref and lat.down == ref.down and lat.labels == ref.labels
         assert lat.cover_pairs() == ref.cover_pairs()
         assert lat.linear_extension() == ref.linear_extension()
         assert lat.height() == ref.height()
@@ -135,6 +172,8 @@ class TestDownsetLattice:
         P.antichain(6),
         # 48 elements: a comprehension of that length keeps spare capacity
         P.direct_sum(P.antichain(4), P.chain(2)),
+        # 11 elements: list(range(11)) keeps spare capacity
+        P.chain(10),
     ])
     def test_table_rows_have_exact_size(self, base):
         # spare capacity in each row of two n*n tables is megabytes at n = 2048
@@ -142,6 +181,24 @@ class TestDownsetLattice:
         exact = sys.getsizeof([None] * lat.n)
         for table in (lat.join_table(), lat.meet_table()):
             assert [sys.getsizeof(row) for row in table] == [exact] * lat.n
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_posets(max_n=7))
+    def test_set_tables_match_cone_path_and_oracle(self, p):
+        assert_set_tables(D.downset_lattice(p))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_powerset_tables_match_cone_path_and_oracle(self, n):
+        assert_set_tables(F.finite_powerset(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_posets(max_n=7))
+    def test_height_matches_longest_chain_oracle(self, p):
+        # index order is a linear extension of p and of its downset lattice,
+        # but not of their duals
+        lat = D.downset_lattice(p)
+        for q in (p, P.dual(p), lat, P.dual(lat)):
+            assert q.height() == brute_height(q)
 
     def test_antichain_gives_powerset(self):
         lat = D.downset_lattice(P.antichain(3))
