@@ -17,7 +17,7 @@ from . import downsets as _downsets
 from . import families as _families
 from . import poset as _poset
 from . import semilattice as _semilattice
-from .downsets import DownSet, DownSetFamily
+from .downsets import DownSet
 from .errors import (
     ConstructionStalled,
     DepthUnreachable,
@@ -80,37 +80,24 @@ class ChainOfDownSets:
         return cls(host, members, bool(data.get("decreasing", False)))
 
 
-def ideal_join(host: Poset, x: int, ideal_mask: int) -> int:
-    """{x} v J: closure of {x} and J under binary joins, then downward.
+def _ideal_top(host: Poset, ideal_mask: int) -> int:
+    """The greatest element m of a principal ideal J = down(m), given as a
+    mask. Every ideal of a finite poset is principal; raises ValueError when
+    the mask is not one."""
+    for m in _poset.bits(ideal_mask):
+        if host.up[m] & ideal_mask == 0:
+            if host.down_incl(m) != ideal_mask:
+                break
+            return m
+    raise ValueError(f"mask {ideal_mask:#x} is not a principal ideal")
 
-    When J is up-directed it has a maximum m and the closure equals the
-    principal downset of x v m; the loop below computes the same set without
-    that assumption.
-    """
-    jt = host.join_table()
-    mask = ideal_mask | (1 << x)
-    # inline bit loops: this runs once per (member, x, J) of a separating check
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            m = mask
-            while m:
-                low = m & -m
-                b = low.bit_length() - 1
-                j = jt[a][b]
-                if not (mask >> j) & 1:
-                    mask |= 1 << j
-                    nxt.append(j)
-                m ^= low
-        frontier = nxt
-    out = 0
-    m = mask
-    while m:
-        low = m & -m
-        out |= host.down_incl(low.bit_length() - 1)
-        m ^= low
-    return out
+
+def ideal_join(host: Poset, x: int, ideal_mask: int) -> int:
+    """{x} v J: the closure of {x} and J under binary joins, then downward.
+    J = down(m) has a top, so this is down(x v m), one table lookup (see
+    suites.ideal_join_oracle for the closure itself). Raises ValueError
+    when the mask is not a principal ideal."""
+    return host.down_incl(host.join_table()[x][_ideal_top(host, ideal_mask)])
 
 
 def _is_separating_masks(host: Poset, masks: Sequence[int]):
@@ -131,11 +118,15 @@ def _is_separating_masks(host: Poset, masks: Sequence[int]):
         union |= m
     least = min(masks, key=int.bit_count) if len(masks) > 1 else None
     irr_mask = sum(1 << x for x in _semilattice._join_irreducibles_no_zero(host))
+    jt = host.join_table()
+    tops = [_ideal_top(host, m) for m in masks]
     for i_mask in masks:
         if i_mask == union or i_mask == least:
             continue
         for x in _poset.bits(union & ~i_mask & irr_mask):
-            if not any(i_mask & ~ideal_join(host, x, j_mask) for j_mask in masks):
+            row = jt[x]
+            # {x} v J = down(x v top J) for each member J
+            if not any(i_mask & ~host.down_incl(row[t]) for t in tops):
                 return False, (i_mask, x)
     return True, None
 
@@ -207,6 +198,7 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
     desc = sorted((d.mask for d in chain.members), key=lambda m: -m.bit_count())
     union = desc[0]
     proper = [m for m in desc if m != union]
+    top = {m: _ideal_top(host, m) for m in desc}
     xs: list = []
     if proper:
         i_cur = proper[0]
@@ -220,7 +212,7 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
             for j_mask in desc:
                 if j_mask == i_cur or i_cur & ~j_mask == 0:
                     continue
-                blocked = ideal_join(host, x_join, j_mask)
+                blocked = host.down_incl(jt[x_join][top[j_mask]])
                 if i_cur & ~blocked:
                     step = (j_mask, min(_poset.bits(i_cur & ~blocked)))
                     break
@@ -372,6 +364,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
 
     # phase 1: x_n in I_{n-1} minus I_n with I_n inside {x_n} v J for all
     # J below I_{n-1}; i_masks[n + 1] stores I_n, i_masks[0] the start member
+    top = {m: _ideal_top(host, m) for m in sub}
     xs: list = []
     i_masks = [sub[0]]
     while len(xs) < depth + 1:
@@ -382,7 +375,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
             if i_mask == prev:
                 continue
             for x in _poset.bits(prev & ~i_mask):
-                if all(i_mask & ~ideal_join(host, x, j) == 0 for j in group):
+                if all(i_mask & ~host.down_incl(jt[x][top[j]]) == 0 for j in group):
                     found = (x, i_mask)
                     break
             if found:
@@ -580,7 +573,7 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
     if cls == 3:
         thinned = picked[0::2]
         cols = len(thinned)
-        pattern = _families.delta(cols - 1)
+        pattern = _families.shape("delta", cols - 1)
         coords = _families.delta_coords(cols - 1)
         row = [xs[c] for c in thinned]
         table = [row[i] if j == _families.OMEGA else mt[row[i]][row[j]]
@@ -589,7 +582,7 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
         payload["thinned"] = thinned
     elif cls == 5:
         cols = len(picked)
-        pattern = _families.gamma(cols - 1)
+        pattern = _families.shape("gamma", cols - 1)
         coords = _families.gamma_coords(cols - 1)
         row = h_elems
         table = [row[i] if j == _families.OMEGA else mt[row[i]][row[i + 1]]
@@ -597,7 +590,7 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
         classification = GAMMA_LIKE
         payload["thinned"] = picked
     else:  # class 4
-        pattern = _families.v_family(len(picked))
+        pattern = _families.shape("v", len(picked))
         bottom_val = mt[h_elems[0]][h_elems[1]]
         table = [bottom_val] + h_elems
         classification = V_LIKE
@@ -627,8 +620,7 @@ def _pattern_descriptor(classification: str, cols: int) -> dict:
 
 
 def _pattern_poset(descriptor) -> Poset:
-    return _families.generate(
-        _families.FamilySpec(descriptor["family"], {"n": descriptor["n"]}))
+    return _families.shape(descriptor["family"], descriptor["n"])
 
 
 def _check_ramsey(payload):
@@ -772,13 +764,13 @@ def _check_sublattice_pattern(payload):
     inds = payload["independent_set"]
     row = payload["delta_row"]
     sub = _poset.induced(host, payload["sublattice_elements"])
-    powerset = _families.finite_powerset(len(inds))
+    powerset = _families.shape("finite_powerset", len(inds))
     phi = _semilattice.MapWitness(sub, powerset, tuple(payload["phi_table"]))
-    delta_dom = _families.delta(len(inds) - 1)
+    delta_dom = _families.shape("delta", len(inds) - 1)
     f = _semilattice.MapWitness(delta_dom, host, tuple(payload["delta_table"]))
     pattern = _pattern_poset(payload["pattern"])
     h = _semilattice.MapWitness(pattern, host, tuple(payload["pattern_table"]))
-    lift_source = _lift_source(pattern)
+    _masks, lift_source = _downsets.nonempty_downset_lattice(pattern)
     lift = _semilattice.MapWitness(lift_source, host, tuple(payload["lift_table"]))
     return [
         ("independence_exhaustive", _semilattice.is_independent(host, inds)),
@@ -792,12 +784,6 @@ def _check_sublattice_pattern(payload):
         ("sublattice_hom", lift.check_flag("lattice_hom")),
         ("sublattice_injective", lift.check_flag("injective")),
     ]
-
-
-def _lift_source(pattern: Poset) -> Poset:
-    family = _downsets.enumerate_downsets(pattern)
-    nonempty = tuple(d for d in family.sets if d.members)
-    return _downsets.family_poset(DownSetFamily(pattern, nonempty, "custom"))
 
 
 _EVIDENCE_CHECKERS = {

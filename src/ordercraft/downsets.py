@@ -177,6 +177,21 @@ def family_poset(family: DownSetFamily) -> Poset:
     return _poset.inclusion_order(masks, _set_labels(masks))
 
 
+def nonempty_downset_lattice(p: Poset):
+    """(masks, lattice): the nonempty downsets of p in canonical order, and
+    the poset of them ordered by inclusion with set labels, the source of
+    the f-vee lift. Built once per Poset and cached on it; a cached answer
+    still raises BudgetExceeded when the enumeration would, under the
+    budget in force now."""
+    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
+    if p._nonempty is None:
+        masks = tuple(_downset_masks(p, limit)[1:])  # the empty set is first
+        p._nonempty = masks, _poset.inclusion_order(masks, _set_labels(masks))
+    elif len(p._nonempty[0]) >= limit:  # with the empty set, over the limit
+        raise BudgetExceeded(f"more than {limit} downsets")
+    return p._nonempty
+
+
 def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
     """All downsets of p ordered by inclusion, in canonical family order.
 

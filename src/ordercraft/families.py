@@ -7,6 +7,7 @@ properties of the infinite objects they approximate.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -169,6 +170,23 @@ class FamilySpec:
 # concrete generators
 
 
+def _check_budget(family: str, n: int) -> None:
+    """Raise BudgetExceeded, before anything is built, when family(n) is
+    over the enumeration budget: 2^n elements for finite_powerset, and size^2
+    for the generators that test every pair of elements."""
+    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
+    if family == "finite_powerset":
+        if n >= limit.bit_length():  # 2^n > limit, without forming 2^n
+            raise BudgetExceeded(
+                f"finite_powerset n={n} has 2^{n} elements, more than {limit}")
+        return
+    size = _PAIR_TESTED[family](n)
+    if size * size > limit:
+        raise BudgetExceeded(
+            f"{family} n={n} has {size} elements, so {size}^2 pair tests, "
+            f"more than {limit}")
+
+
 def finite_powerset(n: int) -> Poset:
     """B_n: subsets of an n-set in mask encoding, ordered by inclusion.
 
@@ -176,10 +194,7 @@ def finite_powerset(n: int) -> Poset:
     enumeration budget."""
     if n < 0:
         raise UnsupportedParams("n must be >= 0")
-    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
-    if n >= limit.bit_length():  # 2^n > limit, without forming 2^n
-        raise BudgetExceeded(
-            f"finite_powerset n={n} has 2^{n} elements, more than {limit}")
+    _check_budget("finite_powerset", n)
     size = 1 << n
     labels = ["{" + ",".join(str(i) for i in range(n) if (x >> i) & 1) + "}"
               for x in range(size)]
@@ -191,6 +206,7 @@ def omega_star_grid(n: int, with_bottom: bool = False) -> Poset:
     j <= j'. A join-semilattice: (i,j) v (i',j') = (min i, max j)."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
+    _check_budget("omega_star_grid", n)
     coords = grid_coords(n)
     idx = {c: k for k, c in enumerate(coords)}
     p = _from_leq(coords, lambda c, d: d[0] <= c[0] and c[1] <= d[1],
@@ -248,16 +264,16 @@ def delta(n: int) -> Poset:
     A meet-semilattice with (i,w) ^ (j,w) = (i,j)."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    coords = delta_coords(n)
-    return _poset_from_coords(coords)
+    _check_budget("delta", n)
+    return _poset_from_coords(delta_coords(n))
 
 
 def gamma(n: int) -> Poset:
     """The delta(n) elements with j = i+1 or j = w, induced order."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    coords = [c for c in delta_coords(n) if c[1] == OMEGA or c[1] == c[0] + 1]
-    return _poset_from_coords(coords)
+    _check_budget("gamma", n)
+    return _poset_from_coords(gamma_coords(n))
 
 
 def gamma_coords(n: int):
@@ -379,6 +395,7 @@ def sierpinskisation(alpha, n: int, scheme: str = "column_alternating",
     alpha_prime = alpha.div_omega()
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
+    _check_budget("sierpinskisation", n)
     seq = _sierp_sequence(alpha_prime, n, scheme, seed)
 
     def alpha_key(m):
@@ -500,6 +517,39 @@ def s_alpha(alpha_prime, n_tail: int, trunc: int,
     if n_tail == 0:
         return core
     return _poset.direct_sum(core, _poset.chain(n_tail))
+
+
+# element counts of the generators that test every pair before they build
+_PAIR_TESTED = {
+    "omega_star_grid": lambda n: n * (n + 1) // 2,
+    "delta": delta_size,
+    "gamma": lambda n: 2 * n + 1,
+    "sierpinskisation": lambda n: n,
+}
+
+
+# ---------------------------------------------------------------------------
+# shared shapes
+
+SHAPES = ("finite_powerset", "delta", "gamma", "v")
+
+
+def shape(family: str, n: int) -> Poset:
+    """family(n) for a family in SHAPES, built once per process and shared
+    by every caller, so its covers, tables and structure report are built
+    once too. Callers must not modify it. The budget is checked on every
+    call, so a memo hit raises what a fresh build would raise."""
+    if family not in SHAPES:
+        raise UnsupportedParams(f"{family!r} is not one of {SHAPES}")
+    n = int(n)
+    if family != "v":
+        _check_budget(family, n)
+    return _built_shape(family, n)
+
+
+@functools.lru_cache(maxsize=32)
+def _built_shape(family: str, n: int) -> Poset:
+    return generate(FamilySpec(family, {"n": n}))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
     __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
-                 "_gaps", "_report", "_linext", "_sets")
+                 "_gaps", "_report", "_linext", "_sets", "_nonempty")
 
     def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
         # `up` is trusted to be irreflexive and transitive (build() validates);
@@ -56,6 +56,7 @@ class Poset:
         self._report = None  # semilattice.structure_report fills it
         self._linext = None
         self._sets = None  # set_lattice fills it: element i is the set _sets[i]
+        self._nonempty = None  # downsets.nonempty_downset_lattice fills it
 
     # -- basic queries -----------------------------------------------------
 

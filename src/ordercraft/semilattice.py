@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import budget as _budget
+from . import families as _families
 from . import poset as _poset
 from .errors import (
     BudgetExceeded,
@@ -555,8 +556,7 @@ def phi_quotient(t: Poset, independents: Sequence[int]) -> MapWitness:
             if t.leq(a, e):
                 mask |= 1 << a_idx
         table.append(mask)
-    from . import families as _families
-    powerset = _families.generate(_families.FamilySpec("finite_powerset", {"n": k}))
+    powerset = _families.shape("finite_powerset", k)
     witness = MapWitness(sub, powerset, tuple(table),
                          frozenset({"lattice_hom", "surjective", "order_preserving"}))
     irr = set(_join_irreducibles_no_zero(sub))
@@ -591,9 +591,8 @@ def check_delta_map(target: Poset, table: Sequence[int]) -> DeltaMapReport:
     The base hypothesis f(i,j) = f(i,w) ^ f(j,w) is checked first and its
     violation is an error, not a report entry.
     """
-    from . import families as _families
     n = _families.delta_params_from_size(len(table))
-    dom = _families.generate(_families.FamilySpec("delta", {"n": n}))
+    dom = _families.shape("delta", n)
     coords = _families.delta_coords(n)
     mt = require_meet_table(target)
     idx = {c: i for i, c in enumerate(coords)}
@@ -648,12 +647,8 @@ def f_vee(f: MapWitness) -> MapWitness:
         raise NotDistributive("target must be a distributive lattice")
     from . import downsets as _downsets
     p, t = f.source, f.target
-    family = _downsets.enumerate_downsets(p)
-    nonempty = [d for d in family.sets if d.members]
-    i0 = _downsets.family_poset(
-        _downsets.DownSetFamily(p, tuple(nonempty), "custom"))
-    table = tuple(join_of(t, [f.table[e] for e in sorted(d.members)])
-                  for d in nonempty)
+    masks, i0 = _downsets.nonempty_downset_lattice(p)
+    table = tuple(join_of(t, [f.table[e] for e in _poset.bits(m)]) for m in masks)
 
     crit1 = len(set(f.table)) == p.n
     # f(x) = vf(X) for X inside the strict downset collapses to the largest X,
@@ -724,8 +719,7 @@ def delta_from_hom(t: Poset, phi: MapWitness,
                 bk = jt[bk][mt[row[i]][row[j]]]
         row.append(jt[bk][first_with_image(1 << k)])
 
-    from . import families as _families
-    dom = _families.generate(_families.FamilySpec("delta", {"n": n - 1}))
+    dom = _families.shape("delta", n - 1)
     coords = _families.delta_coords(n - 1)
     OMEGA = _families.OMEGA
     table = []

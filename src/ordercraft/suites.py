@@ -237,6 +237,37 @@ def bound_oracle(p: Poset, upward: bool):
     return table
 
 
+def ideal_join_oracle(host: Poset, x: int, ideal_mask: int) -> int:
+    """{x} v J by its definition: close {x} and J under binary joins, then
+    take the downward closure.
+
+    The oracle for constructions.ideal_join, which reads the answer off the
+    top of J; this loop assumes no top."""
+    jt = host.join_table()
+    mask = ideal_mask | (1 << x)
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            m = mask
+            while m:
+                low = m & -m
+                b = low.bit_length() - 1
+                j = jt[a][b]
+                if not (mask >> j) & 1:
+                    mask |= 1 << j
+                    nxt.append(j)
+                m ^= low
+        frontier = nxt
+    out = 0
+    m = mask
+    while m:
+        low = m & -m
+        out |= host.down_incl(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
 # ---------------------------------------------------------------------------
 # individual suites; each yields (ok, bundle) per trial
 
@@ -253,7 +284,7 @@ def _suite_tm21(rng: Random, max_n: int):
     oracle = any(_semilattice.is_independent(p, list(c))
                  for c in combinations(range(p.n), k))
     found = _semilattice.find_independent_set(p, k) is not None
-    bk = _families.finite_powerset(k)
+    bk = _families.shape("finite_powerset", k)
     order_emb = _semilattice.embedding_search(bk, p, "order") is not None
     join_emb = _semilattice.embedding_search(bk, p, "join") is not None
     ok = oracle == found == order_emb == join_emb
@@ -469,7 +500,8 @@ def run_suite(name: str, trials: int, seed: int,
     """Run one suite; deterministic given (name, trials, seed, max_n).
 
     inject_fault plants a known violation (lem2_3 only) so the failure
-    reporting path can be exercised deliberately.
+    reporting path can be exercised deliberately. A trial that raises is a
+    failure whose bundle holds the error's type and message.
     """
     if name not in _SUITE_FUNCS:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITES}")
@@ -481,10 +513,14 @@ def run_suite(name: str, trials: int, seed: int,
     started = time.monotonic()
     for trial in range(trials):
         rng = Random(seed * 1_000_003 + trial)
-        if inject_fault:
-            ok, bundle = func(rng, bound, inject_fault=True)
-        else:
-            ok, bundle = func(rng, bound)
+        try:
+            if inject_fault:
+                ok, bundle = func(rng, bound, inject_fault=True)
+            else:
+                ok, bundle = func(rng, bound)
+        except Exception as exc:  # a raising trial fails; the run goes on
+            ok = False
+            bundle = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if not ok:
             bundle["trial_seed"] = [seed, trial]
             failures.append((trial, bundle))

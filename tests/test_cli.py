@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -103,6 +104,20 @@ class TestExitCodes:
             ["generate", "--family", "finite_powerset", "--n", "24"], timeout=10)
         assert code == 4 and out == "", err
         assert "n=24" in err and "1000000" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--family", "delta", "--n", "3000"],
+        ["--family", "gamma", "--n", "100000"],
+        ["--family", "omega_star_grid", "--n", "3000"],
+        ["--family", "sierpinskisation", "--alpha", "0,2", "--n", "100000"],
+    ], ids=["delta", "gamma", "grid", "sierpinskisation"])
+    def test_pair_tested_family_over_budget_is_4(self, args, capsys):
+        # the size check runs before the pairs are tested
+        started = time.monotonic()
+        assert cli.main(["generate", *args]) == 4
+        assert time.monotonic() - started < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and "1000000" in err
 
     def test_ramsey_index_outside_host_is_2(self, tmp_path):
         b3 = tmp_path / "b3.json"

@@ -2,6 +2,7 @@
 and the end-to-end pipeline with certificate re-verification."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from ordercraft import downsets as D
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import semilattice as S
+from ordercraft import suites as SU
 from ordercraft.errors import (
     DepthUnreachable,
     IndependenceTooSmall,
@@ -43,13 +45,22 @@ def grid_suffix_chain(n):
 
 
 class TestIdealJoin:
-    def test_matches_principal_shortcut(self):
-        host = F.finite_powerset(4)
-        for x in range(1, 16):
-            for top in range(1, 16):
-                ideal = host.down_incl(top)
-                got = C.ideal_join(host, x, ideal)
-                assert got == host.down_incl(host.join(x, top))
+    @pytest.mark.parametrize("host", [
+        F.finite_powerset(4), D.downset_lattice(F.delta(3)), F.omega_star_grid(4)],
+        ids=["B_4", "O(delta 3)", "grid 4"])
+    def test_matches_closure_oracle(self, host):
+        for top in range(host.n):
+            ideal = host.down_incl(top)
+            for x in range(host.n):
+                assert C.ideal_join(host, x, ideal) == SU.ideal_join_oracle(host, x, ideal)
+
+    def test_non_principal_mask_raises(self):
+        host = F.finite_powerset(2)
+        # {}, {0}, {1}: a downset with two maximal elements; {0} alone is not
+        # a downset; the empty mask has no top
+        for mask in (0b0111, 0b0010, 0):
+            with pytest.raises(ValueError, match="not a principal ideal"):
+                C.ideal_join(host, 3, mask)
 
 
 class TestIsSeparating:
@@ -334,6 +345,16 @@ class TestPipeline:
     def test_non_distributive_rejected(self):
         with pytest.raises(C.NotDistributive):
             C.thm8_pipeline(F.l_alpha(2), 4)
+
+    @pytest.mark.parametrize("name,host,k", [
+        ("pipeline_b5_k5", lambda: F.finite_powerset(5), 5),
+        ("pipeline_delta3_k4", lambda: D.downset_lattice(F.delta(3)), 4),
+        ("pipeline_gamma4_k5", lambda: D.downset_lattice(F.gamma(4)), 5),
+    ], ids=["B_5 k=5", "O(delta 3) k=4", "O(gamma 4) k=5"])
+    def test_certificate_golden(self, name, host, k):
+        # certificates written before the pipeline's shapes were shared
+        golden = Path(__file__).parent / "golden" / f"{name}.json"
+        assert C.thm8_pipeline(host(), k).to_json() + "\n" == golden.read_text()
 
 
 class TestCertificateIO:

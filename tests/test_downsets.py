@@ -136,6 +136,25 @@ class TestEnumeration:
         principal = {D.principal(p, x).members for x in range(p.n)}
         assert {d.members for d in ideals.sets} == principal
 
+    @given(random_posets(max_n=6))
+    def test_nonempty_lattice_matches_the_family(self, p):
+        masks, lattice = D.nonempty_downset_lattice(p)
+        nonempty = tuple(d for d in D.enumerate_downsets(p).sets if d.members)
+        assert masks == tuple(d.mask for d in nonempty)
+        assert lattice == D.family_poset(D.DownSetFamily(p, nonempty, "custom"))
+        assert D.nonempty_downset_lattice(p)[1] is lattice
+
+    def test_nonempty_lattice_hit_honours_the_budget(self, monkeypatch):
+        v3 = F.v_family(3)  # the bottom, then any subset of the 3 atoms: 9 downsets
+        assert len(D.nonempty_downset_lattice(v3)[0]) == 8
+        monkeypatch.setenv("OC_BUDGET", "9")
+        assert len(D.nonempty_downset_lattice(v3)[0]) == 8
+        monkeypatch.setenv("OC_BUDGET", "8")
+        with pytest.raises(BudgetExceeded, match="more than 8 downsets"):
+            D.nonempty_downset_lattice(v3)
+        with pytest.raises(BudgetExceeded, match="more than 8 downsets"):
+            D.enumerate_downsets(v3)
+
     def test_chain_and_antichain_ideals(self):
         assert len(D.enumerate_ideals(P.chain(3)).sets) == 3
         singles = [d.sorted_members() for d in D.enumerate_ideals(P.antichain(2)).sets]

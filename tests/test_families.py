@@ -31,6 +31,59 @@ class TestPowerset:
             F.finite_powerset(10 ** 4)
 
 
+class TestShapes:
+    @pytest.mark.parametrize("family", F.SHAPES)
+    def test_equals_a_fresh_build(self, family):
+        for n in range(0 if family == "finite_powerset" else 1, 7):
+            shared = F.shape(family, n)
+            fresh = F.generate(F.FamilySpec(family, {"n": n}))
+            assert F.shape(family, n) is shared and shared is not fresh
+            assert shared == fresh
+            assert shared.cover_pairs() == fresh.cover_pairs()
+            assert shared.join_table() == fresh.join_table()
+            assert shared.meet_table() == fresh.meet_table()
+
+    def test_unknown_shape(self):
+        with pytest.raises(UnsupportedParams):
+            F.shape("omega_star_grid", 3)
+
+    def test_memo_hit_honours_the_budget(self, monkeypatch):
+        F.shape("finite_powerset", 6)
+        F.shape("delta", 3)
+        F.shape("gamma", 3)
+        monkeypatch.setenv("OC_BUDGET", "8")
+        for family, n in (("finite_powerset", 6), ("delta", 3), ("gamma", 3)):
+            with pytest.raises(BudgetExceeded) as hit:
+                F.shape(family, n)
+            with pytest.raises(BudgetExceeded) as fresh:
+                F.generate(F.FamilySpec(family, {"n": n}))
+            assert str(hit.value) == str(fresh.value)
+            assert "more than 8" in str(hit.value)
+
+
+class TestPairBudget:
+    # each of these tests every pair of its elements before it builds; the
+    # default budget of 10^6 pair tests allows 1000 elements
+    @pytest.mark.parametrize("build,size", [
+        (lambda: F.delta(44), 1035),
+        (lambda: F.gamma(500), 1001),
+        (lambda: F.omega_star_grid(45), 1035),
+        (lambda: F.sierpinskisation("0,2", 1001), 1001),
+    ], ids=["delta", "gamma", "grid", "sierpinskisation"])
+    def test_raises_before_building(self, build, size):
+        with pytest.raises(BudgetExceeded, match=f"has {size} elements.*more than 1000000"):
+            build()
+
+    def test_limit_is_size_squared(self, monkeypatch):
+        monkeypatch.setenv("OC_BUDGET", "100")
+        assert F.delta(3).n == 10
+        assert F.gamma(1).n == 3 and F.omega_star_grid(4).n == 10
+        with pytest.raises(BudgetExceeded, match="delta n=4 has 15 elements"):
+            F.delta(4)
+        with pytest.raises(BudgetExceeded, match="sierpinskisation n=11"):
+            F.sierpinskisation("0,2", 11)
+
+
 class TestGrid:
     def test_size(self):
         assert F.omega_star_grid(8).n == 36

@@ -76,3 +76,52 @@ def test_bound_oracle_stays_outside_the_kernel():
     assert "suites" not in set(_names(kernel))
     assert "_bound_table" in {node.name for node in ast.walk(kernel)
                               if isinstance(node, ast.FunctionDef)}
+
+
+def test_ideal_join_oracle_stays_in_the_suites():
+    # the closure loop checks constructions.ideal_join in the tests only: no
+    # other module names it, and the separating suite, which the benchmark
+    # runs, does not call it
+    suites = ast.parse((SRC / "suites.py").read_text())
+    assert "ideal_join_oracle" in {node.name for node in ast.walk(suites)
+                                   if isinstance(node, ast.FunctionDef)}
+    separating = next(node for node in ast.walk(suites)
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "_suite_separating")
+    assert "ideal_join_oracle" not in set(_names(separating))
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if path.name != "suites.py"
+                   and "ideal_join_oracle" in set(_names(ast.parse(path.read_text()))))
+    assert users == []
+
+
+def _cache_uses(tree):
+    """(line, name, call) for every functools cache a module makes: each
+    call of lru_cache or cache, and each bare @lru_cache or @cache
+    decorator, whose call is None."""
+    def name_of(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and name_of(node.func) in ("cache", "lru_cache"):
+            yield node.lineno, name_of(node.func), node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if not isinstance(dec, ast.Call) and name_of(dec) in ("cache", "lru_cache"):
+                    yield dec.lineno, name_of(dec), None
+
+
+def test_every_cache_is_bounded():
+    # a process-wide memo must not grow with its inputs: each is an
+    # lru_cache given a positive integer maxsize
+    uses, unbounded = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for line, name, call in _cache_uses(ast.parse(path.read_text())):
+            uses += 1
+            sizes = [] if call is None else call.args[:1] + [
+                kw.value for kw in call.keywords if kw.arg == "maxsize"]
+            if not (name == "lru_cache" and len(sizes) == 1
+                    and isinstance(sizes[0], ast.Constant)
+                    and type(sizes[0].value) is int and sizes[0].value > 0):
+                unbounded.append(f"{path.name}:{line}")
+    assert uses and unbounded == []

@@ -1,11 +1,13 @@
 """Randomized suites: determinism, oracle agreement, failure bundles."""
 
+import json
+
 import pytest
 
 from ordercraft import poset as P
 from ordercraft import semilattice as S
 from ordercraft import suites as SU
-from ordercraft.errors import UnknownSuite
+from ordercraft.errors import BudgetExceeded, UnknownSuite
 
 
 class TestRandomGenerators:
@@ -90,6 +92,23 @@ class TestRunSuite:
         assert again.conditions == bundle["conditions"]
         with pytest.raises(UnknownSuite):
             SU.run_suite("tm21", 1, seed=0, inject_fault=True)
+
+    def test_raising_trial_becomes_a_failure(self, monkeypatch):
+        calls = []
+
+        def suite(rng, max_n):
+            calls.append(rng.random())
+            if len(calls) == 2:
+                raise BudgetExceeded("more than 3 downsets")
+            return True, {}
+
+        monkeypatch.setitem(SU._SUITE_FUNCS, "width", (suite, 4))
+        rep = SU.run_suite("width", 4, 7)
+        assert len(calls) == 4 and rep.trials == 4
+        assert rep.failures == ((1, {
+            "error": {"type": "BudgetExceeded", "message": "more than 3 downsets"},
+            "trial_seed": [7, 1]}),)
+        assert json.loads(rep.to_json())["failures"][0]["bundle"]["trial_seed"] == [7, 1]
 
     def test_no_false_passes_under_injection(self):
         # every injected trial must fail; a pass would be a false pass
