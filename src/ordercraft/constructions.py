@@ -53,9 +53,12 @@ class ChainOfDownSets:
         if not self.members:
             raise ValueError("chain must be non-empty")
         for d in self.members:
-            if not d.is_ideal():
+            # an ideal of a finite poset is principal: it has a top
+            try:
+                _ideal_top(self.host, d.mask)
+            except ValueError:
                 raise ValueError(
-                    f"chain member {sorted(d.members)} is not an ideal")
+                    f"chain member {sorted(d.members)} is not an ideal") from None
         for a, b in zip(self.members, self.members[1:]):
             lo, hi = (b, a) if self.decreasing else (a, b)
             if not (lo.mask & ~hi.mask == 0 and lo.mask != hi.mask):
@@ -76,19 +79,45 @@ class ChainOfDownSets:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainOfDownSets":
         host = _poset.from_json_dict(data["host"])
-        members = tuple(DownSet(host, frozenset(s)) for s in data["sets"])
-        return cls(host, members, bool(data.get("decreasing", False)))
+        return cls(host, _members(host, data["sets"]), bool(data.get("decreasing", False)))
+
+
+def _indices(value, n: int, what: str) -> list:
+    """value, checked to be a list of element indices in 0..n-1; raises
+    ValueError otherwise, so a malformed document is an input error."""
+    if not (isinstance(value, list)
+            and all(type(v) is int and 0 <= v < n for v in value)):
+        raise ValueError(f"{what} must be a list of indices in 0..{n - 1}")
+    return value
+
+
+def _witness(source: Poset, target: Poset, payload, key: str):
+    """The MapWitness of the table payload[key], read through _indices."""
+    return _semilattice.MapWitness(
+        source, target, tuple(_indices(payload[key], target.n, key)))
+
+
+def _members(host: Poset, sets) -> tuple:
+    """The DownSets of a JSON list of member index lists."""
+    if not isinstance(sets, list):
+        raise ValueError("chain members must be a list of index lists")
+    return tuple(DownSet(host, frozenset(_indices(s, host.n, "chain member")))
+                 for s in sets)
 
 
 def _ideal_top(host: Poset, ideal_mask: int) -> int:
     """The greatest element m of a principal ideal J = down(m), given as a
     mask. Every ideal of a finite poset is principal; raises ValueError when
-    the mask is not one."""
-    for m in _poset.bits(ideal_mask):
+    the mask is not one. The scan runs from the highest index down, where a
+    set lattice keeps its top."""
+    rest = ideal_mask
+    while rest:
+        m = rest.bit_length() - 1
         if host.up[m] & ideal_mask == 0:
             if host.down_incl(m) != ideal_mask:
                 break
             return m
+        rest ^= 1 << m
     raise ValueError(f"mask {ideal_mask:#x} is not a principal ideal")
 
 
@@ -162,8 +191,15 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Certificate":
+        entries = data.get("evidence") if isinstance(data, dict) else None
+        if not (isinstance(entries, list) and isinstance(data.get("kind"), str)
+                and isinstance(data.get("payload"), dict)
+                and all(isinstance(e, dict) and isinstance(e.get("name"), str)
+                        for e in entries)):
+            raise ValueError("a certificate is an object with a kind, a payload "
+                             "object and a list of named evidence entries")
         return cls(data["kind"], data["payload"],
-                   tuple((e["name"], bool(e["ok"])) for e in data["evidence"]))
+                   tuple((e["name"], bool(e["ok"])) for e in entries))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -173,9 +209,17 @@ def verify_certificate(cert: Certificate):
     """Recompute the evidence from the payload alone.
 
     Returns the recomputed (name, ok) list; a certificate is valid when every
-    recomputed entry is true and the stored evidence matches.
+    recomputed entry is true and the stored evidence matches. Raises
+    ValueError (or KeyError, OrderError) on a malformed payload.
     """
-    return _EVIDENCE_CHECKERS[cert.kind](cert.payload)
+    host = _poset.from_json_dict(cert.payload["host"])
+    return _EVIDENCE_CHECKERS[cert.kind](host, cert.payload)
+
+
+def _certificate(kind: str, host: Poset, payload: dict) -> Certificate:
+    """A producer's certificate: its evidence comes from the same checker
+    that verify_certificate runs, here on the host the producer holds."""
+    return Certificate(kind, payload, tuple(_EVIDENCE_CHECKERS[kind](host, payload)))
 
 
 def certificate_valid(cert: Certificate) -> bool:
@@ -222,34 +266,20 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
             xs.append(step[1])
     if not xs:
         raise ConstructionStalled("no proper member below the union", None)
-
-    independent = _semilattice.is_independent(host, xs)
-    evidence = (
-        ("chain_is_separating", True),
-        ("extracted_size_ge_members_minus_one", len(xs) >= len(chain.members) - 1),
-        ("independence_exhaustive", independent),
-    )
-    payload = {
+    return _certificate("IndependentSet", host, {
         "host": _poset.to_json_dict(host),
         "chain": [list(d.sorted_members()) for d in chain.members],
         "independent_set": list(xs),
-    }
-    return Certificate("IndependentSet", payload, evidence)
+    })
 
 
-def _check_independent_set(payload):
-    host = _poset.from_json_dict(payload["host"])
-    chain = ChainOfDownSets(
-        host,
-        tuple(sorted((DownSet(host, frozenset(s)) for s in payload["chain"]),
-                     key=lambda d: -len(d.members))),
-        decreasing=True,
-    )
-    ok, _w = is_separating(chain)
-    xs = payload["independent_set"]
+def _check_independent_set(host: Poset, payload):
+    members = sorted(_members(host, payload["chain"]), key=lambda d: -len(d.members))
+    ok, _w = is_separating(ChainOfDownSets(host, tuple(members), decreasing=True))
+    xs = _indices(payload["independent_set"], host.n, "independent_set")
     return [
         ("chain_is_separating", ok),
-        ("extracted_size_ge_members_minus_one", len(xs) >= len(payload["chain"]) - 1),
+        ("extracted_size_ge_members_minus_one", len(xs) >= len(members) - 1),
         ("independence_exhaustive", _semilattice.is_independent(host, xs)),
     ]
 
@@ -316,18 +346,12 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
     jt = host.join_table()
     walk = _descending_walk(host, bounded, e_set, union, depth)
     if len(walk) >= depth:
-        evidence = (
-            ("requested_depth_reached", True),
-            ("strictly_descending",
-             all(host.lt(b, a) for a, b in zip(walk, walk[1:]))),
-        )
-        payload = {
+        return _certificate("DescendingChain", host, {
             "host": _poset.to_json_dict(host),
             "chain": [list(d.sorted_members()) for d in chain.members],
             "depth": depth,
             "elements": walk,
-        }
-        return Certificate("DescendingChain", payload, evidence)
+        })
     return _dichotomy_case_grid(host, chain, masks, e_set, depth, jt)
 
 
@@ -427,22 +451,14 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
     if achieved < 1:
         raise ConstructionStalled(
             stall or "phase 1 produced fewer than two witnesses", None)
-    coords = _families.grid_coords(achieved)
-    table = [jt[ys[i]][ys[j]] for (i, j) in coords]
-    evidence = (
-        ("requested_depth_reached", achieved >= depth),
-        ("grid_join_preserving", _grid_join_preserving(host, coords, table)),
-        ("grid_injective", len(set(table)) == len(table)),
-    )
-    payload = {
+    return _certificate("GridMap", host, {
         "host": _poset.to_json_dict(host),
         "chain": [list(d.sorted_members()) for d in chain.members],
         "depth": depth,
         "achieved": achieved,
         "rows": ys,
-        "table": table,
-    }
-    return Certificate("GridMap", payload, evidence)
+        "table": [jt[ys[i]][ys[j]] for (i, j) in _families.grid_coords(achieved)],
+    })
 
 
 def _grid_join_preserving(host: Poset, coords, table) -> bool:
@@ -457,21 +473,24 @@ def _grid_join_preserving(host: Poset, coords, table) -> bool:
     return True
 
 
-def _check_descending_chain(payload):
-    host = _poset.from_json_dict(payload["host"])
-    xs = payload["elements"]
+def _check_descending_chain(host: Poset, payload):
+    xs = _indices(payload["elements"], host.n, "elements")
     return [
         ("requested_depth_reached", len(xs) == payload["depth"]),
         ("strictly_descending", all(host.lt(b, a) for a, b in zip(xs, xs[1:]))),
     ]
 
 
-def _check_grid_map(payload):
-    host = _poset.from_json_dict(payload["host"])
-    coords = _families.grid_coords(payload["achieved"])
-    table = payload["table"]
+def _check_grid_map(host: Poset, payload):
+    achieved, depth = payload["achieved"], payload["depth"]
+    if type(achieved) is not int or type(depth) is not int:
+        raise ValueError("achieved and depth must be integers")
+    table = _indices(payload["table"], host.n, "table")
+    if len(table) != achieved * (achieved + 1) // 2:
+        raise ValueError(f"table needs one entry per cell of the depth-{achieved} grid")
+    coords = _families.grid_coords(achieved)
     return [
-        ("requested_depth_reached", payload["achieved"] >= payload["depth"]),
+        ("requested_depth_reached", achieved >= depth),
         ("grid_join_preserving", _grid_join_preserving(host, coords, table)),
         ("grid_injective", len(set(table)) == len(table)),
     ]
@@ -563,52 +582,29 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
     }
     if cls in (1, 2):
         payload["classification"] = NOT_WQO_EVIDENCE
-        evidence = (
-            ("antichain", True),
-            ("monochromatic", True),
-            ("wqo_evidence", False),
-        )
-        return Certificate("RamseyClass", payload, evidence)
+        return _certificate("RamseyClass", host, payload)
 
     if cls == 3:
         thinned = picked[0::2]
-        cols = len(thinned)
-        pattern = _families.shape("delta", cols - 1)
-        coords = _families.delta_coords(cols - 1)
         row = [xs[c] for c in thinned]
         table = [row[i] if j == _families.OMEGA else mt[row[i]][row[j]]
-                 for (i, j) in coords]
+                 for (i, j) in _families.delta_coords(len(thinned) - 1)]
         classification = DELTA_LIKE
-        payload["thinned"] = thinned
     elif cls == 5:
-        cols = len(picked)
-        pattern = _families.shape("gamma", cols - 1)
-        coords = _families.gamma_coords(cols - 1)
-        row = h_elems
-        table = [row[i] if j == _families.OMEGA else mt[row[i]][row[i + 1]]
-                 for (i, j) in coords]
+        thinned = picked
+        table = [h_elems[i] if j == _families.OMEGA else mt[h_elems[i]][h_elems[i + 1]]
+                 for (i, j) in _families.gamma_coords(len(picked) - 1)]
         classification = GAMMA_LIKE
-        payload["thinned"] = picked
     else:  # class 4
-        pattern = _families.shape("v", len(picked))
-        bottom_val = mt[h_elems[0]][h_elems[1]]
-        table = [bottom_val] + h_elems
+        thinned = picked
+        table = [mt[h_elems[0]][h_elems[1]]] + h_elems
         classification = V_LIKE
-        payload["thinned"] = picked
 
-    witness = _semilattice.certify(
-        pattern, host, table, {"meet_preserving", "injective", "order_preserving",
-                               "order_embedding"})
+    payload["thinned"] = thinned
     payload["classification"] = classification
-    payload["pattern"] = _pattern_descriptor(classification, len(payload["thinned"]))
-    payload["table"] = list(table)
-    evidence = (
-        ("antichain", True),
-        ("monochromatic", True),
-        ("map_meet_preserving", witness.check_flag("meet_preserving")),
-        ("map_injective", witness.check_flag("injective")),
-    )
-    return Certificate("RamseyClass", payload, evidence)
+    payload["pattern"] = _pattern_descriptor(classification, len(thinned))
+    payload["table"] = table
+    return _certificate("RamseyClass", host, payload)
 
 
 def _pattern_descriptor(classification: str, cols: int) -> dict:
@@ -620,13 +616,15 @@ def _pattern_descriptor(classification: str, cols: int) -> dict:
 
 
 def _pattern_poset(descriptor) -> Poset:
+    if not (isinstance(descriptor, dict) and type(descriptor.get("n")) is int):
+        raise ValueError("pattern must be an object with an integer n")
     return _families.shape(descriptor["family"], descriptor["n"])
 
 
-def _check_ramsey(payload):
-    host = _poset.from_json_dict(payload["host"])
-    xs = payload["antichain"]
-    picked = payload["subset"]
+def _check_ramsey(host: Poset, payload):
+    _semilattice.require_meet_table(host)
+    xs = _indices(payload["antichain"], host.n, "antichain")
+    picked = _indices(payload["subset"], len(xs), "subset")
     anti = all(host.incomparable(xs[a], xs[b])
                for a in range(len(xs)) for b in range(a + 1, len(xs)))
     classes = {
@@ -640,8 +638,7 @@ def _check_ramsey(payload):
     if payload["classification"] == NOT_WQO_EVIDENCE:
         out.append(("wqo_evidence", False))
         return out
-    pattern = _pattern_poset(payload["pattern"])
-    witness = _semilattice.MapWitness(pattern, host, tuple(payload["table"]))
+    witness = _witness(_pattern_poset(payload["pattern"]), host, payload, "table")
     out.append(("map_meet_preserving", witness.check_flag("meet_preserving")))
     out.append(("map_injective", witness.check_flag("injective")))
     return out
@@ -752,26 +749,25 @@ def thm8_pipeline(t: Poset, k: int, node_budget: Optional[int] = None) -> Certif
         "pattern_table": list(ramsey.payload["table"]),
         "lift_table": list(lift.table),
     }
-    evidence = tuple(_check_sublattice_pattern(payload))
-    if not all(v for _n, v in evidence):
-        raise ConstructionStalled("pipeline produced a non-verifying witness",
-                                  Certificate("SublatticePattern", payload, evidence))
-    return Certificate("SublatticePattern", payload, evidence)
+    cert = _certificate("SublatticePattern", t, payload)
+    if not cert.ok():
+        raise ConstructionStalled("pipeline produced a non-verifying witness", cert)
+    return cert
 
 
-def _check_sublattice_pattern(payload):
-    host = _poset.from_json_dict(payload["host"])
-    inds = payload["independent_set"]
-    row = payload["delta_row"]
-    sub = _poset.induced(host, payload["sublattice_elements"])
+def _check_sublattice_pattern(host: Poset, payload):
+    inds = _indices(payload["independent_set"], host.n, "independent_set")
+    row = _indices(payload["delta_row"], host.n, "delta_row")
+    sub = _poset.induced(host, _indices(payload["sublattice_elements"], host.n,
+                                        "sublattice_elements"))
     powerset = _families.shape("finite_powerset", len(inds))
-    phi = _semilattice.MapWitness(sub, powerset, tuple(payload["phi_table"]))
+    phi = _witness(sub, powerset, payload, "phi_table")
     delta_dom = _families.shape("delta", len(inds) - 1)
-    f = _semilattice.MapWitness(delta_dom, host, tuple(payload["delta_table"]))
+    f = _witness(delta_dom, host, payload, "delta_table")
     pattern = _pattern_poset(payload["pattern"])
-    h = _semilattice.MapWitness(pattern, host, tuple(payload["pattern_table"]))
+    h = _witness(pattern, host, payload, "pattern_table")
     _masks, lift_source = _downsets.nonempty_downset_lattice(pattern)
-    lift = _semilattice.MapWitness(lift_source, host, tuple(payload["lift_table"]))
+    lift = _witness(lift_source, host, payload, "lift_table")
     return [
         ("independence_exhaustive", _semilattice.is_independent(host, inds)),
         ("phi_lattice_hom_onto_powerset",

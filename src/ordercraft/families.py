@@ -170,17 +170,27 @@ class FamilySpec:
 # concrete generators
 
 
-def _check_budget(family: str, n: int) -> None:
+def _check_budget(family: str, n: int, size: Optional[int] = None) -> None:
     """Raise BudgetExceeded, before anything is built, when family(n) is
-    over the enumeration budget: 2^n elements for finite_powerset, and size^2
-    for the generators that test every pair of elements."""
+    over the enumeration budget: 2^n elements for finite_powerset, n + 1 for
+    v, and size^2 for the generators that test every pair of elements. size
+    is the element count where n alone does not fix it (lattice_sierp)."""
     limit = _budget.resolve(None, _budget.ENUM_BUDGET)
     if family == "finite_powerset":
         if n >= limit.bit_length():  # 2^n > limit, without forming 2^n
             raise BudgetExceeded(
                 f"finite_powerset n={n} has 2^{n} elements, more than {limit}")
         return
-    size = _PAIR_TESTED[family](n)
+    if family == "v":
+        if n + 1 > limit:
+            raise BudgetExceeded(f"v n={n} has {n + 1} elements, more than {limit}")
+        return
+    if family == "omega_eta" and 2 * n >= limit.bit_length():
+        # at least 2^n elements, so 2^(2n) > limit pair tests, without forming 2^n
+        raise BudgetExceeded(
+            f"omega_eta n={n} has 2^{n + 1}-1 elements, so more than {limit} pair tests")
+    if size is None:
+        size = _PAIR_TESTED[family](n)
     if size * size > limit:
         raise BudgetExceeded(
             f"{family} n={n} has {size} elements, so {size}^2 pair tests, "
@@ -304,6 +314,7 @@ def v_family(n: int) -> Poset:
     """n-element antichain with a least element added; bottom at index 0."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
+    _check_budget("v", n)
     up = [((1 << (n + 1)) - 1) & ~1] + [0] * n
     labels = ["{}"] + ["{%d}" % i for i in range(n)]
     return Poset(n + 1, up, labels)
@@ -324,6 +335,7 @@ def omega_eta(n: int) -> Poset:
     """Dyadic grid {(m, i/2^m) : m <= n, 0 <= i < 2^m}, componentwise order."""
     if n < 0:
         raise UnsupportedParams("n must be >= 0")
+    _check_budget("omega_eta", n)
     coords = [(m, i) for m in range(n + 1) for i in range(1 << m)]
     return _from_leq([(m, Fraction(i, 1 << m)) for (m, i) in coords], _componentwise,
                      [f"({m},{i}/{1 << m})" for (m, i) in coords])
@@ -474,6 +486,9 @@ def lattice_sierp(alpha_prime, n: int) -> Poset:
         raise UnsupportedOrdinal("alpha' must be nonzero")
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
+    # n * m cells for a finite alpha' = m, else the staircase j <= i < n
+    _check_budget("lattice_sierp", n, n * alpha_prime.coeffs[0]
+                  if alpha_prime.is_finite else n * (n + 1) // 2)
     if alpha_prime.is_finite:
         m = alpha_prime.coeffs[0]
         cells = [(i, (a,)) for i in range(n) for a in range(m)]
@@ -525,6 +540,7 @@ _PAIR_TESTED = {
     "delta": delta_size,
     "gamma": lambda n: 2 * n + 1,
     "sierpinskisation": lambda n: n,
+    "omega_eta": lambda n: (1 << (n + 1)) - 1,
 }
 
 
@@ -542,8 +558,7 @@ def shape(family: str, n: int) -> Poset:
     if family not in SHAPES:
         raise UnsupportedParams(f"{family!r} is not one of {SHAPES}")
     n = int(n)
-    if family != "v":
-        _check_budget(family, n)
+    _check_budget(family, n)
     return _built_shape(family, n)
 
 

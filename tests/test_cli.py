@@ -4,12 +4,16 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from ordercraft import budget, cli
 from ordercraft import families as F
 from ordercraft import poset as P
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(args, tmp_path=None, timeout=None):
@@ -110,9 +114,15 @@ class TestExitCodes:
         ["--family", "gamma", "--n", "100000"],
         ["--family", "omega_star_grid", "--n", "3000"],
         ["--family", "sierpinskisation", "--alpha", "0,2", "--n", "100000"],
-    ], ids=["delta", "gamma", "grid", "sierpinskisation"])
+        ["--family", "omega_eta", "--n", "40"],
+        ["--family", "lattice_sierp", "--alpha", "0,1", "--n", "100000"],
+        ["--family", "lattice_sierp", "--alpha", "100000", "--n", "100000"],
+        ["--family", "v", "--n", "100000000"],
+    ], ids=["delta", "gamma", "grid", "sierpinskisation", "omega_eta",
+            "lattice_sierp_w", "lattice_sierp_finite", "v"])
     def test_pair_tested_family_over_budget_is_4(self, args, capsys):
-        # the size check runs before the pairs are tested
+        # the size check runs before the pairs are tested (v tests none: its
+        # n + 1 elements are checked against the budget)
         started = time.monotonic()
         assert cli.main(["generate", *args]) == 4
         assert time.monotonic() - started < 1.0
@@ -159,6 +169,57 @@ class TestExitCodes:
         f.write_text(json.dumps(doc))
         assert cli.main(["analyze", str(f)]) == 3
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("golden,keys,value", [
+        ("independent_b5", (), [1, 2]),
+        ("independent_b5", ("payload",), []),
+        ("independent_b5", ("evidence",), 5),
+        ("independent_b5", ("evidence",), [5]),
+        ("independent_b5", ("kind",), ["IndependentSet"]),
+        ("independent_b5", ("kind",), "NoSuchKind"),
+        ("grid_chain6_d3", ("payload", "table"), 5),
+        ("pipeline_b5_k5", ("payload", "lift_table"), 5),
+        ("independent_b5", ("payload", "chain"), 5),
+        ("independent_b5", ("payload", "chain", 0), 5),
+        ("ramsey_b4_atoms_m4", ("payload", "antichain", 0), 99),
+        ("pipeline_b5_k5", ("payload", "sublattice_elements", 0), 99),
+        ("independent_b5", ("payload", "independent_set", 0), 99),
+        ("descending_chain6_d3", ("payload", "elements", 0), "a"),
+        ("grid_chain6_d3", ("payload", "achieved"), "x"),
+        ("grid_chain6_d3", ("payload", "table"), [0, 1]),
+        ("ramsey_b4_atoms_m4", ("payload", "subset", 0), 4),
+        ("ramsey_b4_atoms_m4", ("payload", "pattern"), ["v", 4]),
+        ("ramsey_b4_atoms_m4", ("payload", "pattern", "n"), [4]),
+        ("pipeline_b5_k5", ("payload", "phi_table", 0), True),
+    ], ids=["document_list", "payload_list", "evidence_int", "evidence_entry_int",
+            "kind_list", "kind_unknown", "table_int", "lift_table_int", "chain_int",
+            "chain_member_int", "antichain_99", "sublattice_elements_99",
+            "independent_set_99", "element_string", "achieved_string", "table_short",
+            "subset_past_antichain", "pattern_list", "pattern_n_list", "phi_table_bool"])
+    def test_malformed_certificate_is_3(self, golden, keys, value, tmp_path, capsys):
+        doc = json.loads((GOLDEN / f"{golden}.json").read_text())
+        if keys:
+            inner = doc
+            for key in keys[:-1]:
+                inner = inner[key]
+            inner[keys[-1]] = value
+        else:
+            doc = value
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "input error" in err
+
+    def test_ramsey_host_without_meets_is_3(self, tmp_path, capsys):
+        # 3 lies below 0 and 1 only, so 0 ^ 1 exists and 0 ^ 2 does not
+        doc = json.loads((GOLDEN / "ramsey_b4_atoms_m4.json").read_text())
+        doc["payload"].update(host=P.to_json_dict(P.build(4, "leq", [(3, 0), (3, 1)])),
+                              antichain=[0, 1, 2], subset=[0, 1, 2])
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 3
+        assert "no meet" in capsys.readouterr().err
 
     def test_verify_exit_zero_on_pass(self):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@
 and the end-to-end pipeline with certificate re-verification."""
 
 import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,20 @@ def powerset_suffix_chain(n):
     return C.ChainOfDownSets(host, tuple(members), decreasing=True)
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def principal_chain_6():
+    host = P.chain(6)
+    members = tuple(D.principal(host, x) for x in (5, 4, 3, 2, 1))
+    return C.ChainOfDownSets(host, members, decreasing=True)
+
+
+def delta5_plant():
+    coords = F.delta_coords(5)
+    return [i for i, c in enumerate(coords) if c[1] == F.OMEGA]
+
+
 def grid_suffix_chain(n):
     host = F.omega_star_grid(n)
     coords = F.grid_coords(n)
@@ -61,6 +76,19 @@ class TestIdealJoin:
         for mask in (0b0111, 0b0010, 0):
             with pytest.raises(ValueError, match="not a principal ideal"):
                 C.ideal_join(host, 3, mask)
+
+
+class TestChainOfDownSets:
+    def test_non_principal_member_raises(self):
+        # {}, {0}, {1} in B_3: the union of two atoms' ideals, a downset
+        # with two maximal elements and so no top
+        host = F.finite_powerset(3)
+        union = D.DownSet(host, frozenset({0, 1, 2}))
+        with pytest.raises(ValueError, match=r"chain member \[0, 1, 2\] is not an ideal"):
+            C.ChainOfDownSets(host, (union,))
+        top = D.principal(host, 3)
+        with pytest.raises(ValueError, match="is not an ideal"):
+            C.ChainOfDownSets(host, (top, union), decreasing=True)
 
 
 class TestIsSeparating:
@@ -353,8 +381,20 @@ class TestPipeline:
     ], ids=["B_5 k=5", "O(delta 3) k=4", "O(gamma 4) k=5"])
     def test_certificate_golden(self, name, host, k):
         # certificates written before the pipeline's shapes were shared
-        golden = Path(__file__).parent / "golden" / f"{name}.json"
+        golden = GOLDEN / f"{name}.json"
         assert C.thm8_pipeline(host(), k).to_json() + "\n" == golden.read_text()
+
+
+@pytest.mark.parametrize("name,extract", [
+    ("independent_b5", lambda: C.independent_from_separating(powerset_suffix_chain(5))),
+    ("descending_chain6_d3", lambda: C.dichotomy_extract(principal_chain_6(), 3)),
+    ("grid_chain6_d3", lambda: C.dichotomy_extract(grid_suffix_chain(6), 3)),
+    ("ramsey_b4_atoms_m4", lambda: C.ramsey_extract(F.finite_powerset(4), [1, 2, 4, 8], 4)),
+    ("ramsey_delta5_m6", lambda: C.ramsey_extract(F.delta(5), delta5_plant(), 6)),
+], ids=["IndependentSet", "DescendingChain", "GridMap", "RamseyClass V", "RamseyClass delta"])
+def test_extraction_certificate_golden(name, extract):
+    # certificates written while each producer still built its own evidence
+    assert extract().to_json() + "\n" == (GOLDEN / f"{name}.json").read_text()
 
 
 class TestCertificateIO:
@@ -375,10 +415,21 @@ class TestCertificateIO:
             C.ramsey_extract(F.finite_powerset(4), [1, 2, 4, 8], 4),
             C.thm8_pipeline(F.finite_powerset(5), 5),
         ]
-        host = P.chain(6)
-        members = tuple(D.principal(host, x) for x in (5, 4, 3, 2, 1))
-        certs.append(C.dichotomy_extract(
-            C.ChainOfDownSets(host, members, decreasing=True), 3))
+        certs.append(C.dichotomy_extract(principal_chain_6(), 3))
         for cert in certs:
             assert C.certificate_valid(
                 C.Certificate.from_json_dict(cert.to_json_dict()))
+
+    @pytest.mark.parametrize("name,key,flipped", [
+        ("descending_chain6_d3", "elements", "strictly_descending"),
+        ("grid_chain6_d3", "table", "grid_injective"),
+        ("ramsey_delta5_m6", "subset", "monochromatic"),
+        ("pipeline_b5_k5", "lift_table", "sublattice_injective"),
+    ], ids=["DescendingChain", "GridMap", "RamseyClass", "SublatticePattern"])
+    def test_tampered_entry_is_caught(self, name, key, flipped):
+        data = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert C.certificate_valid(C.Certificate.from_json_dict(data))
+        data["payload"][key][0] = data["payload"][key][1]
+        tampered = C.Certificate.from_json_dict(data)
+        assert not C.certificate_valid(tampered)
+        assert dict(C.verify_certificate(tampered))[flipped] is False

@@ -51,8 +51,9 @@ class TestShapes:
         F.shape("finite_powerset", 6)
         F.shape("delta", 3)
         F.shape("gamma", 3)
+        F.shape("v", 8)
         monkeypatch.setenv("OC_BUDGET", "8")
-        for family, n in (("finite_powerset", 6), ("delta", 3), ("gamma", 3)):
+        for family, n in (("finite_powerset", 6), ("delta", 3), ("gamma", 3), ("v", 8)):
             with pytest.raises(BudgetExceeded) as hit:
                 F.shape(family, n)
             with pytest.raises(BudgetExceeded) as fresh:
@@ -69,7 +70,11 @@ class TestPairBudget:
         (lambda: F.gamma(500), 1001),
         (lambda: F.omega_star_grid(45), 1035),
         (lambda: F.sierpinskisation("0,2", 1001), 1001),
-    ], ids=["delta", "gamma", "grid", "sierpinskisation"])
+        (lambda: F.omega_eta(9), 1023),
+        (lambda: F.lattice_sierp("0,1", 45), 1035),
+        (lambda: F.lattice_sierp("2", 501), 1002),
+    ], ids=["delta", "gamma", "grid", "sierpinskisation", "omega_eta",
+            "lattice_sierp_w", "lattice_sierp_finite"])
     def test_raises_before_building(self, build, size):
         with pytest.raises(BudgetExceeded, match=f"has {size} elements.*more than 1000000"):
             build()
@@ -82,6 +87,23 @@ class TestPairBudget:
             F.delta(4)
         with pytest.raises(BudgetExceeded, match="sierpinskisation n=11"):
             F.sierpinskisation("0,2", 11)
+
+    def test_last_three_generators(self, monkeypatch):
+        monkeypatch.setenv("OC_BUDGET", "100")
+        assert F.omega_eta(2).n == 7 and F.lattice_sierp("0,1", 4).n == 10
+        assert F.lattice_sierp("2", 5).n == 10 and F.v_family(99).n == 100
+        with pytest.raises(BudgetExceeded, match="omega_eta n=3 has 15 elements"):
+            F.omega_eta(3)
+        with pytest.raises(BudgetExceeded, match="lattice_sierp n=5 has 15 elements"):
+            F.lattice_sierp("0,1", 5)
+        with pytest.raises(BudgetExceeded, match="lattice_sierp n=6 has 12 elements"):
+            F.lattice_sierp("2", 6)
+        with pytest.raises(BudgetExceeded, match="v n=100 has 101 elements"):
+            F.v_family(100)
+        # past the budget's bit length the bound holds without forming 2^n
+        with pytest.raises(BudgetExceeded,
+                           match=r"omega_eta n=1000000000 has 2\^1000000001-1 elements"):
+            F.omega_eta(10 ** 9)
 
 
 class TestGrid:

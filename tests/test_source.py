@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import json
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ordercraft"
@@ -125,3 +126,57 @@ def test_every_cache_is_bounded():
                     and type(sizes[0].value) is int and sizes[0].value > 0):
                 unbounded.append(f"{path.name}:{line}")
     assert uses and unbounded == []
+
+
+def _holders(tree, test):
+    """Names of the functions in tree that hold a node passing test."""
+    return sorted({fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if test(node)})
+
+
+def _calls(name):
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                         and node.func.id == name)
+
+
+def _evidence_names():
+    """Every evidence name in the golden certificates, all five kinds."""
+    names = set()
+    for path in (Path(__file__).parent / "golden").glob("*.json"):
+        data = json.loads(path.read_text())
+        names |= {e["name"] for e in data.get("evidence", ())}
+    return names
+
+
+def test_one_evidence_path_per_certificate():
+    # a producer and verify-cert run the same checker: only _certificate
+    # builds a Certificate (from_json_dict reads one back), only the _check_*
+    # functions spell evidence names, and only verify_certificate parses a
+    # payload's host
+    tree = ast.parse((SRC / "constructions.py").read_text())
+    assert _holders(tree, _calls("Certificate")) == ["_certificate"]
+    certificate = next(node for node in tree.body
+                       if isinstance(node, ast.ClassDef) and node.name == "Certificate")
+    assert _holders(certificate, _calls("cls")) == ["from_json_dict"]
+    others = sorted(path.name for path in SRC.glob("*.py") if path.name != "constructions.py"
+                    and _holders(ast.parse(path.read_text()), _calls("Certificate")))
+    assert others == []
+
+    names = _evidence_names()
+    assert len(names) >= 15
+    # an evidence entry is a (name, value) pair
+    spelled = _holders(tree, lambda node: isinstance(node, ast.Tuple) and len(node.elts) == 2
+                       and isinstance(node.elts[0], ast.Constant)
+                       and node.elts[0].value in names)
+    assert spelled and all(name.startswith("_check_") for name in spelled), spelled
+
+    def reads_host(node):
+        owner = getattr(node, "value", None)
+        return (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and node.slice.value == "host"
+                and "payload" in (getattr(owner, "id", None), getattr(owner, "attr", None)))
+    assert _holders(tree, reads_host) == ["verify_certificate"]
+
+    ramsey = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "ramsey_extract")
+    assert "certify" not in set(_names(ramsey))
