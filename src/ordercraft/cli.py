@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from . import budget as _budget
 from . import constructions as _constructions
@@ -39,11 +40,20 @@ class _InputError(Exception):
     pass
 
 
-def _load_poset(path: str):
+@contextmanager
+def _reading(path: str):
+    """Turn a malformed-input error raised inside the block into _InputError."""
     try:
-        return _poset.from_json_dict(_load_json(path))
+        yield
+    except BudgetExceeded:
+        raise  # an OrderError, but exit 4, not an input error
     except (KeyError, ValueError, OrderError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _load_poset(path: str):
+    with _reading(path):
+        return _poset.from_json_dict(_load_json(path))
 
 
 def _write(text: str, out_path=None) -> None:
@@ -121,10 +131,8 @@ def _cmd_ramsey(args) -> int:
 
 def _cmd_dichotomy(args) -> int:
     data = _load_json(args.chain)
-    try:
+    with _reading(args.chain):
         chain = _constructions.ChainOfDownSets.from_json_dict(data)
-    except (KeyError, ValueError, OrderError) as exc:
-        raise _InputError(f"{args.chain}: {exc}") from exc
     cert = _constructions.dichotomy_extract(chain, args.depth)
     _emit(cert.to_json_dict(), args.out)
     return EXIT_OK if cert.ok() else EXIT_FAIL
@@ -147,11 +155,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_cert(args) -> int:
     data = _load_json(args.certfile)
-    try:
+    with _reading(args.certfile):
         cert = _constructions.Certificate.from_json_dict(data)
         valid = _constructions.certificate_valid(cert)
-    except (KeyError, ValueError, OrderError) as exc:
-        raise _InputError(f"{args.certfile}: {exc}") from exc
     _emit({"valid": valid})
     return EXIT_OK if valid else EXIT_FAIL
 

@@ -30,8 +30,8 @@ class Poset:
 
     def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
         # `up` is trusted to be irreflexive and transitive (build() validates);
-        # `down`, when given, is trusted to be its transpose (set_lattice()
-        # derives both from validated covers).
+        # `down`, when given, is trusted to be its transpose: only this
+        # module's constructors pass it, and validate() checks it.
         self.n = n
         self.up = tuple(up)
         if down is None:
@@ -85,7 +85,7 @@ class Poset:
         return self._labels[i] if self._labels is not None else str(i)
 
     def relabel(self, labels) -> "Poset":
-        return Poset(self.n, self.up, labels)
+        return Poset(self.n, self.up, labels, self.down)
 
     def __eq__(self, other):
         return (
@@ -104,23 +104,28 @@ class Poset:
     # -- covers ------------------------------------------------------------
 
     def cover_pairs(self):
-        """Hasse diagram as sorted (lower, upper) pairs (transitive reduction)."""
+        """Hasse diagram as sorted (lower, upper) pairs (transitive reduction).
+
+        By descent: m holds the elements above i that are above no cover
+        found yet. From its lowest index, step down inside m to a minimal
+        element, which is a cover of i, then drop that cover's up-set from m.
+        Each step visits a new element of up[i]; when index order is a linear
+        extension the lowest index is already minimal, so the cost is one
+        mask operation per cover.
+        """
         if self._covers is None:
-            # inline bit loops: a bits() generator here cost +77%
+            up, down = self.up, self.down
             covers = []
             for i in range(self.n):
-                above = self.up[i]
-                implied = 0
-                m = above
+                m = up[i]
                 while m:
-                    low = m & -m
-                    implied |= self.up[low.bit_length() - 1]
-                    m ^= low
-                direct = above & ~implied
-                while direct:
-                    low = direct & -direct
-                    covers.append((i, low.bit_length() - 1))
-                    direct ^= low
+                    j = (m & -m).bit_length() - 1
+                    below = down[j] & m
+                    while below:
+                        j = (below & -below).bit_length() - 1
+                        below = down[j] & m
+                    covers.append((i, j))
+                    m &= ~(up[j] | 1 << j)
             self._covers = tuple(sorted(covers))
         return self._covers
 
@@ -305,12 +310,14 @@ def build(n: int, kind: str, pairs: Iterable[tuple], labels=None) -> Poset:
     if kind not in ("covers", "leq"):
         raise ValueError(f"kind must be 'covers' or 'leq', got {kind!r}")
     succ = [0] * n
+    pred = [0] * n
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise IndexOutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
         if a == b:
             raise CyclicRelation(f"reflexive pair ({a},{a}) in strict relation")
         succ[a] |= 1 << b
+        pred[b] |= 1 << a
 
     # Kahn topological order; leftovers mean a cycle. The bit loops stay
     # inline: a bits() generator here cost +27% per build.
@@ -346,7 +353,16 @@ def build(n: int, kind: str, pairs: Iterable[tuple], labels=None) -> Poset:
             reach |= up[low.bit_length() - 1]
             m ^= low
         up[v] = reach
-    return Poset(n, up, labels)
+    down = [0] * n
+    for v in topo:
+        m = pred[v]
+        reach = m
+        while m:
+            low = m & -m
+            reach |= down[low.bit_length() - 1]
+            m ^= low
+        down[v] = reach
+    return Poset(n, up, labels, down)
 
 
 def chain(n: int) -> Poset:
@@ -358,7 +374,7 @@ def antichain(n: int) -> Poset:
 
 
 def dual(p: Poset) -> Poset:
-    return Poset(p.n, p.down, p._labels)
+    return Poset(p.n, p.down, p._labels, p.up)
 
 
 def direct_product(a: Poset, b: Poset) -> Poset:
@@ -380,8 +396,9 @@ def direct_sum(a: Poset, b: Poset) -> Poset:
     """Disjoint union with no cross comparabilities; b shifted by |a|."""
     n = a.n + b.n
     up = list(a.up) + [m << a.n for m in b.up]
+    down = list(a.down) + [m << a.n for m in b.down]
     labels = [f"L{a.label(i)}" for i in range(a.n)] + [f"R{b.label(i)}" for i in range(b.n)]
-    return Poset(n, up, labels)
+    return Poset(n, up, labels, down)
 
 
 def lexicographic_sum(index: Poset, parts: Sequence[Poset]) -> Poset:
@@ -411,8 +428,9 @@ def add_bottom(p: Poset, label: str = "0") -> Poset:
     """New least element appended at index |p| below everything."""
     n = p.n
     up = list(p.up) + [(1 << n) - 1]
+    down = [m | 1 << n for m in p.down] + [0]
     labels = list(p.labels) + [label]
-    return Poset(n + 1, up, labels)
+    return Poset(n + 1, up, labels, down)
 
 
 def induced(p: Poset, elements: Sequence[int], labels=None) -> Poset:
@@ -572,7 +590,8 @@ def is_isomorphic(a: Poset, b: Poset, node_budget: Optional[int] = None,
 
 
 def validate(p: Poset) -> None:
-    """Assert the stored relation is a strict order (irreflexive, transitive)."""
+    """Check the stored relation is a strict order (irreflexive, transitive)
+    and that down is the transpose of up."""
     for i in range(p.n):
         if (p.up[i] >> i) & 1:
             raise CyclicRelation(f"element {i} above itself")
@@ -581,6 +600,12 @@ def validate(p: Poset) -> None:
                 raise CyclicRelation(f"transitivity fails at {i} < {j}")
             if (p.up[j] >> i) & 1:
                 raise CyclicRelation(f"antisymmetry fails on {i}, {j}")
+            if not (p.down[j] >> i) & 1:
+                raise ValueError(f"down[{j}] misses {i} below it")
+    # down holds every pair of up's transpose, so equal counts mean no extra
+    if len(p.down) != p.n or (sum(m.bit_count() for m in p.down)
+                              != sum(m.bit_count() for m in p.up)):
+        raise ValueError("down holds pairs that up does not")
 
 
 # -- serialization -------------------------------------------------------------

@@ -329,11 +329,21 @@ class MapWitness:
         if flag == "surjective":
             return len(set(f)) == t.n
         if flag == "order_preserving":
-            return all(t.leq(f[i], f[j])
-                       for i in range(s.n) for j in range(s.n) if s.leq(i, j))
+            # the target order is transitive, so the source covers suffice
+            return all(t.leq(f[i], f[j]) for i, j in s.cover_pairs())
         if flag == "order_embedding":
-            return all(s.leq(i, j) == t.leq(f[i], f[j])
-                       for i in range(s.n) for j in range(s.n))
+            # i <= j iff f(i) <= f(j): the preimage of f(i)'s up-set is i's
+            fibre, image = {}, 0
+            for j, v in enumerate(f):
+                fibre[v] = fibre.get(v, 0) | 1 << j
+                image |= 1 << v
+            for i in range(s.n):
+                pre = 0
+                for v in _poset.bits(t.up_incl(f[i]) & image):
+                    pre |= fibre[v]
+                if pre != s.up_incl(i):
+                    return False
+            return True
         if flag in ("join_preserving", "meet_preserving"):
             if flag == "join_preserving":
                 st, tt = s.join_table(), t.join_table()

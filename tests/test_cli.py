@@ -221,6 +221,20 @@ class TestExitCodes:
         assert cli.main(["verify-cert", str(f)]) == 3
         assert "no meet" in capsys.readouterr().err
 
+    def test_certificate_over_budget_is_4(self, tmp_path, capsys):
+        # BudgetExceeded is an OrderError, yet a budget hit while checking a
+        # certificate is exit 4, not an input error
+        doc = json.loads((GOLDEN / "ramsey_b4_atoms_m4.json").read_text())
+        doc["payload"]["pattern"]["n"] = 5000000
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        started = time.monotonic()
+        assert cli.main(["verify-cert", str(f)]) == 4
+        assert time.monotonic() - started < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("budget exceeded:")
+        assert "1000000" in err and "input error" not in err
+
     def test_verify_exit_zero_on_pass(self):
         code, out, _ = run_cli(
             ["verify", "--suite", "ideal_principal", "--trials", "5", "--seed", "3"])

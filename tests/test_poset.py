@@ -39,6 +39,34 @@ def random_posets(draw, max_n=8):
     return P.build(n, "leq", pairs)
 
 
+@st.composite
+def permuted_posets(draw, max_n=8):
+    """random_posets with its indices shuffled, so that index order is in
+    general not a linear extension; built from all its pairs or a subset."""
+    p = draw(random_posets(max_n))
+    perm = draw(st.permutations(range(p.n)))
+    pairs = [(perm[i], perm[j]) for i, j in relation_pairs(p)]
+    kind = draw(st.sampled_from(["leq", "covers"]))
+    if kind == "covers":
+        pairs = [pair for pair in pairs if draw(st.booleans())]
+    return P.build(p.n, kind, sorted(pairs))
+
+
+def brute_covers(p):
+    """Oracle: i < j with no k strictly between them, by leq."""
+    return tuple((i, j) for i in range(p.n) for j in range(p.n)
+                 if i != j and p.leq(i, j)
+                 and not any(k not in (i, j) and p.leq(i, k) and p.leq(k, j)
+                             for k in range(p.n)))
+
+
+def downset_masks(base):
+    """Oracle: every downset of base as a mask, in numeric order (so each
+    after its subsets), by testing each subset."""
+    return [m for m in range(1 << base.n)
+            if all(base.down[e] & ~m == 0 for e in range(base.n) if (m >> e) & 1)]
+
+
 class TestBits:
     @given(st.integers(min_value=0, max_value=1 << 300))
     def test_matches_bit_scan(self, m):
@@ -95,6 +123,17 @@ class TestTransitiveReduction:
     def test_closure_of_reduction_recovers_relation(self, p):
         rebuilt = P.build(p.n, "covers", p.cover_pairs())
         assert relation_pairs(rebuilt) == relation_pairs(p)
+
+    @given(permuted_posets(max_n=9))
+    def test_covers_match_brute_force_oracle(self, p):
+        # shuffled indices make the descent step below the lowest index
+        for q in (p, P.dual(p), p.relabel([f"x{i}" for i in range(p.n)])):
+            assert q.cover_pairs() == brute_covers(q)
+
+    def test_covers_when_lowest_index_is_not_minimal(self):
+        # 3 < 2 < 1 < 0 above 4: from 4 the descent runs 0, 1, 2, 3
+        p = P.build(5, "covers", [(4, 3), (3, 2), (2, 1), (1, 0)])
+        assert p.cover_pairs() == ((1, 0), (2, 1), (3, 2), (4, 3))
 
     @given(random_posets(max_n=6))
     def test_reduction_is_minimal(self, p):
@@ -346,6 +385,40 @@ class TestSetLattice:
         # over the chain 0 < 1, {1} is not a downset
         with pytest.raises(ValueError, match="downsets"):
             P.set_lattice(P.chain(2), [0, 1, 2, 3])
+
+
+class TestValidate:
+    @given(permuted_posets(max_n=6), random_posets(max_n=4), st.data())
+    def test_every_constructor_keeps_down_the_transpose(self, a, b, data):
+        pairs = sorted(relation_pairs(a))
+        sub = data.draw(st.lists(st.sampled_from(range(a.n)), unique=True)) if a.n else []
+        made = [
+            P.build(a.n, "leq", pairs),
+            P.build(a.n, "covers", a.cover_pairs()),
+            P.dual(a),
+            a.relabel([f"y{i}" for i in range(a.n)]),
+            P.add_bottom(a),
+            P.direct_sum(a, b),
+            P.direct_sum(b, P.dual(a)),
+            P.direct_product(a, b),
+            P.induced(a, sub),
+            P.set_lattice(b, downset_masks(b)),
+            P.dual(P.set_lattice(b, downset_masks(b))),
+        ]
+        for q in made:
+            P.validate(q)
+            assert q.down == P.Poset(q.n, q.up).down
+
+    def test_rejects_down_that_is_not_the_transpose(self):
+        c3 = P.chain(3)
+        with pytest.raises(ValueError, match="misses"):
+            P.validate(P.Poset(3, c3.up, None, (0, 1, 1)))
+        with pytest.raises(ValueError, match="does not"):
+            P.validate(P.Poset(3, c3.up, None, (2, 1, 3)))
+
+    def test_rejects_cycles(self):
+        with pytest.raises(CyclicRelation):
+            P.validate(P.Poset(2, (2, 1)))
 
 
 class TestSerialization:

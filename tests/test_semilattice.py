@@ -20,7 +20,7 @@ from ordercraft.errors import (
     StructureMismatch,
 )
 
-from test_poset import random_posets
+from test_poset import permuted_posets, random_posets
 
 
 def pentagon():
@@ -363,6 +363,63 @@ class TestMapWitness:
         moves = S.certify(P.chain(2), b2, (1, 3), {"zero_preserving"})
         assert "zero_preserving" in keeps.certified
         assert "zero_preserving" not in moves.certified
+
+
+def pairwise_order_flags(s, t, f):
+    """Oracle: order_preserving and order_embedding by their definitions,
+    over every pair of source elements."""
+    pairs = [(i, j) for i in range(s.n) for j in range(s.n)]
+    return (all(t.leq(f[i], f[j]) for i, j in pairs if s.leq(i, j)),
+            all(s.leq(i, j) == t.leq(f[i], f[j]) for i, j in pairs))
+
+
+def order_flags(s, t, f):
+    w = S.MapWitness(s, t, tuple(f))
+    return w.check_flag("order_preserving"), w.check_flag("order_embedding")
+
+
+class TestOrderFlagsAgainstPairwise:
+    @given(permuted_posets(max_n=7), permuted_posets(max_n=7), st.data())
+    def test_random_tables(self, s, t, data):
+        # arbitrary tables: mostly neither injective nor monotone
+        assume(t.n > 0 or s.n == 0)
+        f = data.draw(st.lists(st.integers(0, max(t.n - 1, 0)),
+                               min_size=s.n, max_size=s.n))
+        assert order_flags(s, t, f) == pairwise_order_flags(s, t, f)
+
+    @given(permuted_posets(max_n=7), st.data())
+    def test_identity_into_an_extension(self, s, data):
+        # the identity into the same order with pairs added along a linear
+        # extension preserves order, and embeds only when nothing was added
+        pos = {e: k for k, e in enumerate(s.linear_extension())}
+        extra = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6))))
+        extra = [(a, b) for a, b in extra if a < s.n and b < s.n and pos[a] < pos[b]]
+        pairs = [(i, j) for i in range(s.n) for j in P.bits(s.up[i])]
+        t = P.build(s.n, "leq", pairs + extra)
+        f = list(range(s.n))
+        assert order_flags(s, t, f) == pairwise_order_flags(s, t, f)
+        assert order_flags(s, t, f) == (True, t.up == s.up)
+
+    @given(permuted_posets(max_n=7), st.data())
+    def test_rank_onto_a_chain(self, s, data):
+        # the rank (longest chain below) is monotone and, on a non-chain,
+        # not injective; a permutation of it is in general neither
+        rank = [0] * s.n
+        for i in s.linear_extension():
+            rank[i] = max([rank[j] + 1 for j in P.bits(s.down[i])], default=0)
+        t = P.chain(s.n)
+        perm = data.draw(st.permutations(range(s.n)))
+        for f in (rank, [perm[r] for r in rank], perm):
+            assert order_flags(s, t, f) == pairwise_order_flags(s, t, f)
+        assert order_flags(s, t, rank)[0]
+
+    def test_collapsing_two_incomparables_is_no_embedding(self):
+        v = P.build(3, "covers", [(0, 1), (0, 2)])
+        c2 = P.chain(2)
+        assert order_flags(v, c2, [0, 1, 1]) == (True, False)
+        assert order_flags(v, c2, [1, 0, 0]) == (False, False)
+        # a constant map preserves order: f(i) <= f(j) holds with equality
+        assert order_flags(c2, c2, [0, 0]) == (True, False)
 
 
 class TestWitnessSelfAudit:

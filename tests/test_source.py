@@ -180,3 +180,21 @@ def test_one_evidence_path_per_certificate():
     ramsey = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "ramsey_extract")
     assert "certify" not in set(_names(ramsey))
+
+
+def _passes_down(node):
+    """A Poset(...) call that hands over its own down masks."""
+    func = getattr(node, "func", None)
+    return (isinstance(node, ast.Call)
+            and "Poset" in (getattr(func, "id", None), getattr(func, "attr", None))
+            and (len(node.args) >= 4 or any(kw.arg == "down" for kw in node.keywords)))
+
+
+def test_only_poset_constructors_pass_down():
+    # Poset trusts a given down to be the transpose of up, so only the
+    # constructors in poset.py, which derive it from what they hold, pass it
+    passers = {path.name: _holders(ast.parse(path.read_text()), _passes_down)
+               for path in sorted(SRC.glob("*.py"))}
+    assert passers.pop("poset.py") == ["add_bottom", "build", "direct_sum", "dual",
+                                       "relabel", "set_lattice"]
+    assert all(holders == [] for holders in passers.values()), passers
