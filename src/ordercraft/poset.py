@@ -165,15 +165,21 @@ class Poset:
             self._linext = tuple(out)
         return list(self._linext)
 
-    def height(self) -> int:
-        """Number of elements in a longest chain, whose steps are covers."""
-        above = [[] for _ in range(self.n)]
+    def heights(self):
+        """Per element, the number of covers on a longest chain down from it
+        (0 at a minimal element), along the lower covers in linear-extension
+        order."""
+        below = [[] for _ in range(self.n)]
         for i, j in self.cover_pairs():
-            above[i].append(j)
-        best = [0] * self.n
-        for i in reversed(self.linear_extension()):
-            best[i] = max([best[j] for j in above[i]], default=0) + 1
-        return max(best, default=0)
+            below[j].append(i)
+        h = [0] * self.n
+        for j in self.linear_extension():
+            h[j] = max([h[i] + 1 for i in below[j]], default=0)
+        return h
+
+    def height(self) -> int:
+        """Number of elements in a longest chain."""
+        return max(self.heights(), default=-1) + 1
 
     def width(self, limit: Optional[int] = None) -> int:
         """Largest antichain size, n minus a maximum matching of the strict
@@ -436,15 +442,23 @@ def add_bottom(p: Poset, label: str = "0") -> Poset:
 def induced(p: Poset, elements: Sequence[int], labels=None) -> Poset:
     """Subposet on the given elements, in the given order."""
     pos = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    up = [0] * n
-    for i, e in enumerate(elements):
-        for j in bits(p.up[e]):
-            if j in pos:
-                up[i] |= 1 << pos[j]
+    if len(pos) != len(elements):
+        raise ValueError("induced subposet elements must be distinct")
+    selected = sum(1 << e for e in pos)
+    up, down = [], []
+    # each row keeps only the selected bits of the cone, renumbered; the bit
+    # loop stays inline, as in Poset.__init__
+    for e in elements:
+        for rows, m in ((up, p.up[e] & selected), (down, p.down[e] & selected)):
+            row = 0
+            while m:
+                low = m & -m
+                row |= 1 << pos[low.bit_length() - 1]
+                m ^= low
+            rows.append(row)
     if labels is None:
         labels = [p.label(e) for e in elements]
-    return Poset(n, up, labels)
+    return Poset(len(elements), up, labels, down)
 
 
 def inclusion_order(masks: Sequence[int], labels=None) -> Poset:
@@ -499,7 +513,7 @@ def set_lattice(base: Poset, masks: Sequence[int], labels=None) -> Poset:
     return p
 
 
-# -- isomorphism -------------------------------------------------------------
+# -- embeddings and isomorphism ------------------------------------------------
 
 
 def _refine_colors(p: Poset):
@@ -528,62 +542,107 @@ def _refine_colors(p: Poset):
         colors = new
 
 
-def is_isomorphic(a: Poset, b: Poset, node_budget: Optional[int] = None,
-                  force: bool = False):
+def _search(pattern: Poset, target: Poset, order, domains, limit: int,
+            joins=None, meets=None):
+    """First injective order embedding of pattern into target (a list,
+    pattern index -> target index), or None.
+
+    Fills positions in `order`, each trying its domain (a target bitmask per
+    pattern element) lowest first. Forward checking: assigning i -> v
+    narrows each later domain to up[v], down[v] or the elements incomparable
+    to v, as the pattern relates them (none holds v, so the map stays
+    injective); an empty domain backtracks at once. joins and meets, each
+    None or a (pattern, target) table pair, need an order by height: a join
+    comes after its operands and is forced once both are assigned; a meet
+    comes before them and is checked when the later one is assigned. A
+    visited node is one domain value tried.
+    """
+    n = len(order)
+    if n == 0:
+        return []
+    where = [0] * n
+    for k, i in enumerate(order):
+        where[i] = k
+    # per position: the later positions above, below and apart from it,
+    # and the (earlier position, join or meet position) pairs it completes
+    above, below, apart, forced, checked = [], [], [], [], []
+    later = (1 << n) - 1
+    for k, i in enumerate(order):
+        later ^= 1 << i
+        up, down = pattern.up[i] & later, pattern.down[i] & later
+        above.append([where[j] for j in bits(up)])
+        below.append([where[j] for j in bits(down)])
+        apart.append([where[j] for j in bits(later ^ up ^ down)])
+        for pairs, ops in ((forced, joins), (checked, meets)):
+            pairs.append([] if ops is None else
+                         [(k2, where[x]) for k2, j in enumerate(order[:k])
+                          if (x := ops[0][i][j]) != i and x != j])
+    tj = joins[1] if joins else None
+    tm = meets[1] if meets else None
+    full = (1 << target.n) - 1
+    # doms[k]: every position's domain once positions before k are assigned
+    doms = [[domains[i] for i in order]] + [None] * (n - 1)
+    if 0 in doms[0]:
+        return None
+    left = [0] * n  # values still to try at each position
+    left[0] = doms[0][0]
+    vals = [0] * n
+    visited = 0
+    k = 0
+    while k >= 0:
+        rest = left[k]
+        if not rest:
+            k -= 1
+            continue
+        low = rest & -rest
+        left[k] = rest ^ low
+        v = low.bit_length() - 1
+        visited += 1
+        if visited > limit:
+            raise BudgetExceeded("embedding search budget exhausted")
+        if checked[k] and any(tm[v][vals[k2]] != vals[k3] for k2, k3 in checked[k]):
+            continue
+        vals[k] = v
+        if k + 1 == n:
+            return [vals[where[i]] for i in range(n)]
+        dom = doms[k].copy()
+        uv, dv = target.up[v], target.down[v]
+        for m in above[k]:
+            dom[m] &= uv
+        for m in below[k]:
+            dom[m] &= dv
+        iv = full ^ (uv | dv | low)
+        for m in apart[k]:
+            dom[m] &= iv
+        for k2, m in forced[k]:
+            dom[m] &= 1 << tj[v][vals[k2]]
+        if 0 not in dom:
+            doms[k + 1] = dom
+            left[k + 1] = dom[k + 1]
+            k += 1
+    return None
+
+
+def is_isomorphic(a: Poset, b: Poset, node_budget: Optional[int] = None):
     """Order-isomorphism witness (list: a-index -> b-index) or None.
 
-    Backtracking over colour-refined candidate classes; deterministic given
-    inputs. Intended for desk scale; the node budget guards larger inputs
-    unless force=True removes the cap.
+    The search core with colour-refined classes as domains, smallest class
+    first; deterministic given inputs. Intended for desk scale; the node
+    budget guards larger inputs.
     """
     if a.n != b.n:
         return None
-    limit = None if force else _budget.resolve(node_budget, _budget.SEARCH_BUDGET)
+    limit = _budget.resolve(node_budget, _budget.SEARCH_BUDGET)
     ca, cb = _refine_colors(a), _refine_colors(b)
     if sorted(ca) != sorted(cb):
         return None
-    by_color_b = {}
+    classes = {}
     for j, c in enumerate(cb):
-        by_color_b.setdefault(c, []).append(j)
-    candidates = [by_color_b.get(ca[i], []) for i in range(a.n)]
-    if any(not c for c in candidates):
-        return None
-    order = sorted(range(a.n), key=lambda i: (len(candidates[i]), i))
-
-    mapping = [-1] * a.n
-    used = 0
-    visited = 0
-
-    def assign(k: int) -> bool:
-        nonlocal used, visited
-        if k == a.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            visited += 1
-            if limit is not None and visited > limit:
-                raise BudgetExceeded("isomorphism search budget exhausted")
-            if (used >> j) & 1:
-                continue
-            ok = True
-            for k2 in range(k):
-                i2 = order[k2]
-                j2 = mapping[i2]
-                if a.lt(i, i2) != b.lt(j, j2) or a.lt(i2, i) != b.lt(j2, j):
-                    ok = False
-                    break
-            if ok:
-                mapping[i] = j
-                used |= 1 << j
-                if assign(k + 1):
-                    return True
-                used &= ~(1 << j)
-                mapping[i] = -1
-        return False
-
-    if assign(0):
-        return list(mapping)
-    return None
+        classes[c] = classes.get(c, 0) | 1 << j
+    domains = [classes[c] for c in ca]
+    sizes = [d.bit_count() for d in domains]
+    # a stable sort by class size keeps index order within a size
+    return _search(a, b, sorted(range(a.n), key=sizes.__getitem__), domains, limit)
 
 
 # -- validation ---------------------------------------------------------------

@@ -408,6 +408,8 @@ def embedding_search(pattern: Poset, target: Poset, mode: str = "order",
     Pattern elements are processed by (height, index); target candidates
     ascending, so the returned witness is deterministic. join mode preserves
     binary joins (least elements are not required to map to least elements).
+    The search is poset._search, whose domains start as the target elements
+    whose up- and down-sets are at least as large as the pattern element's.
     """
     if mode not in EMBEDDING_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -420,78 +422,22 @@ def embedding_search(pattern: Poset, target: Poset, mode: str = "order",
             raise StructureMismatch("meet mode needs meet-semilattices on both sides")
 
     limit = _budget.resolve(node_budget, _budget.SEARCH_BUDGET)
-    heights = _element_heights(pattern)
-    order = sorted(range(pattern.n), key=lambda i: (heights[i], i))
-    pj = pattern.join_table() if mode in ("join", "sublattice") else None
-    pm = pattern.meet_table() if mode in ("meet", "sublattice") else None
-    tj = target.join_table() if pj else None
-    tm = target.meet_table() if pm else None
-    # pairs whose pattern join IS element x; the join sits strictly above its
-    # operands, so by height order it is assigned last and checked here
-    join_pairs_of = [[] for _ in range(pattern.n)]
-    if pj is not None:
-        for a in range(pattern.n):
-            for b2 in range(a + 1, pattern.n):
-                x = pj[a][b2]
-                if x is not None and x != a and x != b2:
-                    join_pairs_of[x].append((a, b2))
-
-    mapping = [-1] * pattern.n
-    used = 0
-    visited = 0
-
-    def _binop_ok(table_p, table_t, i, v, i2, v2) -> bool:
-        j = table_p[i][i2]
-        if j == i:
-            want = v
-        elif j == i2:
-            want = v2
-        elif j is not None and mapping[j] != -1:
-            want = mapping[j]
-        else:
-            return True
-        return table_t[v][v2] == want
-
-    def consistent(i: int, v: int, upto: int) -> bool:
-        for k in range(upto):
-            i2 = order[k]
-            v2 = mapping[i2]
-            if pattern.leq(i, i2) != target.leq(v, v2):
-                return False
-            if pattern.leq(i2, i) != target.leq(v2, v):
-                return False
-            if pj is not None and not _binop_ok(pj, tj, i, v, i2, v2):
-                return False
-            if pm is not None and not _binop_ok(pm, tm, i, v, i2, v2):
-                return False
-        if pj is not None:
-            for a, b2 in join_pairs_of[i]:
-                ma, mb = mapping[a], mapping[b2]
-                if ma != -1 and mb != -1 and tj[ma][mb] != v:
-                    return False
-        return True
-
-    def assign(k: int) -> bool:
-        nonlocal used, visited
-        if k == pattern.n:
-            return True
-        i = order[k]
-        for v in range(target.n):
-            visited += 1
-            if visited > limit:
-                raise BudgetExceeded("embedding search budget exhausted")
-            if (used >> v) & 1:
-                continue
-            if consistent(i, v, k):
-                mapping[i] = v
-                used |= 1 << v
-                if assign(k + 1):
-                    return True
-                used &= ~(1 << v)
-                mapping[i] = -1
-        return False
-
-    if not assign(0):
+    heights = pattern.heights()
+    # a stable sort by height keeps index order within a height
+    order = sorted(range(pattern.n), key=heights.__getitem__)
+    joins = meets = None
+    if mode in ("join", "sublattice"):
+        joins = (pattern.join_table(), target.join_table())
+    if mode in ("meet", "sublattice"):
+        meets = (pattern.meet_table(), target.meet_table())
+    # i can map to v only if v's cones are at least as large as i's
+    cones = [(u.bit_count(), d.bit_count()) for u, d in zip(target.up, target.down)]
+    domains = []
+    for pu, pd in zip(pattern.up, pattern.down):
+        nu, nd = pu.bit_count(), pd.bit_count()
+        domains.append(sum(1 << v for v, (u, d) in enumerate(cones) if u >= nu and d >= nd))
+    table = _poset._search(pattern, target, order, domains, limit, joins, meets)
+    if table is None:
         return None
     flags = {"injective", "order_embedding", "order_preserving"}
     if mode in ("join", "sublattice"):
@@ -500,15 +446,7 @@ def embedding_search(pattern: Poset, target: Poset, mode: str = "order",
         flags.add("meet_preserving")
     if mode == "sublattice":
         flags.add("lattice_hom")
-    witness = MapWitness(pattern, target, tuple(mapping), frozenset(flags))
-    return witness
-
-
-def _element_heights(p: Poset):
-    h = [0] * p.n
-    for i in p.linear_extension():
-        h[i] = max((h[j] + 1 for j in _poset.bits(p.down[i])), default=0)
-    return h
+    return MapWitness(pattern, target, tuple(table), frozenset(flags))
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,24 @@ class TestCommands:
              "--mode", "join"])
         assert code == 0 and json.loads(out)["found"]
 
+    @pytest.mark.parametrize("name,pattern,target,mode,exit_code", [
+        ("embed_b3_odelta4_join", "b3", "odelta4", "join", 0),
+        ("embed_b3_odelta4_meet", "b3", "odelta4", "meet", 0),
+        ("embed_b3_odelta4_order", "b3", "odelta4", "order", 0),
+        ("embed_n5_b5_sublattice", "n5", "b5", "sublattice", 1),
+    ])
+    def test_embed_golden(self, name, pattern, target, mode, exit_code, tmp_path):
+        from ordercraft import downsets as D
+        inputs = {"b3": F.finite_powerset(3), "b5": F.finite_powerset(5),
+                  "n5": F.l_alpha(2), "odelta4": D.downset_lattice(F.delta(4))}
+        for key in (pattern, target):
+            (tmp_path / f"{key}.json").write_text(P.to_json(inputs[key]))
+        code, out, _ = run_cli(
+            ["embed", "--pattern", str(tmp_path / f"{pattern}.json"),
+             "--target", str(tmp_path / f"{target}.json"), "--mode", mode])
+        assert code == exit_code
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
     def test_export_dot_stable(self, tmp_path):
         f = tmp_path / "d.json"
         f.write_text(P.to_json(F.delta(2)))

@@ -1,5 +1,6 @@
 """Core poset construction, combinators, isomorphism, and serialization."""
 
+import functools
 import itertools
 from math import comb
 
@@ -29,8 +30,8 @@ def relation_pairs(p):
 
 
 @st.composite
-def random_posets(draw, max_n=8):
-    n = draw(st.integers(min_value=0, max_value=max_n))
+def random_posets(draw, max_n=8, min_n=0):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -275,6 +276,49 @@ class TestIsomorphism:
                    for i in range(p.n) for j in range(p.n))
 
 
+def brute_isomorphic(a, b):
+    """Oracle: some permutation of b's elements carries a's strict order
+    onto b's."""
+    return a.n == b.n and any(
+        all(a.lt(i, j) == b.lt(f[i], f[j]) for i in range(a.n) for j in range(a.n))
+        for f in itertools.permutations(range(b.n)))
+
+
+@st.composite
+def relabelled(draw, p):
+    """p with its indices shuffled."""
+    perm = draw(st.permutations(range(p.n)))
+    return P.build(p.n, "leq", [(perm[i], perm[j]) for i, j in relation_pairs(p)])
+
+
+class TestIsomorphismAgainstPermutations:
+    @settings(max_examples=120)
+    @given(random_posets(max_n=7), st.data())
+    def test_matches_permutation_scan(self, p, data):
+        q = data.draw(st.one_of(relabelled(p), random_posets(max_n=p.n, min_n=p.n)))
+        w = P.is_isomorphic(p, q)
+        assert (w is not None) == brute_isomorphic(p, q)
+        if w is not None:
+            assert sorted(w) == list(range(q.n))
+            assert all(p.lt(i, j) == q.lt(w[i], w[j])
+                       for i in range(p.n) for j in range(p.n))
+
+    def test_look_alike_components_rejected_by_colour_classes(self):
+        # X and Y have the same up- and down-degrees but are told apart by
+        # colour refinement; with degree classes as domains the search would
+        # try the copies of X against each other far past this budget
+        x = P.build(6, "covers", [(0, 1), (0, 2), (3, 5), (4, 5)])
+        y = P.build(6, "covers", [(0, 3), (0, 5), (1, 2), (4, 5)])
+        a = functools.reduce(P.direct_sum, [x] * 6 + [y])
+        b = functools.reduce(P.direct_sum, [x] * 5 + [y] * 2)
+        assert a.n == b.n == 42
+        assert P.is_isomorphic(a, b, node_budget=10_000) is None
+        # Y first: with degree classes, the first X would try Y's elements
+        w = P.is_isomorphic(a, functools.reduce(P.direct_sum, [y] + [x] * 6),
+                            node_budget=10_000)
+        assert w is not None and w[:6] == list(range(6, 12))
+
+
 class TestStats:
     def test_chain_stats(self):
         s = P.chain(4).basic_stats()
@@ -283,6 +327,15 @@ class TestStats:
     def test_antichain_stats(self):
         s = P.antichain(4).basic_stats()
         assert s["height"] == 1 and s["width"] == 4
+
+    @given(permuted_posets(max_n=7))
+    def test_heights_match_longest_chains_below(self, p):
+        # oracle: over every element below, not only the lower covers
+        h = {}
+        for i in sorted(range(p.n), key=lambda i: p.down[i].bit_count()):
+            h[i] = max((h[j] + 1 for j in range(p.n) if p.lt(j, i)), default=0)
+        assert p.heights() == [h[i] for i in range(p.n)]
+        assert p.height() == max(h.values(), default=-1) + 1
 
     @given(random_posets())
     def test_linear_extension_respects_order(self, p):
@@ -385,6 +438,21 @@ class TestSetLattice:
         # over the chain 0 < 1, {1} is not a downset
         with pytest.raises(ValueError, match="downsets"):
             P.set_lattice(P.chain(2), [0, 1, 2, 3])
+
+
+class TestInduced:
+    @given(permuted_posets(max_n=7), st.data())
+    def test_matches_the_restricted_relation(self, p, data):
+        sub = data.draw(st.lists(st.sampled_from(range(p.n)), unique=True)) if p.n else []
+        q = P.induced(p, sub)
+        assert relation_pairs(q) == {(a, b) for a, i in enumerate(sub)
+                                     for b, j in enumerate(sub) if p.lt(i, j)}
+        assert q.labels == tuple(p.label(e) for e in sub)
+        assert q.down == P.Poset(q.n, q.up).down
+
+    def test_rejects_repeated_elements(self):
+        with pytest.raises(ValueError, match="distinct"):
+            P.induced(P.chain(3), [0, 2, 0])
 
 
 class TestValidate:

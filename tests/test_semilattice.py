@@ -328,6 +328,68 @@ class TestEmbeddingSearch:
         assert oracle == order_found == join_found
 
 
+def brute_embeds(pattern, target, mode):
+    """Oracle: some injection, tried as each arrangement of pattern.n target
+    elements, is an order embedding that carries the mode's joins and meets."""
+    pairs = [(i, j) for i in range(pattern.n) for j in range(pattern.n)]
+    ops = []
+    if mode in ("join", "sublattice"):
+        ops.append((pattern.join_table(), target.join_table()))
+    if mode in ("meet", "sublattice"):
+        ops.append((pattern.meet_table(), target.meet_table()))
+    return any(
+        all(pattern.leq(i, j) == target.leq(f[i], f[j]) for i, j in pairs)
+        and all(f[pt[i][j]] == tt[f[i]][f[j]] for pt, tt in ops for i, j in pairs)
+        for f in itertools.permutations(range(target.n), pattern.n))
+
+
+@st.composite
+def mode_hosts(draw, mode, max_n):
+    """Random posets of at most max_n elements; in the join (meet) modes a
+    new top (bottom) is added so that most are semilattices, and the draw is
+    kept only when the mode's tables are complete."""
+    q = draw(random_posets(max_n=max_n - (mode != "order") - (mode == "sublattice")))
+    if mode in ("meet", "sublattice"):
+        q = P.add_bottom(q)
+    if mode in ("join", "sublattice"):
+        q = P.dual(P.add_bottom(P.dual(q)))
+    rep = S.structure_report(q)
+    assume(mode not in ("join", "sublattice") or rep.is_join_semilattice)
+    assume(mode not in ("meet", "sublattice") or rep.is_meet_semilattice)
+    return q
+
+
+MODE_FLAGS = {
+    "order": {"injective", "order_embedding", "order_preserving"},
+    "join": {"injective", "order_embedding", "order_preserving", "join_preserving"},
+    "meet": {"injective", "order_embedding", "order_preserving", "meet_preserving"},
+    "sublattice": {"injective", "order_embedding", "order_preserving", "join_preserving",
+                   "meet_preserving", "lattice_hom"},
+}
+
+
+class TestEmbeddingAgainstPermutations:
+    @pytest.mark.parametrize("mode", S.EMBEDDING_MODES)
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_existence_matches_permutation_scan(self, mode, data):
+        pattern = data.draw(mode_hosts(mode, 5))
+        target = data.draw(mode_hosts(mode, 7))
+        w = S.embedding_search(pattern, target, mode)
+        assert (w is not None) == brute_embeds(pattern, target, mode)
+        if w is not None:
+            assert w.certified == MODE_FLAGS[mode]
+            assert all(w.check_flag(flag) for flag in MODE_FLAGS[mode])
+
+    def test_pentagon_no_sublattice_of_b6_within_budget(self):
+        assert S.embedding_search(pentagon(), F.finite_powerset(6), "sublattice",
+                                  node_budget=100_000) is None
+
+    def test_b5_join_embeds_in_downsets_of_delta4(self):
+        w = S.embedding_search(F.finite_powerset(5), D.downset_lattice(F.delta(4)), "join")
+        assert w is not None and w.check_flag("join_preserving")
+
+
 class TestGenerated:
     def test_powerset_closure_of_atoms(self):
         b3 = F.finite_powerset(3)

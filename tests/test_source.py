@@ -196,5 +196,17 @@ def test_only_poset_constructors_pass_down():
     passers = {path.name: _holders(ast.parse(path.read_text()), _passes_down)
                for path in sorted(SRC.glob("*.py"))}
     assert passers.pop("poset.py") == ["add_bottom", "build", "direct_sum", "dual",
-                                       "relabel", "set_lattice"]
+                                       "induced", "relabel", "set_lattice"]
     assert all(holders == [] for holders in passers.values()), passers
+
+
+def test_one_search_core_for_embeddings_and_isomorphism():
+    # embedding_search and is_isomorphic hand their domains and order to
+    # poset._search and keep no backtracking of their own
+    for module, name in (("semilattice.py", "embedding_search"), ("poset.py", "is_isomorphic")):
+        fn = next(node for node in ast.walk(ast.parse((SRC / module).read_text()))
+                  if isinstance(node, ast.FunctionDef) and node.name == name)
+        nested = [node for node in ast.walk(fn) if node is not fn and isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        assert nested == [], name
+        assert "_search" in set(_names(fn)), name
