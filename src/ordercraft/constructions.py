@@ -49,7 +49,7 @@ class ChainOfDownSets:
     decreasing: bool = False
 
     def __post_init__(self):
-        _semilattice.require_join_table(self.host)
+        _semilattice.require_joins(self.host)
         if not self.members:
             raise ValueError("chain must be non-empty")
         for d in self.members:
@@ -123,10 +123,10 @@ def _ideal_top(host: Poset, ideal_mask: int) -> int:
 
 def ideal_join(host: Poset, x: int, ideal_mask: int) -> int:
     """{x} v J: the closure of {x} and J under binary joins, then downward.
-    J = down(m) has a top, so this is down(x v m), one table lookup (see
+    J = down(m) has a top, so this is down(x v m), one join (see
     suites.ideal_join_oracle for the closure itself). Raises ValueError
     when the mask is not a principal ideal."""
-    return host.down_incl(host.join_table()[x][_ideal_top(host, ideal_mask)])
+    return host.down_incl(host.join(x, _ideal_top(host, ideal_mask)))
 
 
 def _is_separating_masks(host: Poset, masks: Sequence[int]):
@@ -147,15 +147,13 @@ def _is_separating_masks(host: Poset, masks: Sequence[int]):
         union |= m
     least = min(masks, key=int.bit_count) if len(masks) > 1 else None
     irr_mask = sum(1 << x for x in _semilattice._join_irreducibles_no_zero(host))
-    jt = host.join_table()
     tops = [_ideal_top(host, m) for m in masks]
     for i_mask in masks:
         if i_mask == union or i_mask == least:
             continue
         for x in _poset.bits(union & ~i_mask & irr_mask):
-            row = jt[x]
             # {x} v J = down(x v top J) for each member J
-            if not any(i_mask & ~host.down_incl(row[t]) for t in tops):
+            if not any(i_mask & ~host.down_incl(host.join(x, t)) for t in tops):
                 return False, (i_mask, x)
     return True, None
 
@@ -238,7 +236,6 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
     ok, _w = is_separating(chain)
     if not ok:
         raise NotSeparating("input chain is not separating")
-    jt = host.join_table()
     desc = sorted((d.mask for d in chain.members), key=lambda m: -m.bit_count())
     union = desc[0]
     proper = [m for m in desc if m != union]
@@ -251,12 +248,12 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
         while True:
             x_join = xs[0]
             for e in xs[1:]:
-                x_join = jt[x_join][e]
+                x_join = host.join(x_join, e)
             step = None
             for j_mask in desc:
                 if j_mask == i_cur or i_cur & ~j_mask == 0:
                     continue
-                blocked = host.down_incl(jt[x_join][top[j_mask]])
+                blocked = host.down_incl(host.join(x_join, top[j_mask]))
                 if i_cur & ~blocked:
                     step = (j_mask, min(_poset.bits(i_cur & ~blocked)))
                     break
@@ -343,7 +340,6 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
         if any(m & ~dm == 0 and m != dm for m in bounded):
             e_set.add(x)
 
-    jt = host.join_table()
     walk = _descending_walk(host, bounded, e_set, union, depth)
     if len(walk) >= depth:
         return _certificate("DescendingChain", host, {
@@ -352,7 +348,7 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
             "depth": depth,
             "elements": walk,
         })
-    return _dichotomy_case_grid(host, chain, masks, e_set, depth, jt)
+    return _dichotomy_case_grid(host, chain, masks, e_set, depth)
 
 
 def _descending_walk(host, bounded, e_set, union, depth):
@@ -378,13 +374,14 @@ def _descending_walk(host, bounded, e_set, union, depth):
     return xs
 
 
-def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
+def _dichotomy_case_grid(host, chain, masks, e_set, depth):
     """Case (ii): below the largest member missing E, pull non-separation
     witnesses (x_n, I_n), strengthen them to rows y_n with the join-control
     conditions, and map the grid through (i,j) -> y_i v y_j."""
     start = next(i for i, m in enumerate(masks)
                  if not any(x in e_set for x in _poset.bits(m)))
     sub = masks[start:]
+    join = host.join
 
     # phase 1: x_n in I_{n-1} minus I_n with I_n inside {x_n} v J for all
     # J below I_{n-1}; i_masks[n + 1] stores I_n, i_masks[0] the start member
@@ -399,7 +396,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
             if i_mask == prev:
                 continue
             for x in _poset.bits(prev & ~i_mask):
-                if all(i_mask & ~host.down_incl(jt[x][top[j]]) == 0 for j in group):
+                if all(i_mask & ~host.down_incl(join(x, top[j])) == 0 for j in group):
                     found = (x, i_mask)
                     break
             if found:
@@ -419,7 +416,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
         n = len(ys)
         running = ys[0]
         for e in ys[1:]:
-            running = jt[running][e]
+            running = join(running, e)
         prev_ideal = i_masks[n]  # I_{n-1}
         z = next((c for c in _poset.bits(prev_ideal)
                   if not host.leq(c, running)), None)
@@ -427,24 +424,24 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
             stall = f"no element of I_{n - 1} escapes the running join"
             break
         if n == 1:
-            ys.append(jt[xs[1]][z])
+            ys.append(join(xs[1], z))
             continue
         ts = []
         for j in range(n - 1):
             yj = ys[j + 1]
             for e in ys[j + 2:n]:
-                yj = jt[yj][e]
+                yj = join(yj, e)
             tj = next((c for c in _poset.bits(prev_ideal)
-                       if host.leq(yj, jt[xs[j]][c])), None)
+                       if host.leq(yj, join(xs[j], c))), None)
             if tj is None:
                 stall = f"no t_{j} witness at step {n}"
                 break
             ts.append(tj)
         if stall:
             break
-        val = jt[xs[n]][z]
+        val = join(xs[n], z)
         for t in ts:
-            val = jt[val][t]
+            val = join(val, t)
         ys.append(val)
 
     achieved = len(ys) - 1
@@ -457,17 +454,16 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth, jt):
         "depth": depth,
         "achieved": achieved,
         "rows": ys,
-        "table": [jt[ys[i]][ys[j]] for (i, j) in _families.grid_coords(achieved)],
+        "table": [join(ys[i], ys[j]) for (i, j) in _families.grid_coords(achieved)],
     })
 
 
 def _grid_join_preserving(host: Poset, coords, table) -> bool:
-    jt = host.join_table()
     idx = {c: k for k, c in enumerate(coords)}
     for (i, j) in coords:
         for (a, b) in coords:
             want = table[idx[(min(i, a), max(j, b))]]
-            have = jt[table[idx[(i, j)]]][table[idx[(a, b)]]]
+            have = host.join(table[idx[(i, j)]], table[idx[(a, b)]])
             if want != have:
                 return False
     return True
@@ -501,8 +497,8 @@ def _check_grid_map(host: Poset, payload):
 
 
 def _triple_class(host: Poset, xs, i, j, k) -> int:
-    mt = host.meet_table()
-    mij, mik, mjk = mt[xs[i]][xs[j]], mt[xs[i]][xs[k]], mt[xs[j]][xs[k]]
+    meet = host.meet
+    mij, mik, mjk = meet(xs[i], xs[j]), meet(xs[i], xs[k]), meet(xs[j], xs[k])
     if mij == mik:
         return 4 if mjk == mij else 5
     if host.lt(mij, mik):
@@ -551,7 +547,7 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
     (with even-index thinning in the delta case so the map, and its downset
     lift, stay injective). Classes 1 and 2 are reported as NotWqoEvidence.
     """
-    _semilattice.require_meet_table(host)
+    _semilattice.require_meets(host)
     xs = list(antichain)
     for x in xs:
         if not 0 <= x < host.n:
@@ -570,7 +566,7 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
     if picked is None:
         raise NoMonochromaticSubset(f"no monochromatic subset of size {m}")
     cls = _triple_class(host, xs, picked[0], picked[1], picked[2])
-    mt = host.meet_table()
+    meet = host.meet
     h_elems = [xs[c] for c in picked]
 
     payload = {
@@ -587,17 +583,17 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
     if cls == 3:
         thinned = picked[0::2]
         row = [xs[c] for c in thinned]
-        table = [row[i] if j == _families.OMEGA else mt[row[i]][row[j]]
+        table = [row[i] if j == _families.OMEGA else meet(row[i], row[j])
                  for (i, j) in _families.delta_coords(len(thinned) - 1)]
         classification = DELTA_LIKE
     elif cls == 5:
         thinned = picked
-        table = [h_elems[i] if j == _families.OMEGA else mt[h_elems[i]][h_elems[i + 1]]
+        table = [h_elems[i] if j == _families.OMEGA else meet(h_elems[i], h_elems[i + 1])
                  for (i, j) in _families.gamma_coords(len(picked) - 1)]
         classification = GAMMA_LIKE
     else:  # class 4
         thinned = picked
-        table = [mt[h_elems[0]][h_elems[1]]] + h_elems
+        table = [meet(h_elems[0], h_elems[1])] + h_elems
         classification = V_LIKE
 
     payload["thinned"] = thinned
@@ -622,7 +618,7 @@ def _pattern_poset(descriptor) -> Poset:
 
 
 def _check_ramsey(host: Poset, payload):
-    _semilattice.require_meet_table(host)
+    _semilattice.require_meets(host)
     xs = _indices(payload["antichain"], host.n, "antichain")
     picked = _indices(payload["subset"], len(xs), "subset")
     anti = all(host.incomparable(xs[a], xs[b])

@@ -8,6 +8,7 @@ even for posets with a few thousand elements.
 
 from __future__ import annotations
 
+import heapq
 import json
 from typing import Iterable, Optional, Sequence
 
@@ -26,7 +27,8 @@ class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
     __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
-                 "_gaps", "_report", "_linext", "_sets", "_nonempty")
+                 "_gaps", "_report", "_linext", "_sets", "_birkhoff", "_few_covers",
+                 "_nonempty")
 
     def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
         # `up` is trusted to be irreflexive and transitive (build() validates);
@@ -56,6 +58,8 @@ class Poset:
         self._report = None  # semilattice.structure_report fills it
         self._linext = None
         self._sets = None  # set_lattice fills it: element i is the set _sets[i]
+        self._birkhoff = None  # birkhoff() fills it: (coords, index) or False
+        self._few_covers = {}  # at_most_one_cover fills it, by direction
         self._nonempty = None  # downsets.nonempty_downset_lattice fills it
 
     # -- basic queries -----------------------------------------------------
@@ -151,17 +155,25 @@ class Poset:
         return None
 
     def linear_extension(self):
-        """Repeated removal of the smallest-index minimal element."""
+        """Repeated removal of the smallest-index minimal element: Kahn's
+        algorithm over the covers, with a min-heap of the minimal elements
+        left. The removed elements always form a downset, so an element is
+        minimal among the rest once its lower covers are removed."""
         if self._linext is None:
-            removed = 0
+            above = [[] for _ in range(self.n)]
+            lower = [0] * self.n
+            for a, b in self.cover_pairs():
+                above[a].append(b)
+                lower[b] += 1
+            heap = [i for i in range(self.n) if not lower[i]]  # sorted: a heap
             out = []
-            full = (1 << self.n) - 1
-            while removed != full:
-                for i in range(self.n):
-                    if not (removed >> i) & 1 and self.down[i] & ~removed == 0:
-                        out.append(i)
-                        removed |= 1 << i
-                        break
+            while heap:
+                i = heapq.heappop(heap)
+                out.append(i)
+                for j in above[i]:
+                    lower[j] -= 1
+                    if not lower[j]:
+                        heapq.heappush(heap, j)
             self._linext = tuple(out)
         return list(self._linext)
 
@@ -289,11 +301,102 @@ class Poset:
             table[r] = [step[c] for c in table[source[r]]].copy()
         return table
 
+    def birkhoff(self):
+        """Birkhoff coordinates (coords, index) when this is a distributive
+        lattice, else None; computed once per Poset.
+
+        A finite distributive lattice is the lattice of downsets of its
+        join-irreducibles J, the elements with exactly one lower cover,
+        through x -> coords[x] = down_incl(x) & J (Birkhoff 1937); index maps
+        each coords[x] back to x. A set lattice's own masks are its
+        coordinates; any other poset runs _birkhoff_coordinates.
+        """
+        if self._birkhoff is None:
+            if self._sets is not None:
+                self._birkhoff = self._sets, {m: i for i, m in enumerate(self._sets)}
+            else:
+                self._birkhoff = _birkhoff_coordinates(self) or False
+        return self._birkhoff or None
+
     def join(self, i: int, j: int) -> Optional[int]:
+        """i v j, or None: read off the join table once it is built, else a
+        union of coordinates when the poset has them, else the table, built."""
+        if self._join is None:
+            coords = self.birkhoff()
+            if coords:
+                c, index = coords
+                return index[c[i] | c[j]]
         return self.join_table()[i][j]
 
     def meet(self, i: int, j: int) -> Optional[int]:
+        if self._meet is None:
+            coords = self.birkhoff()
+            if coords:
+                c, index = coords
+                return index[c[i] & c[j]]
         return self.meet_table()[i][j]
+
+    def joins(self, i: int, others) -> list:
+        """[join(i, j) for j in others], one row at a time."""
+        if self._join is None:
+            coords = self.birkhoff()
+            if coords:
+                c, index = coords
+                ci = c[i]
+                return [index[ci | c[j]] for j in others]
+        row = self.join_table()[i]
+        return [row[j] for j in others]
+
+    def meets(self, i: int, others) -> list:
+        if self._meet is None:
+            coords = self.birkhoff()
+            if coords:
+                c, index = coords
+                ci = c[i]
+                return [index[ci & c[j]] for j in others]
+        row = self.meet_table()[i]
+        return [row[j] for j in others]
+
+
+def _birkhoff_coordinates(p: Poset):
+    """(coords, index) of Poset.birkhoff, or None.
+
+    J is read off the cones by at_most_one_cover, so the test needs no
+    covers. With c(x) = down_incl(x) & J, p passes when c is injective and
+    takes the value 0, and each downset c(x) + {j} of J, one element larger,
+    is some c(y) with x < y. Then c is onto the downsets of J, each reached
+    from 0 one element at a time, and c(x) inside c(y) forces x <= y along
+    such steps, so c is an order isomorphism. A distributive lattice passes
+    by Birkhoff's theorem. O(n |J|) mask operations.
+    """
+    down, n = p.down, p.n
+    j_mask = sum(1 << x for x in at_most_one_cover(p) if down[x])
+    coords = tuple([(d | 1 << x) & j_mask for x, d in enumerate(down)])
+    index = {c: x for x, c in enumerate(coords)}
+    if len(index) != n or 0 not in index:
+        return None
+    # c(x) + {j} is a downset of J when c(x) & (strict down(j) + j) is
+    # exactly strict down(j)
+    below = [(down[j] & j_mask, (down[j] | 1 << j) & j_mask) for j in bits(j_mask)]
+    for x, c in enumerate(coords):
+        above = p.up[x]
+        for strict, incl in below:
+            if c & incl == strict:
+                y = index.get(c | incl)
+                if y is None or not (above >> y) & 1:
+                    return None
+    return coords, index
+
+
+def at_most_one_cover(p: Poset, upward: bool = True) -> tuple:
+    """The elements with at most one lower cover (upper cover when not
+    upward), read off the cones without the covers: x has exactly one lower
+    cover y when its strict down-set is down_incl(y). Once per Poset."""
+    if upward not in p._few_covers:
+        cones = p.down if upward else p.up
+        closed = {m | 1 << x for x, m in enumerate(cones)}
+        p._few_covers[upward] = tuple(x for x, m in enumerate(cones) if not m or m in closed)
+    return p._few_covers[upward]
 
 
 # -- constructors -----------------------------------------------------------

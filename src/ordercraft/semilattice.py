@@ -36,31 +36,24 @@ class StructureReport:
     is_lattice: bool
     is_distributive: Optional[bool]   # None when not a lattice
     is_modular: Optional[bool]
-    join_table: Optional[list]        # the Poset's own table, present exactly
-    meet_table: Optional[list]        # when every pair has a join (meet)
 
 
 def structure_report(p: Poset) -> StructureReport:
-    """Join/meet existence from the tables; for lattices, distributivity by
-    Birkhoff's join-preservation test and modularity by the cover
-    semimodularity test (see :func:`_lattice_laws`). Computed once per
-    Poset and cached on it."""
+    """A poset with Birkhoff coordinates (Poset.birkhoff) is a distributive,
+    hence modular, lattice, and needs no table. Otherwise join/meet
+    existence comes from the tables and, for lattices, distributivity and
+    modularity from :func:`_lattice_laws`. Computed once per Poset and
+    cached on it."""
     if p._report is None:
-        jt = p.join_table()
-        mt = p.meet_table()
-        has_join = _table_gap(p, upward=True) is None
-        has_meet = _table_gap(p, upward=False) is None
-        is_lattice = has_join and has_meet
-        distributive, modular = _lattice_laws(p, jt, mt) if is_lattice else (None, None)
-        p._report = StructureReport(
-            is_join_semilattice=has_join,
-            is_meet_semilattice=has_meet,
-            is_lattice=is_lattice,
-            is_distributive=distributive,
-            is_modular=modular,
-            join_table=jt if has_join else None,
-            meet_table=mt if has_meet else None,
-        )
+        if p.birkhoff() is not None:
+            p._report = StructureReport(True, True, True, True, True)
+        else:
+            has_join = _table_gap(p, upward=True) is None
+            has_meet = _table_gap(p, upward=False) is None
+            is_lattice = has_join and has_meet
+            laws = (_lattice_laws(p, p.join_table(), p.meet_table())
+                    if is_lattice else (None, None))
+            p._report = StructureReport(has_join, has_meet, is_lattice, *laws)
     return p._report
 
 
@@ -131,7 +124,31 @@ def _table_gap(p: Poset, upward: bool):
     return p._gaps[upward]
 
 
+def _gap(p: Poset, upward: bool):
+    """A pair of p with no join (meet), or None: _table_gap once the table
+    is built, else None at once when p has Birkhoff coordinates."""
+    if (p._join if upward else p._meet) is None and p.birkhoff() is not None:
+        return None
+    return _table_gap(p, upward)
+
+
+def require_joins(p: Poset) -> None:
+    """Raise NotJoinSemilattice unless every pair of p has a join; builds no
+    table when p has Birkhoff coordinates."""
+    missing = _gap(p, upward=True)
+    if missing:
+        raise NotJoinSemilattice(f"elements {missing[0]} and {missing[1]} have no join")
+
+
+def require_meets(p: Poset) -> None:
+    missing = _gap(p, upward=False)
+    if missing:
+        raise StructureMismatch(f"elements {missing[0]} and {missing[1]} have no meet")
+
+
 def require_join_table(p: Poset):
+    """p's join table, for callers that read every pair; like require_joins
+    it raises NotJoinSemilattice, but from the table without the coordinates."""
     jt = p.join_table()
     missing = _table_gap(p, upward=True)
     if missing:
@@ -139,20 +156,11 @@ def require_join_table(p: Poset):
     return jt
 
 
-def require_meet_table(p: Poset):
-    mt = p.meet_table()
-    missing = _table_gap(p, upward=False)
-    if missing:
-        raise StructureMismatch(f"elements {missing[0]} and {missing[1]} have no meet")
-    return mt
-
-
 def join_of(p: Poset, elements) -> int:
-    jt = p.join_table()
     it = iter(elements)
     acc = next(it)
     for e in it:
-        nxt = jt[acc][e]
+        nxt = p.join(acc, e)
         if nxt is None:
             raise NotJoinSemilattice(f"no join for {acc}, {e}")
         acc = nxt
@@ -191,11 +199,8 @@ def _join_irreducibles_no_zero(p: Poset):
     """Elements other than the least one (if any) with at most one lower
     cover. Exact when every pair has a join: two lower covers join to x,
     and one lower cover c bounds the join of any pair below x by c."""
-    lower = [0] * p.n
-    for _a, b in p.cover_pairs():
-        lower[b] += 1
     bot = p.bottom()
-    return [x for x in range(p.n) if lower[x] <= 1 and x != bot]
+    return [x for x in _poset.at_most_one_cover(p) if x != bot]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +211,8 @@ def is_independent(p: Poset, xs: Sequence[int]) -> bool:
     """Exhaustive check of the definition: x not<= vF over every finite
     non-empty F inside the rest. The quantifier is run in full on purpose;
     this is the oracle side of the search below."""
-    jt = require_join_table(p)
+    require_joins(p)
+    join = p.join
     xs = list(xs)
     if len(set(xs)) != len(xs):
         return False
@@ -219,7 +225,7 @@ def is_independent(p: Poset, xs: Sequence[int]) -> bool:
             mm = fmask
             while mm:
                 e = rest[(mm & -mm).bit_length() - 1]
-                acc = e if acc is None else jt[acc][e]
+                acc = e if acc is None else join(acc, e)
                 mm ^= mm & -mm
             if p.leq(x, acc):
                 return False
@@ -237,7 +243,7 @@ def find_independent_set(p: Poset, k: int, node_budget: Optional[int] = None):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    jt = require_join_table(p)
+    require_joins(p)
     if k == 1:
         # every singleton is vacuously independent (no non-empty F exists)
         return [0] if p.n else None
@@ -250,7 +256,7 @@ def find_independent_set(p: Poset, k: int, node_budget: Optional[int] = None):
             rest = xs[:idx] + xs[idx + 1:]
             acc = rest[0]
             for e in rest[1:]:
-                acc = jt[acc][e]
+                acc = p.join(acc, e)
             if p.leq(x, acc):
                 return False
         return True
@@ -302,13 +308,14 @@ class MapWitness:
     """Function table between two posets with re-verifiable property flags.
 
     Construction re-checks every requested flag; a witness never carries a
-    flag its table does not satisfy.
+    flag its table does not satisfy. Each flag is checked once per witness.
     """
 
     source: Poset
     target: Poset
     table: tuple
     certified: frozenset = field(default_factory=frozenset)
+    _held: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.table) != self.source.n:
@@ -323,6 +330,11 @@ class MapWitness:
                 raise ValueError(f"flag {flag!r} does not hold for this table")
 
     def check_flag(self, flag: str) -> bool:
+        if flag not in self._held:
+            self._held[flag] = self._check(flag)
+        return self._held[flag]
+
+    def _check(self, flag: str) -> bool:
         s, t, f = self.source, self.target, self.table
         if flag == "injective":
             return len(set(f)) == len(f)
@@ -345,17 +357,20 @@ class MapWitness:
                     return False
             return True
         if flag in ("join_preserving", "meet_preserving"):
-            if flag == "join_preserving":
-                st, tt = s.join_table(), t.join_table()
-            else:
-                st, tt = s.meet_table(), t.meet_table()
-            for i in range(s.n):
-                for j in range(i, s.n):
-                    if st[i][j] is None:
-                        return False
-                    tv = tt[f[i]][f[j]]
-                    if tv is None or f[st[i][j]] != tv:
-                        return False
+            # In a finite join-semilattice every element is a join of
+            # generators, the elements with at most one lower cover (add a
+            # bottom: they are its join-irreducibles and its old bottom). So
+            # f(x v y) = f(x) v f(y) for all x, y once it holds for every x
+            # and every generator y, by induction on the generators of y.
+            # Meets: dually, with upper covers.
+            upward = flag == "join_preserving"
+            if _gap(s, upward) is not None:
+                return False
+            srow, trow = (s.joins, t.joins) if upward else (s.meets, t.meets)
+            everything = range(s.n)
+            for g in _poset.at_most_one_cover(s, upward):
+                if [f[v] for v in srow(g, everything)] != trow(f[g], f):
+                    return False
             return True
         if flag == "lattice_hom":
             return self.check_flag("join_preserving") and self.check_flag("meet_preserving")
@@ -453,28 +468,49 @@ def embedding_search(pattern: Poset, target: Poset, mode: str = "order",
 # generated subsemilattices and the quotient map
 
 
-def subsemilattice_generated(p: Poset, seeds: Sequence[int], ops: str = "both"):
-    """Least superset of seeds closed under the selected operation tables."""
-    if ops not in ("join", "meet", "both"):
-        raise ValueError(f"ops must be join|meet|both, got {ops!r}")
-    tables = []
-    if ops in ("join", "both"):
-        tables.append(require_join_table(p))
-    if ops in ("meet", "both"):
-        tables.append(require_meet_table(p))
-    current = set(seeds)
+def _closure(start, rows, partners=None) -> set:
+    """start closed under the row operations (Poset.joins, Poset.meets),
+    each new element combined with partners, or with every element found
+    when partners is None."""
+    current = set(start)
     frontier = list(current)
     while frontier:
         nxt = []
         for a in frontier:
-            for b in list(current):
-                for t in tables:
-                    c = t[a][b]
-                    if c not in current:
-                        current.add(c)
-                        nxt.append(c)
+            others = list(current) if partners is None else partners
+            for row in rows:
+                new = set(row(a, others)) - current
+                current |= new
+                nxt.extend(new)
         frontier = nxt
-    return sorted(current)
+    return current
+
+
+def subsemilattice_generated(p: Poset, seeds: Sequence[int], ops: str = "both"):
+    """Least superset of seeds closed under the selected operations.
+
+    Under one operation the closure holds its values on the nonempty subsets
+    of seeds, so each new element is combined with the seeds only. On a
+    distributive lattice (one with Birkhoff coordinates) the sublattice is
+    the joins of the meet closure M of the seeds, since (v a_i) ^ (v b_j) =
+    v (a_i ^ b_j); each new join is combined with M only. Otherwise each new
+    element is combined with every element found.
+    """
+    if ops not in ("join", "meet", "both"):
+        raise ValueError(f"ops must be join|meet|both, got {ops!r}")
+    if ops != "meet":
+        require_joins(p)
+    if ops != "join":
+        require_meets(p)
+    seeds = list(seeds)
+    if ops != "both":
+        closed = _closure(seeds, [p.joins if ops == "join" else p.meets], seeds)
+    elif p.birkhoff() is not None:
+        meets = list(_closure(seeds, [p.meets], seeds))
+        closed = _closure(meets, [p.joins], meets)
+    else:
+        closed = _closure(seeds, [p.joins, p.meets])
+    return sorted(closed)
 
 
 def phi_quotient(t: Poset, independents: Sequence[int]) -> MapWitness:
@@ -542,7 +578,8 @@ def check_delta_map(target: Poset, table: Sequence[int]) -> DeltaMapReport:
     n = _families.delta_params_from_size(len(table))
     dom = _families.shape("delta", n)
     coords = _families.delta_coords(n)
-    mt = require_meet_table(target)
+    require_meets(target)
+    meet = target.meet
     idx = {c: i for i, c in enumerate(coords)}
     OMEGA = _families.OMEGA
 
@@ -551,7 +588,7 @@ def check_delta_map(target: Poset, table: Sequence[int]) -> DeltaMapReport:
 
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
-            if f(i, j) != mt[f(i, OMEGA)][f(j, OMEGA)]:
+            if f(i, j) != meet(f(i, OMEGA), f(j, OMEGA)):
                 raise BaseHypothesisViolated(
                     f"f({i},{j}) != f({i},w) ^ f({j},w)")
 
@@ -561,10 +598,9 @@ def check_delta_map(target: Poset, table: Sequence[int]) -> DeltaMapReport:
     cond["iii"] = all(target.leq(f(i, j), f(k, OMEGA)) for i, j, k in triples)
     cond["iv"] = all(target.leq(f(i, j), f(j, k)) for i, j, k in triples)
     cond["v"] = all(target.leq(f(i, j), f(i, k)) for i, j, k in triples)
-    cond["vi"] = all(f(i, j) == mt[f(i, k)][f(j, k)] for i, j, k in triples)
-    cond["ii"] = all(
-        target.leq(table[x], table[y])
-        for x in range(dom.n) for y in range(dom.n) if dom.leq(x, y))
+    cond["vi"] = all(f(i, j) == meet(f(i, k), f(j, k)) for i, j, k in triples)
+    # the target order is transitive, so the covers of the domain suffice
+    cond["ii"] = all(target.leq(table[x], table[y]) for x, y in dom.cover_pairs())
     # a) and b) also range over k = w: a collision like f(i,n) = f(i,w) has
     # no finite witness triple inside the truncation, and with the w-column
     # included the biconditional with injectivity is valid at every size
@@ -636,8 +672,9 @@ def delta_from_hom(t: Poset, phi: MapWitness,
         raise NotSurjective("phi must be onto the powerset lattice")
     b = phi.target
     n = b.n.bit_length() - 1
-    if b.n != 1 << n or any(
-            b.leq(x, y) != (x & y == x) for x in range(b.n) for y in range(b.n)):
+    # the order is x <= y iff x & y == x exactly when the covers are x < x + {i}
+    if b.n != 1 << n or b.cover_pairs() != tuple(sorted(
+            (x, x | 1 << i) for x in range(b.n) for i in range(n) if not x >> i & 1)):
         raise ValueError("phi target is not a powerset lattice in mask encoding")
     if n < 2:
         raise ValueError("need a powerset lattice on at least 2 atoms")
@@ -647,8 +684,9 @@ def delta_from_hom(t: Poset, phi: MapWitness,
         source_elements = range(t.n)
     source_elements = list(source_elements)
 
-    jt = require_join_table(t)
-    mt = require_meet_table(t)
+    require_joins(t)
+    require_meets(t)
+    join, meet = t.join, t.meet
 
     def first_with_image(mask: int) -> int:
         for s, e in enumerate(source_elements):
@@ -657,15 +695,15 @@ def delta_from_hom(t: Poset, phi: MapWitness,
         raise NotSurjective(f"no element maps to {mask:#x}")
 
     b0 = first_with_image(0)
-    row = [jt[first_with_image(1 << 0)][b0], jt[first_with_image(1 << 1)][b0]]
+    row = [join(first_with_image(1 << 0), b0), join(first_with_image(1 << 1), b0)]
     for k in range(2, n):
         # seeded at b_0, which lies below every row meet, so bk equals the
         # bare join of the pairwise meets
         bk = b0
         for i in range(k):
             for j in range(i + 1, k):
-                bk = jt[bk][mt[row[i]][row[j]]]
-        row.append(jt[bk][first_with_image(1 << k)])
+                bk = join(bk, meet(row[i], row[j]))
+        row.append(join(bk, first_with_image(1 << k)))
 
     dom = _families.shape("delta", n - 1)
     coords = _families.delta_coords(n - 1)
@@ -675,7 +713,7 @@ def delta_from_hom(t: Poset, phi: MapWitness,
         if j == OMEGA:
             table.append(row[i])
         else:
-            table.append(mt[row[i]][row[j]])
+            table.append(meet(row[i], row[j]))
 
     report = check_delta_map(t, table)
     if not report.conditions_hold:

@@ -106,7 +106,7 @@ def test_criterion_05_family_counts_and_algebra():
     assert l2.n == 5
     rep = S.structure_report(l2)
     assert rep.is_lattice and rep.is_modular is False
-    jt, mt = rep.join_table, rep.meet_table
+    jt, mt = l2.join_table(), l2.meet_table()
     assert any(
         l2.leq(x, z) and jt[x][mt[y][z]] != mt[jt[x][y]][z]
         for x in range(5) for y in range(5) for z in range(5))

@@ -199,7 +199,7 @@ class TestSmallFamilies:
         rep = S.structure_report(l2)
         assert rep.is_lattice and rep.is_modular is False
         # at least one triple violates the modular law
-        jt, mt = rep.join_table, rep.meet_table
+        jt, mt = l2.join_table(), l2.meet_table()
         violations = [
             (x, y, z)
             for x in range(5) for y in range(5) for z in range(5)

@@ -3,12 +3,17 @@
 import functools
 import itertools
 from math import comb
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ordercraft import constructions as C
+from ordercraft import downsets as D
 from ordercraft import families as F
 from ordercraft import poset as P
+from ordercraft import semilattice as S
+from ordercraft import suites as SU
 from ordercraft.errors import BudgetExceeded, CyclicRelation, IndexOutOfRange
 
 
@@ -319,6 +324,18 @@ class TestIsomorphismAgainstPermutations:
         assert w is not None and w[:6] == list(range(6, 12))
 
 
+def rescan_linear_extension(p):
+    """Oracle: remove the smallest-index minimal element, found by a scan
+    from index 0, until none is left."""
+    removed, out = 0, []
+    while len(out) < p.n:
+        i = next(i for i in range(p.n)
+                 if not (removed >> i) & 1 and p.down[i] & ~removed == 0)
+        out.append(i)
+        removed |= 1 << i
+    return out
+
+
 class TestStats:
     def test_chain_stats(self):
         s = P.chain(4).basic_stats()
@@ -345,6 +362,11 @@ class TestStats:
             for j in range(p.n):
                 if p.lt(i, j):
                     assert pos[i] < pos[j]
+
+    @given(permuted_posets())
+    def test_linear_extension_matches_the_rescan(self, p):
+        for q in (p, P.dual(p)):
+            assert q.linear_extension() == rescan_linear_extension(q)
 
     def test_linear_extension_is_cached_and_copied(self):
         p = P.build(3, "covers", [(2, 0), (1, 0)])
@@ -438,6 +460,122 @@ class TestSetLattice:
         # over the chain 0 < 1, {1} is not a downset
         with pytest.raises(ValueError, match="downsets"):
             P.set_lattice(P.chain(2), [0, 1, 2, 3])
+
+
+def json_copy(p):
+    return P.from_json_dict(P.to_json_dict(p))
+
+
+@st.composite
+def lattices_and_posets(draw):
+    """A suites.random_lattice draw (all three outcomes of the structure
+    report), or a random poset, with its indices shuffled or not."""
+    if draw(st.booleans()):
+        _kind, p = SU.random_lattice(Random(draw(st.integers(0, 1 << 30))), 4)
+        if draw(st.booleans()):
+            return json_copy(p)
+        # a copy drops the tables built while drawing; set lattices keep theirs
+        return p if p._sets is not None else p.relabel(p.labels)
+    return draw(st.one_of(random_posets(max_n=7, min_n=1), permuted_posets(max_n=7)))
+
+
+class TestBirkhoff:
+    @given(lattices_and_posets())
+    def test_coordinates_exactly_on_distributive_lattices(self, p):
+        coords = p.birkhoff()
+        if p.n == 0:  # the report calls the empty poset a lattice; it has no 0
+            assert coords is None
+            return
+        # read before the oracles build the tables, which join and meet prefer
+        got = [([p.join(i, j) for j in range(p.n)], [p.meet(i, j) for j in range(p.n)],
+                p.joins(i, range(p.n)), p.meets(i, range(p.n))) for i in range(p.n)]
+        assert p._join is None and p._meet is None or coords is None
+        assert (coords is not None) == (SU.structure_oracle(p)[0] is True)
+        if coords is not None:
+            joins, meets = SU.bound_oracle(p, True), SU.bound_oracle(p, False)
+            assert got == [(joins[i], meets[i]) * 2 for i in range(p.n)]
+
+    @pytest.mark.parametrize("name", ["M3", "N5", "S7", "S7_dual"])
+    def test_named_non_distributive_lattices_have_none(self, name):
+        assert SU.small_lattices()[name].birkhoff() is None
+
+    @pytest.mark.parametrize("p", [P.antichain(2), F.delta(3), F.gamma(3),
+                                   F.delta(4), F.gamma(4)])
+    def test_non_lattices_have_none(self, p):
+        assert p.birkhoff() is None
+
+    def test_a_bijection_onto_the_downsets_of_j_is_not_enough(self):
+        # 0 < a, b < x and a < d < y, b < y: J = {a, b, d}, and c maps the six
+        # elements onto the six downsets of J, but c(x) = {a, b} lies inside
+        # c(y) = {a, b, d} while x is not below y
+        p = P.build(6, "covers", [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 5), (4, 5)])
+        assert p.birkhoff() is None
+
+    @given(random_posets(max_n=6, min_n=1))
+    def test_json_copy_answers_like_the_mask_built_lattice(self, q):
+        lat = D.downset_lattice(q)
+        back = json_copy(lat)
+        assert back._sets is None and back.birkhoff() is not None
+        for i in range(lat.n):
+            assert back.joins(i, range(lat.n)) == lat.joins(i, range(lat.n))
+            assert back.meets(i, range(lat.n)) == lat.meets(i, range(lat.n))
+        assert back._join is lat._join is back._meet is lat._meet is None
+
+    def test_set_lattices_run_no_test(self, monkeypatch):
+        monkeypatch.setattr(P, "_birkhoff_coordinates", None)
+        lat = D.downset_lattice(F.delta(2))
+        coords, index = lat.birkhoff()
+        assert coords is lat._sets and index == {m: i for i, m in enumerate(lat._sets)}
+
+
+class TestBirkhoffCache:
+    @pytest.fixture
+    def tests_run(self, monkeypatch):
+        runs, real = [], P._birkhoff_coordinates
+
+        def counting(p):
+            runs.append(p)
+            return real(p)
+
+        monkeypatch.setattr(P, "_birkhoff_coordinates", counting)
+        return runs
+
+    def test_computed_once_per_poset(self, tests_run):
+        posets = [json_copy(D.downset_lattice(F.delta(2))), SU.small_lattices()["N5"]]
+        for p in posets:
+            for _ in range(2):
+                p.birkhoff(), p.join(0, 1), p.meets(1, [0, 1]), S.structure_report(p)
+        assert [id(p) for p in tests_run] == [id(p) for p in posets]
+
+    def test_a_poset_without_coordinates_caches_that(self, tests_run):
+        p = SU.small_lattices()["M3"]
+        assert p.birkhoff() is None and p._birkhoff is False
+        assert p.birkhoff() is None and tests_run == [p]
+
+    def test_views_do_not_inherit_them(self):
+        lat = json_copy(D.downset_lattice(F.delta(2)))
+        assert lat.birkhoff() is not None
+        views = (P.dual(lat), lat.relabel(lat.labels), P.induced(lat, range(lat.n)))
+        assert all(view._birkhoff is None for view in views)
+        # the dual's coordinates are its own: its join is the original meet
+        dual = views[0]
+        assert all(dual.join(i, j) == lat.meet(i, j)
+                   for i in range(lat.n) for j in range(lat.n))
+
+    def test_distributive_host_from_json_builds_no_table(self, monkeypatch):
+        loaded, real = [], P.from_json_dict
+
+        def loading(data):
+            loaded.append(real(data))
+            return loaded[-1]
+
+        monkeypatch.setattr(P, "from_json_dict", loading)
+        host = P.from_json_dict(P.to_json_dict(D.downset_lattice(P.antichain(6))))
+        assert S.structure_report(host).is_distributive
+        cert = C.thm8_pipeline(host, 6)
+        assert C.certificate_valid(cert)
+        assert len(loaded) == 2 and loaded[1].n == host.n
+        assert all(p._join is None and p._meet is None for p in loaded)
 
 
 class TestInduced:

@@ -42,7 +42,7 @@ class TestStructureReport:
         rep = S.structure_report(P.antichain(2))
         assert not rep.is_join_semilattice
         assert not rep.is_meet_semilattice
-        assert rep.join_table is None and rep.meet_table is None
+        assert not rep.is_lattice and rep.is_distributive is None
 
     def test_diamond_modular(self):
         diamond = P.direct_product(P.chain(2), P.chain(2))
@@ -61,7 +61,7 @@ class TestStructureReport:
         rep = S.structure_report(p)
         if not rep.is_lattice:
             return
-        jt, mt = rep.join_table, rep.meet_table
+        jt, mt = p.join_table(), p.meet_table()
         oracle = all(
             jt[x][mt[y][z]] == mt[jt[x][y]][z]
             for x in range(p.n) for y in range(p.n) for z in range(p.n)
@@ -152,11 +152,17 @@ class TestStructureReportCache:
         p = D.downset_lattice(F.delta(2))
         assert S.structure_report(p) is S.structure_report(p)
 
-    def test_report_holds_the_posets_own_tables(self):
+    def test_only_hosts_without_coordinates_build_tables(self):
+        # a distributive host read from JSON reports from its coordinates;
+        # the pentagon, which has none, is reported from its tables
+        host = P.from_json_dict(P.to_json_dict(D.downset_lattice(F.delta(2))))
+        rep = S.structure_report(host)
+        assert (rep.is_lattice, rep.is_distributive, rep.is_modular) == (True, True, True)
+        assert host._join is None and host._meet is None
         p = pentagon()
-        rep = S.structure_report(p)
-        assert rep.join_table is p.join_table()
-        assert rep.meet_table is p.meet_table()
+        S.structure_report(p)
+        assert p.birkhoff() is None
+        assert p._join is not None and p._meet is not None
 
     def test_derived_posets_do_not_inherit_the_report(self):
         p = pentagon()
@@ -167,18 +173,24 @@ class TestStructureReportCache:
         assert S.structure_report(renamed) is not rep
 
     def test_pipeline_computes_the_host_report_once(self, monkeypatch):
+        # the pipeline asks for the host's report three times; one is built.
+        # Its hosts have coordinates, so no report runs _lattice_laws
         from ordercraft import constructions as C
-        calls = []
-        kernel = S._lattice_laws
+        built, laws = [], []
+        report, kernel = S.StructureReport, S._lattice_laws
 
-        def counting(p, jt, mt):
-            calls.append(p)
-            return kernel(p, jt, mt)
+        def counting(*args):
+            built.append(report(*args))
+            return built[-1]
 
-        monkeypatch.setattr(S, "_lattice_laws", counting)
-        host = D.downset_lattice(F.delta(3))
-        C.thm8_pipeline(host, 4)
-        assert calls == [host]
+        monkeypatch.setattr(S, "StructureReport", counting)
+        monkeypatch.setattr(S, "_lattice_laws", lambda *args: laws.append(args) or kernel(*args))
+        mask_built = D.downset_lattice(F.delta(3))
+        for host in (mask_built, P.from_json_dict(P.to_json_dict(mask_built))):
+            built.clear()
+            C.thm8_pipeline(host, 4)
+            assert built == [host._report]
+        assert laws == []
 
 
 class TestIrreducibles:
@@ -390,6 +402,23 @@ class TestEmbeddingAgainstPermutations:
         assert w is not None and w.check_flag("join_preserving")
 
 
+def all_pairs_closure(tables, seeds):
+    """Oracle: seeds closed under the tables, each new element combined with
+    every element found."""
+    current = set(seeds)
+    frontier = list(current)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(current):
+                for t in tables:
+                    if t[a][b] not in current:
+                        current.add(t[a][b])
+                        nxt.append(t[a][b])
+        frontier = nxt
+    return sorted(current)
+
+
 class TestGenerated:
     def test_powerset_closure_of_atoms(self):
         b3 = F.finite_powerset(3)
@@ -402,6 +431,27 @@ class TestGenerated:
 
     def test_chain_is_closed(self):
         assert S.subsemilattice_generated(P.chain(4), [1, 3], "both") == [1, 3]
+
+    def test_joins_of_meets_of_the_seeds(self):
+        # {0,1} ^ {1,2,3} and {0,2} ^ {1,2,3} join to {1,2}, which joins of
+        # a meet with seeds alone miss
+        b4 = F.finite_powerset(4)
+        want = all_pairs_closure([b4.join_table(), b4.meet_table()], [3, 5, 14])
+        assert 6 in want
+        assert S.subsemilattice_generated(F.finite_powerset(4), [3, 5, 14], "both") == want
+
+    @given(st.one_of(lattices(), join_closed_hosts()), st.data())
+    def test_matches_the_all_pairs_closure(self, p, data):
+        seeds = data.draw(st.lists(st.integers(0, p.n - 1), max_size=4))
+        fresh_p = fresh(p)
+        for ops in ("join", "meet", "both"):
+            tables = [t for name, t in (("join", p.join_table()), ("meet", p.meet_table()))
+                      if ops in (name, "both")]
+            if any(None in row for t in tables for row in t):
+                continue
+            want = all_pairs_closure(tables, seeds)
+            assert S.subsemilattice_generated(fresh_p, seeds, ops) == want
+            assert S.subsemilattice_generated(p, seeds, ops) == want
 
 
 class TestMapWitness:
@@ -482,6 +532,74 @@ class TestOrderFlagsAgainstPairwise:
         assert order_flags(v, c2, [1, 0, 0]) == (False, False)
         # a constant map preserves order: f(i) <= f(j) holds with equality
         assert order_flags(c2, c2, [0, 0]) == (True, False)
+
+
+def pairwise_bound_flags(s, t, f):
+    """Oracle: join_preserving and meet_preserving by their definitions, over
+    every pair of source elements, read from the tables."""
+    out = []
+    for st_, tt in ((s.join_table(), t.join_table()), (s.meet_table(), t.meet_table())):
+        out.append(all(st_[i][j] is not None and tt[f[i]][f[j]] is not None
+                       and f[st_[i][j]] == tt[f[i]][f[j]]
+                       for i in range(s.n) for j in range(s.n)))
+    return tuple(out)
+
+
+def fresh(p):
+    """A copy of p with no tables, coordinates or masks cached."""
+    return P.Poset(p.n, p.up, p.labels, p.down)
+
+
+@st.composite
+def bound_maps(draw):
+    """(source, target, table): lattices, semilattices, the pattern shapes
+    and plain posets as sources, each fresh or with its caches, mapped by a
+    random table, by x -> x v c or x -> x ^ c into itself, by the identity
+    or by a constant, perhaps with one entry changed."""
+    s = draw(st.one_of(lattices(), join_closed_hosts(), random_posets(max_n=6, min_n=1),
+                       st.sampled_from([("delta", 3), ("gamma", 3), ("v", 3)]).map(
+                           lambda spec: F.shape(*spec))))
+    s = draw(st.sampled_from([s, fresh(s)]))
+    kind = draw(st.sampled_from(["random", "join", "meet", "identity", "constant"]))
+    c = draw(st.integers(0, s.n - 1))
+    ref = fresh(s)
+    f = {"join": [ref.join(x, c) for x in range(s.n)],
+         "meet": [ref.meet(x, c) for x in range(s.n)],
+         "constant": [c] * s.n}.get(kind, list(range(s.n)))
+    if None in f:
+        f = list(range(s.n))
+    t = s
+    if kind == "random":
+        t = fresh(draw(lattices()))
+        f = draw(st.lists(st.integers(0, t.n - 1), min_size=s.n, max_size=s.n))
+    if draw(st.booleans()):
+        f[draw(st.integers(0, s.n - 1))] = draw(st.integers(0, t.n - 1))
+    return s, t, f
+
+
+class TestJoinMeetFlagsAgainstPairwise:
+    @settings(max_examples=150)
+    @given(bound_maps())
+    def test_generator_rows_agree_with_every_pair(self, case):
+        s, t, f = case
+        w = S.MapWitness(s, t, tuple(f))
+        got = w.check_flag("join_preserving"), w.check_flag("meet_preserving")
+        assert got == pairwise_bound_flags(s, t, f)
+
+    def test_a_map_failing_at_one_pair_of_atoms(self):
+        # the identity of B_3 but {0,2} -> {0,1,2} breaks only {0} v {2}:
+        # every other pair keeps its join
+        b3 = F.finite_powerset(3)
+        f = [0, 1, 2, 3, 4, 7, 6, 7]
+        w = S.MapWitness(b3, b3, tuple(f))
+        assert not w.check_flag("join_preserving")
+        assert pairwise_bound_flags(b3, b3, f) == (False, False)
+
+    def test_a_missing_source_join_fails(self):
+        # the antichain of 2 has no join, whatever the table
+        w = S.MapWitness(P.antichain(2), P.chain(1), (0, 0))
+        assert not w.check_flag("join_preserving")
+        assert not w.check_flag("meet_preserving")
 
 
 class TestWitnessSelfAudit:

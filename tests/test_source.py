@@ -96,6 +96,54 @@ def test_ideal_join_oracle_stays_in_the_suites():
     assert users == []
 
 
+def _function(tree, qualname):
+    """The function definition at a dotted path of classes and functions."""
+    node = tree
+    for part in qualname.split("."):
+        node = next(child for child in node.body
+                    if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+                    and child.name == part)
+    return node
+
+
+# the callers that read joins and meets one pair at a time
+PER_PAIR_CALLERS = {
+    "semilattice.py": ["is_independent", "find_independent_set", "join_of", "_closure",
+                       "subsemilattice_generated", "check_delta_map", "delta_from_hom",
+                       "MapWitness.check_flag", "MapWitness._check", "f_vee"],
+    "constructions.py": ["ChainOfDownSets.__post_init__", "ideal_join",
+                         "_is_separating_masks", "independent_from_separating",
+                         "dichotomy_extract", "_dichotomy_case_grid",
+                         "_grid_join_preserving", "_triple_class", "ramsey_extract",
+                         "_check_ramsey"],
+}
+
+
+def test_per_pair_callers_build_no_tables():
+    # they read pairs through Poset.join/meet (joins/meets) and check that
+    # the pairs exist with require_joins/meets, so a host with Birkhoff
+    # coordinates builds no n x n table for them
+    found = []
+    for module, names in PER_PAIR_CALLERS.items():
+        tree = ast.parse((SRC / module).read_text())
+        for qualname in names:
+            used = set(_names(_function(tree, qualname)))
+            found += [f"{module}:{qualname} names {name}" for name in sorted(used)
+                      if name in ("join_table", "meet_table")
+                      or name.startswith("require_") and name.endswith("_table")]
+    assert found == []
+
+
+def test_oracles_never_touch_the_coordinates():
+    # structure_oracle and bound_oracle check the coordinate path, so they
+    # read only the tables, which the coordinates do not make, and the order
+    suites = ast.parse((SRC / "suites.py").read_text())
+    coordinate_readers = {"birkhoff", "_birkhoff", "_birkhoff_coordinates", "_sets",
+                          "join", "meet", "joins", "meets", "structure_report"}
+    for oracle in ("structure_oracle", "bound_oracle"):
+        assert set(_names(_function(suites, oracle))) & coordinate_readers == set(), oracle
+
+
 def _cache_uses(tree):
     """(line, name, call) for every functools cache a module makes: each
     call of lru_cache or cache, and each bare @lru_cache or @cache
