@@ -614,6 +614,8 @@ def _pattern_descriptor(classification: str, cols: int) -> dict:
 def _pattern_poset(descriptor) -> Poset:
     if not (isinstance(descriptor, dict) and type(descriptor.get("n")) is int):
         raise ValueError("pattern must be an object with an integer n")
+    if descriptor.get("family") not in ("delta", "gamma", "v"):
+        raise ValueError("pattern family must be delta, gamma or v")
     return _families.shape(descriptor["family"], descriptor["n"])
 
 
@@ -709,8 +711,7 @@ def thm8_pipeline(t: Poset, k: int, node_budget: Optional[int] = None) -> Certif
     if independents is None:
         raise IndependenceTooSmall(f"no independent set of size {k}")
 
-    phi = _semilattice.phi_quotient(t, independents)
-    sub_elements = _semilattice.subsemilattice_generated(t, independents, "both")
+    sub_elements, phi = _semilattice._phi_quotient(t, independents)
     f = _semilattice.delta_from_hom(t, phi, sub_elements)
 
     coords = _families.delta_coords(k - 1)

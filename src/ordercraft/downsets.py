@@ -24,13 +24,14 @@ class DownSet:
     members: frozenset
 
     def __post_init__(self):
+        n, down = self.host.n, self.host.down
         mask = 0
         for x in self.members:
-            if not (0 <= x < self.host.n):
+            if not (0 <= x < n):
                 raise ValueError(f"element {x} outside host")
             mask |= 1 << x
         for x in self.members:
-            if self.host.down[x] & ~mask:
+            if down[x] & ~mask:
                 raise ValueError(f"not downward closed at {x}")
         object.__setattr__(self, "_mask", mask)
 
@@ -43,15 +44,7 @@ class DownSet:
 
     def is_ideal(self) -> bool:
         """Non-empty and up-directed within itself."""
-        if not self.members:
-            return False
-        mask = self.mask
-        cones = [self.host.up_incl(a) & mask for a in self.members]
-        for ca in cones:
-            for cb in cones:
-                if ca & cb == 0:
-                    return False
-        return True
+        return _is_ideal_mask(self.host, self.mask)
 
     def __le__(self, other):
         return self.mask & ~other.mask == 0
@@ -72,7 +65,23 @@ def principal(host: Poset, x: int) -> DownSet:
 
 
 def _from_mask(host: Poset, mask: int) -> DownSet:
-    return DownSet(host, frozenset(i for i in range(host.n) if (mask >> i) & 1))
+    return DownSet(host, frozenset(_poset.bits(mask)))
+
+
+def _is_ideal_mask(host: Poset, mask: int) -> bool:
+    """The downset mask is non-empty and every two of its members have an
+    upper bound in it: their cones, cut to the mask, meet."""
+    up, cones = host.up, []
+    m = mask
+    while m:
+        low = m & -m
+        cone = (up[low.bit_length() - 1] | low) & mask
+        for other in cones:
+            if not cone & other:
+                return False
+        cones.append(cone)
+        m ^= low
+    return bool(cones)
 
 
 @dataclass(frozen=True)
@@ -157,13 +166,13 @@ def enumerate_downsets(p: Poset, element_budget: Optional[int] = None) -> DownSe
 
 
 def enumerate_ideals(p: Poset) -> DownSetFamily:
-    """All non-empty up-directed downsets, computed by the definition.
+    """All non-empty up-directed downsets, by the definition, tested as masks.
 
     On a finite poset these are exactly the principal downsets; that equality
     is asserted as a test property, not assumed here.
     """
-    family = enumerate_downsets(p)
-    ideals = tuple(d for d in family.sets if d.is_ideal())
+    ideals = tuple([_from_mask(p, m) for m in _downset_masks(p, None)
+                    if _is_ideal_mask(p, m)])
     return DownSetFamily(p, ideals, "ideals")
 
 
@@ -197,15 +206,15 @@ def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
 
     Joins are unions and meets are intersections, so the result is a
     distributive lattice by construction, built by set_lattice from the
-    masks; closure under both operations is asserted here and full identity
-    checks live in the test suite.
+    masks; closure under both operations is asserted here, on each unordered
+    pair of distinct sets once, and full identity checks live in the tests.
     """
     masks = _downset_masks(p, element_budget)
     lattice = _poset.set_lattice(p, masks, _set_labels(masks))
     if lattice.n <= 256:
         closed = set(masks)
-        for a in closed:
-            for b in closed:
+        for i, a in enumerate(masks):
+            for b in masks[i + 1:]:
                 if a | b not in closed or a & b not in closed:
                     raise AssertionError("downsets not closed under union and intersection")
     return lattice

@@ -547,7 +547,7 @@ _PAIR_TESTED = {
 # ---------------------------------------------------------------------------
 # shared shapes
 
-SHAPES = ("finite_powerset", "delta", "gamma", "v")
+SHAPES = ("finite_powerset", "delta", "gamma", "v", "omega_star_grid")
 
 
 def shape(family: str, n: int) -> Poset:

@@ -521,6 +521,11 @@ def phi_quotient(t: Poset, independents: Sequence[int]) -> MapWitness:
     the witness is certified a surjective lattice homomorphism, and every
     generator is checked join-irreducible in the sublattice.
     """
+    return _phi_quotient(t, independents)[1]
+
+
+def _phi_quotient(t: Poset, independents: Sequence[int]):
+    """(elements, witness): phi_quotient's witness and its source's host indices."""
     if len(independents) < 2:
         raise ValueError("need an independent set of size >= 2")
     rep = structure_report(t)
@@ -547,7 +552,7 @@ def phi_quotient(t: Poset, independents: Sequence[int]) -> MapWitness:
     for a in gens:
         if pos[a] not in irr:
             raise AssertionError("generator not join-irreducible in the sublattice")
-    return witness
+    return elements, witness
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def random_join_semilattice(n: int, seed: int) -> Poset:
     a join-semilattice with a least element."""
     rng = Random(seed)
     base = random_poset(rng.randint(1, 5), rng.random(), rng.randrange(1 << 30))
-    all_masks = [d.mask for d in _downsets.enumerate_downsets(base).sets]
+    all_masks = _downsets._downset_masks(base, None)
     family = {0}
     candidates = [m for m in all_masks if m]
     rng.shuffle(candidates)
@@ -354,9 +354,8 @@ def _suite_lem2_3(rng: Random, max_n: int, inject_fault: bool = False):
         host = _random_meet_semilattice(rng, max_n)
         cols = rng.randint(3, 5)
         row = [rng.randrange(host.n) for _ in range(cols)]
-    mt = host.meet_table()
     coords = _families.delta_coords(len(row) - 1)
-    table = [row[i] if j == _families.OMEGA else mt[row[i]][row[j]]
+    table = [row[i] if j == _families.OMEGA else host.meet(row[i], row[j])
              for (i, j) in coords]
     bundle = {"host": _poset.to_json_dict(host), "row": row}
     report = _semilattice.check_delta_map(host, table)
@@ -375,8 +374,7 @@ def _suite_fvee(rng: Random, max_n: int):
     elements = _semilattice.subsemilattice_generated(t, seeds, "meet")
     sub = _poset.induced(t, elements)
     c = rng.randrange(t.n)
-    mt = t.meet_table()
-    table = tuple(mt[e][c] for e in elements)
+    table = tuple(t.meets(c, elements))
     bundle = {"host": _poset.to_json_dict(t), "elements": elements, "cap": c}
     f = _semilattice.certify(sub, t, table, {"meet_preserving"})
     if "meet_preserving" not in f.certified:
@@ -408,15 +406,11 @@ def _suite_thm8_pipe(rng: Random, max_n: int):
 
 def _suite_separating(rng: Random, max_n: int):
     n = rng.randint(3, max(3, min(max_n, 6)))
-    host = _families.finite_powerset(n)
-    members = []
-    for k in range(n):
-        allowed = 0
-        for m in range(k, n):
-            allowed |= 1 << m
-        members.append(_downsets.DownSet(
-            host, frozenset(x for x in range(1 << n) if x & ~allowed == 0)))
-    chain = _constructions.ChainOfDownSets(host, tuple(members), decreasing=True)
+    host = _families.shape("finite_powerset", n)
+    # member k: the subsets of {k, ..., n-1}
+    members = tuple(_downsets.DownSet(host, frozenset(
+        x for x in range(1 << n) if x & ((1 << k) - 1) == 0)) for k in range(n))
+    chain = _constructions.ChainOfDownSets(host, members, decreasing=True)
     bundle = {"n": n}
     ok, _w = _constructions.is_separating(chain)
     if not ok:
@@ -425,12 +419,10 @@ def _suite_separating(rng: Random, max_n: int):
     size_ok = len(cert.payload["independent_set"]) == n - 1
     bundle["extracted"] = cert.payload["independent_set"]
 
-    grid = _families.omega_star_grid(n)
+    grid = _families.shape("omega_star_grid", n)
     coords = _families.grid_coords(n)
-    idx = {c: i for i, c in enumerate(coords)}
-    gmembers = tuple(
-        _downsets.DownSet(grid, frozenset(idx[(i, j)] for (i, j) in coords if i >= k))
-        for k in range(n))
+    gmembers = tuple(_downsets.DownSet(grid, frozenset(
+        e for e, (i, _j) in enumerate(coords) if i >= k)) for k in range(n))
     gchain = _constructions.ChainOfDownSets(grid, gmembers, decreasing=True)
     gok, gw = _constructions.is_separating(gchain)
     return size_ok and _constructions.certificate_valid(cert) and not gok, bundle

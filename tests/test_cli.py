@@ -211,6 +211,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "input error" in err
 
+    def test_pattern_outside_the_pattern_families_is_3(self, tmp_path, capsys):
+        # omega_star_grid is a shared shape but no Ramsey pattern: its 3
+        # elements fit the first 3 table entries, and still the input is bad
+        doc = json.loads((GOLDEN / "ramsey_delta5_m6.json").read_text())
+        doc["payload"].update(pattern={"family": "omega_star_grid", "n": 2},
+                              table=doc["payload"]["table"][:3])
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 3
+        assert "pattern family" in capsys.readouterr().err
+
     def test_ramsey_host_without_meets_is_3(self, tmp_path, capsys):
         # 3 lies below 0 and 1 only, so 0 ^ 1 exists and 0 ^ 2 does not
         doc = json.loads((GOLDEN / "ramsey_b4_atoms_m4.json").read_text())

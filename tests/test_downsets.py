@@ -130,6 +130,22 @@ class TestEnumeration:
         assert got == brute_ideals(p)
 
     @given(random_posets(max_n=8))
+    def test_ideals_match_a_directedness_check_on_leq(self, p):
+        # every subset, tested from leq alone: downward closed, non-empty,
+        # and each two members below a common member; in canonical order
+        def directed_downset(s):
+            return (s and all(x in s for y in s for x in range(p.n) if p.leq(x, y))
+                    and all(any(p.leq(a, c) and p.leq(b, c) for c in s)
+                            for a in s for b in s))
+
+        want = [c for r in range(p.n + 1) for c in itertools.combinations(range(p.n), r)
+                if directed_downset(set(c))]
+        ideals = D.enumerate_ideals(p)
+        assert [d.sorted_members() for d in ideals.sets] == want
+        assert ideals.role == "ideals"
+        assert [d for d in D.enumerate_downsets(p).sets if d.is_ideal()] == list(ideals.sets)
+
+    @given(random_posets(max_n=8))
     def test_ideals_are_exactly_principal(self, p):
         ideals = D.enumerate_ideals(p)
         assert len(ideals.sets) == p.n

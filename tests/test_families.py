@@ -45,7 +45,7 @@ class TestShapes:
 
     def test_unknown_shape(self):
         with pytest.raises(UnsupportedParams):
-            F.shape("omega_star_grid", 3)
+            F.shape("omega_eta", 3)
 
     def test_memo_hit_honours_the_budget(self, monkeypatch):
         F.shape("finite_powerset", 6)

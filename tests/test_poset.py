@@ -1,7 +1,9 @@
 """Core poset construction, combinators, isomorphism, and serialization."""
 
 import functools
+import hashlib
 import itertools
+import json
 from math import comb
 from random import Random
 
@@ -279,6 +281,54 @@ class TestIsomorphism:
         composed = [w2[w1[i]] for i in range(p.n)]
         assert all(p.lt(i, j) == q.lt(composed[i], composed[j])
                    for i in range(p.n) for j in range(p.n))
+
+    def test_witnesses_are_pinned(self):
+        # a fixed pool of random posets against shuffled copies of
+        # themselves and against other random posets of their size, and of
+        # O(P+Q) against O(P)xO(Q); the colour refinement may change how it
+        # computes the classes, but not the classes, so not one witness
+        rng = Random(1609)
+
+        def draw(n):
+            density = rng.random()
+            return P.build(n, "leq", [(i, j) for i in range(n) for j in range(i + 1, n)
+                                      if rng.random() < density])
+
+        pool = []
+        for _ in range(120):
+            n = rng.randint(0, 9)
+            p = draw(n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            q = P.build(n, "leq", sorted((perm[i], perm[j]) for i, j in relation_pairs(p)))
+            pool += [(p, q), (q, p), (p, draw(n))]
+        for _ in range(20):
+            a, b = draw(rng.randint(1, 4)), draw(rng.randint(1, 4))
+            pool.append((D.downset_lattice(P.direct_sum(a, b)),
+                         P.direct_product(D.downset_lattice(a), D.downset_lattice(b))))
+        got = [P.is_isomorphic(a, b) for a, b in pool]
+        for (a, b), w in zip(pool, got):
+            assert w is None or all(a.lt(i, j) == b.lt(w[i], w[j])
+                                    for i in range(a.n) for j in range(a.n))
+        assert sum(w is not None for w in got) == PINNED_FOUND
+        digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+        assert digest == PINNED_WITNESSES
+        # the colour classes themselves, as sorted masks, whatever their numbering
+        partitions = []
+        for q in (q for pair in pool for q in pair):
+            classes = {}
+            for i, c in enumerate(P._refine_colors(q)):
+                classes[c] = classes.get(c, 0) | 1 << i
+            partitions.append(sorted(classes.values()))
+        digest = hashlib.sha256(json.dumps(partitions).encode()).hexdigest()
+        assert digest == PINNED_PARTITIONS
+
+
+# count and sha256 of the JSON list of test_witnesses_are_pinned's witnesses,
+# and sha256 of its pool's colour partitions
+PINNED_FOUND = 295
+PINNED_PARTITIONS = "c3adcb3c781d82029805ba55b39b3e8f6ba48fec038b5c97bdd75e8506db8102"
+PINNED_WITNESSES = "cf32401077727dff00164d2fa81730d40ef5a22aeca68da874ebdf4d0dce2728"
 
 
 def brute_isomorphic(a, b):

@@ -116,6 +116,7 @@ PER_PAIR_CALLERS = {
                          "dichotomy_extract", "_dichotomy_case_grid",
                          "_grid_join_preserving", "_triple_class", "ramsey_extract",
                          "_check_ramsey"],
+    "suites.py": ["_suite_fvee", "_suite_lem2_3"],
 }
 
 
@@ -132,6 +133,18 @@ def test_per_pair_callers_build_no_tables():
                       if name in ("join_table", "meet_table")
                       or name.startswith("require_") and name.endswith("_table")]
     assert found == []
+
+
+def test_ideal_oracle_tests_the_definition():
+    # enumerate_ideals is the by-definition oracle for "every ideal is
+    # principal": it and its mask test, which DownSet.is_ideal shares, filter
+    # the downsets for directedness and take no shortcut through a top
+    tree = ast.parse((SRC / "downsets.py").read_text())
+    shortcuts = {"principal", "down_closure", "maximals", "_ideal_top"}
+    for qualname in ("enumerate_ideals", "_is_ideal_mask"):
+        assert set(_names(_function(tree, qualname))) & shortcuts == set(), qualname
+    for qualname in ("enumerate_ideals", "DownSet.is_ideal"):
+        assert "_is_ideal_mask" in set(_names(_function(tree, qualname))), qualname
 
 
 def test_oracles_never_touch_the_coordinates():
