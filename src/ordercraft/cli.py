@@ -110,7 +110,7 @@ def _cmd_ideals(args) -> int:
     if args.all_downsets:
         family = _downsets.enumerate_downsets(p)
     else:
-        family = _downsets.enumerate_ideals(p)
+        family = _downsets.principal_ideals(p)
     out = family.to_json_dict()
     if args.lattice:
         out["lattice"] = _poset.to_json_dict(_downsets.downset_lattice(p))

@@ -136,18 +136,24 @@ def _downset_masks(p: Poset, element_budget: Optional[int]) -> list:
     (1 << n) - (1 << (n-1-e)) to the key.
     """
     limit = _budget.resolve(element_budget, _budget.ENUM_BUDGET)
-    n = p.n
+    n, down = p.n, p.down
+    full = (1 << n) - 1
     step = [(1 << n) - (1 << (n - 1 - e)) for e in range(n)]
     key = {0: 0}
     frontier = [0]
     while frontier:
         nxt = []
         for mask in frontier:
-            for e in range(n):
-                if not (mask >> e) & 1 and p.down[e] & ~mask == 0:
-                    m2 = mask | (1 << e)
+            base = key[mask]
+            free = full & ~mask
+            while free:
+                low = free & -free
+                free ^= low
+                e = low.bit_length() - 1
+                if down[e] & ~mask == 0:
+                    m2 = mask | low
                     if m2 not in key:
-                        key[m2] = key[mask] + step[e]
+                        key[m2] = base + step[e]
                         if len(key) > limit:
                             raise BudgetExceeded(
                                 f"more than {limit} downsets")
@@ -176,6 +182,14 @@ def enumerate_ideals(p: Poset) -> DownSetFamily:
     return DownSetFamily(p, ideals, "ideals")
 
 
+def principal_ideals(p: Poset) -> DownSetFamily:
+    """The principal downsets down(x), in canonical order: the ideals of a
+    finite poset, from the n cones with no enumeration of the downsets.
+    enumerate_ideals, by the definition, stays the oracle for this."""
+    return DownSetFamily(p, canonical_sort(_from_mask(p, p.down_incl(x))
+                                           for x in range(p.n)), "ideals")
+
+
 def _set_labels(masks):
     return ["{" + ",".join(map(str, _poset.bits(m))) + "}" for m in masks]
 
@@ -183,7 +197,7 @@ def _set_labels(masks):
 def family_poset(family: DownSetFamily) -> Poset:
     """The family ordered by inclusion, element order = family order."""
     masks = family.masks()
-    return _poset.inclusion_order(masks, _set_labels(masks))
+    return _poset.inclusion_order(masks, lambda: _set_labels(masks))
 
 
 def nonempty_downset_lattice(p: Poset):
@@ -195,7 +209,7 @@ def nonempty_downset_lattice(p: Poset):
     limit = _budget.resolve(None, _budget.ENUM_BUDGET)
     if p._nonempty is None:
         masks = tuple(_downset_masks(p, limit)[1:])  # the empty set is first
-        p._nonempty = masks, _poset.inclusion_order(masks, _set_labels(masks))
+        p._nonempty = masks, _poset.inclusion_order(masks, lambda: _set_labels(masks))
     elif len(p._nonempty[0]) >= limit:  # with the empty set, over the limit
         raise BudgetExceeded(f"more than {limit} downsets")
     return p._nonempty
@@ -210,7 +224,7 @@ def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
     pair of distinct sets once, and full identity checks live in the tests.
     """
     masks = _downset_masks(p, element_budget)
-    lattice = _poset.set_lattice(p, masks, _set_labels(masks))
+    lattice = _poset.set_lattice(p, masks, lambda: _set_labels(masks))
     if lattice.n <= 256:
         closed = set(masks)
         for i, a in enumerate(masks):

@@ -33,7 +33,9 @@ class Poset:
     def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
         # `up` is trusted to be irreflexive and transitive (build() validates);
         # `down`, when given, is trusted to be its transpose: only this
-        # module's constructors pass it, and validate() checks it.
+        # module's constructors pass it, and validate() checks it. `labels`
+        # may also be a zero-argument source of the list, which only this
+        # package's constructors pass; it is built and checked on first read.
         self.n = n
         self.up = tuple(up)
         if down is None:
@@ -46,11 +48,10 @@ class Poset:
                     down[low.bit_length() - 1] |= 1 << i
                     m ^= low
         self.down = tuple(down)
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise ArityMismatch(f"expected {n} labels, got {len(labels)}")
         self._labels = labels
+        if labels is not None and not callable(labels):
+            self._labels = lambda: labels
+            self._label_tuple()  # a caller's list is checked here
         self._covers = None
         self._join = None
         self._meet = None
@@ -59,7 +60,7 @@ class Poset:
         self._linext = None
         self._sets = None  # set_lattice fills it: element i is the set _sets[i]
         self._birkhoff = None  # birkhoff() fills it: (coords, index) or False
-        self._few_covers = {}  # at_most_one_cover fills it, by direction
+        self._few_covers = None  # at_most_one_cover fills it, by direction
         self._nonempty = None  # downsets.nonempty_downset_lattice fills it
 
     # -- basic queries -----------------------------------------------------
@@ -79,14 +80,24 @@ class Poset:
     def down_incl(self, i: int) -> int:
         return self.down[i] | (1 << i)
 
+    def _label_tuple(self):
+        """The checked labels tuple, or None; a label source is built here,
+        the first time anything reads the labels."""
+        labels = self._labels
+        if callable(labels):
+            labels = tuple(str(x) for x in labels())
+            if len(labels) != self.n:
+                raise ArityMismatch(f"expected {self.n} labels, got {len(labels)}")
+            self._labels = labels
+        return labels
+
     @property
     def labels(self):
-        if self._labels is not None:
-            return self._labels
-        return tuple(str(i) for i in range(self.n))
+        return self._label_tuple() or tuple(str(i) for i in range(self.n))
 
     def label(self, i: int) -> str:
-        return self._labels[i] if self._labels is not None else str(i)
+        labels = self._label_tuple()
+        return labels[i] if labels is not None else str(i)
 
     def relabel(self, labels) -> "Poset":
         return Poset(self.n, self.up, labels, self.down)
@@ -96,11 +107,11 @@ class Poset:
             isinstance(other, Poset)
             and self.n == other.n
             and self.up == other.up
-            and self._labels == other._labels
+            and self._label_tuple() == other._label_tuple()
         )
 
     def __hash__(self):
-        return hash((self.n, self.up, self._labels))
+        return hash((self.n, self.up, self._label_tuple()))
 
     def __repr__(self):
         return f"Poset(n={self.n}, covers={self.cover_pairs()})"
@@ -321,40 +332,32 @@ class Poset:
     def join(self, i: int, j: int) -> Optional[int]:
         """i v j, or None: read off the join table once it is built, else a
         union of coordinates when the poset has them, else the table, built."""
-        if self._join is None:
-            coords = self.birkhoff()
-            if coords:
-                c, index = coords
-                return index[c[i] | c[j]]
-        return self.join_table()[i][j]
+        if self._join is None and (coords := self.birkhoff()):
+            c, index = coords
+            return index[c[i] | c[j]]
+        return (self._join or self.join_table())[i][j]
 
     def meet(self, i: int, j: int) -> Optional[int]:
-        if self._meet is None:
-            coords = self.birkhoff()
-            if coords:
-                c, index = coords
-                return index[c[i] & c[j]]
-        return self.meet_table()[i][j]
+        if self._meet is None and (coords := self.birkhoff()):
+            c, index = coords
+            return index[c[i] & c[j]]
+        return (self._meet or self.meet_table())[i][j]
 
     def joins(self, i: int, others) -> list:
         """[join(i, j) for j in others], one row at a time."""
-        if self._join is None:
-            coords = self.birkhoff()
-            if coords:
-                c, index = coords
-                ci = c[i]
-                return [index[ci | c[j]] for j in others]
-        row = self.join_table()[i]
+        if self._join is None and (coords := self.birkhoff()):
+            c, index = coords
+            ci = c[i]
+            return [index[ci | c[j]] for j in others]
+        row = (self._join or self.join_table())[i]
         return [row[j] for j in others]
 
     def meets(self, i: int, others) -> list:
-        if self._meet is None:
-            coords = self.birkhoff()
-            if coords:
-                c, index = coords
-                ci = c[i]
-                return [index[ci & c[j]] for j in others]
-        row = self.meet_table()[i]
+        if self._meet is None and (coords := self.birkhoff()):
+            c, index = coords
+            ci = c[i]
+            return [index[ci & c[j]] for j in others]
+        row = (self._meet or self.meet_table())[i]
         return [row[j] for j in others]
 
 
@@ -392,11 +395,14 @@ def at_most_one_cover(p: Poset, upward: bool = True) -> tuple:
     """The elements with at most one lower cover (upper cover when not
     upward), read off the cones without the covers: x has exactly one lower
     cover y when its strict down-set is down_incl(y). Once per Poset."""
-    if upward not in p._few_covers:
+    few = p._few_covers
+    if few is None:
+        few = p._few_covers = {}
+    if upward not in few:
         cones = p.down if upward else p.up
         closed = {m | 1 << x for x, m in enumerate(cones)}
-        p._few_covers[upward] = tuple(x for x, m in enumerate(cones) if not m or m in closed)
-    return p._few_covers[upward]
+        few[upward] = tuple(x for x, m in enumerate(cones) if not m or m in closed)
+    return few[upward]
 
 
 # -- constructors -----------------------------------------------------------
@@ -497,8 +503,8 @@ def direct_product(a: Poset, b: Poset) -> Poset:
             for ja in bits(a.up_incl(ia)):
                 mask |= b.up_incl(ib) << (ja * b.n)
             up[i] = mask & ~(1 << i)
-    labels = [f"({a.label(ia)},{b.label(ib)})" for ia in range(a.n) for ib in range(b.n)]
-    return Poset(n, up, labels)
+    return Poset(n, up, lambda: [f"({a.label(ia)},{b.label(ib)})"
+                                 for ia in range(a.n) for ib in range(b.n)])
 
 
 def direct_sum(a: Poset, b: Poset) -> Poset:
@@ -506,8 +512,8 @@ def direct_sum(a: Poset, b: Poset) -> Poset:
     n = a.n + b.n
     up = list(a.up) + [m << a.n for m in b.up]
     down = list(a.down) + [m << a.n for m in b.down]
-    labels = [f"L{a.label(i)}" for i in range(a.n)] + [f"R{b.label(i)}" for i in range(b.n)]
-    return Poset(n, up, labels, down)
+    return Poset(n, up, lambda: [f"L{a.label(i)}" for i in range(a.n)]
+                 + [f"R{b.label(i)}" for i in range(b.n)], down)
 
 
 def lexicographic_sum(index: Poset, parts: Sequence[Poset]) -> Poset:
@@ -559,9 +565,9 @@ def induced(p: Poset, elements: Sequence[int], labels=None) -> Poset:
                 row |= 1 << pos[low.bit_length() - 1]
                 m ^= low
             rows.append(row)
-    if labels is None:
-        labels = [p.label(e) for e in elements]
-    return Poset(len(elements), up, labels, down)
+    # pos keeps the order given, even if the caller changes elements later
+    return Poset(len(elements), up, labels if labels is not None
+                 else (lambda: [p.label(e) for e in pos]), down)
 
 
 def inclusion_order(masks: Sequence[int], labels=None) -> Poset:
@@ -771,8 +777,9 @@ def to_json_dict(p: Poset) -> dict:
         "n": p.n,
         "relation": {"kind": "covers", "pairs": [list(c) for c in p.cover_pairs()]},
     }
-    if p._labels is not None:
-        out["labels"] = list(p._labels)
+    labels = p._label_tuple()
+    if labels is not None:
+        out["labels"] = list(labels)
     return out
 
 

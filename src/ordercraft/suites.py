@@ -269,7 +269,8 @@ def ideal_join_oracle(host: Poset, x: int, ideal_mask: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# individual suites; each yields (ok, bundle) per trial
+# individual suites; each yields (ok, bundle) per trial, the bundle holding
+# its posets as Poset values until run_suite serializes a failing one
 
 
 def _suite_tm21(rng: Random, max_n: int):
@@ -277,7 +278,7 @@ def _suite_tm21(rng: Random, max_n: int):
     seed = rng.randrange(1 << 30)
     p = random_join_semilattice(n, seed)
     k = rng.randint(1, 3)
-    bundle = {"poset": _poset.to_json_dict(p), "k": k, "seed": seed}
+    bundle = {"poset": p, "k": k, "seed": seed}
 
     # oracle: raw enumeration of k-subsets with the full independence check
     from itertools import combinations
@@ -298,12 +299,12 @@ def _suite_irr_eq(rng: Random, max_n: int):
     p_density = rng.random()
     seed = rng.randrange(1 << 30)
     q = random_poset(n, p_density, seed)
-    bundle = {"poset": _poset.to_json_dict(q), "seed": seed}
+    bundle = {"poset": q, "seed": seed}
     family = _downsets.enumerate_downsets(q)
     lattice = _downsets.family_poset(family)
     irr = _semilattice.join_irreducibles(lattice)
     pri = _semilattice.join_primes(lattice)
-    principal_masks = {_downsets.principal(q, x).mask for x in range(q.n)}
+    principal_masks = {q.down_incl(x) for x in range(q.n)}
     got = {family.sets[i].mask for i in irr}
     ok = irr == pri and got == principal_masks
     bundle["irr"] = irr
@@ -316,7 +317,7 @@ def _suite_sum_prod(rng: Random, max_n: int):
     sa, sb = rng.randrange(1 << 30), rng.randrange(1 << 30)
     a = random_poset(na, rng.random(), sa)
     b = random_poset(nb, rng.random(), sb)
-    bundle = {"a": _poset.to_json_dict(a), "b": _poset.to_json_dict(b)}
+    bundle = {"a": a, "b": b}
     la = _downsets.downset_lattice(a)
     lb = _downsets.downset_lattice(b)
     lsum = _downsets.downset_lattice(_log(_poset.direct_sum(a, b)))
@@ -330,9 +331,9 @@ def _suite_ideal_principal(rng: Random, max_n: int):
     n = rng.randint(1, max_n)
     seed = rng.randrange(1 << 30)
     q = random_poset(n, rng.random(), seed)
-    bundle = {"poset": _poset.to_json_dict(q)}
+    bundle = {"poset": q}
     ideals = _downsets.enumerate_ideals(q)
-    principal_masks = {_downsets.principal(q, x).mask for x in range(q.n)}
+    principal_masks = {q.down_incl(x) for x in range(q.n)}
     ok = (len(ideals.sets) == q.n
           and {d.mask for d in ideals.sets} == principal_masks)
     bundle["ideal_count"] = len(ideals.sets)
@@ -357,7 +358,7 @@ def _suite_lem2_3(rng: Random, max_n: int, inject_fault: bool = False):
     coords = _families.delta_coords(len(row) - 1)
     table = [row[i] if j == _families.OMEGA else host.meet(row[i], row[j])
              for (i, j) in coords]
-    bundle = {"host": _poset.to_json_dict(host), "row": row}
+    bundle = {"host": host, "row": row}
     report = _semilattice.check_delta_map(host, table)
     ok = report.all_equivalent
     if inject_fault:
@@ -375,7 +376,7 @@ def _suite_fvee(rng: Random, max_n: int):
     sub = _poset.induced(t, elements)
     c = rng.randrange(t.n)
     table = tuple(t.meets(c, elements))
-    bundle = {"host": _poset.to_json_dict(t), "elements": elements, "cap": c}
+    bundle = {"host": t, "elements": elements, "cap": c}
     f = _semilattice.certify(sub, t, table, {"meet_preserving"})
     if "meet_preserving" not in f.certified:
         # x -> x ^ c preserves meets by associativity alone
@@ -430,7 +431,7 @@ def _suite_separating(rng: Random, max_n: int):
 
 def _suite_structure(rng: Random, max_n: int):
     kind, p = random_lattice(rng, max_n)
-    bundle = {"poset": _poset.to_json_dict(p), "kind": kind}
+    bundle = {"poset": p, "kind": kind}
     rep = _semilattice.structure_report(p)
     kernel = (rep.is_distributive, rep.is_modular)
     oracle = structure_oracle(p)
@@ -441,7 +442,7 @@ def _suite_structure(rng: Random, max_n: int):
 def _suite_width(rng: Random, max_n: int):
     seed = rng.randrange(1 << 30)
     p = random_poset(rng.randint(1, max_n), rng.random(), seed)
-    bundle = {"poset": _poset.to_json_dict(p), "seed": seed}
+    bundle = {"poset": p, "seed": seed}
     kernel = p.width()
     oracle = width_oracle(p)
     bundle["results"] = {"kernel": kernel, "oracle": oracle}
@@ -465,7 +466,7 @@ def _suite_tables(rng: Random, max_n: int):
     dual = rng.random() < 0.5
     if dual:
         p = _poset.dual(p)
-    bundle = {"poset": _poset.to_json_dict(p), "kind": kind, "dual": dual}
+    bundle = {"poset": p, "kind": kind, "dual": dual}
     ok = (p.join_table() == bound_oracle(p, True)
           and p.meet_table() == bound_oracle(p, False))
     return ok, bundle
@@ -484,6 +485,12 @@ _SUITE_FUNCS = {
     "width": (_suite_width, 12),
     "tables": (_suite_tables, 6),
 }
+
+
+def _bundle_json(bundle: dict) -> dict:
+    """A failure bundle with each Poset value turned into its JSON dict."""
+    return {k: _poset.to_json_dict(v) if isinstance(v, Poset) else v
+            for k, v in bundle.items()}
 
 
 def run_suite(name: str, trials: int, seed: int,
@@ -514,6 +521,7 @@ def run_suite(name: str, trials: int, seed: int,
             ok = False
             bundle = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         if not ok:
+            bundle = _bundle_json(bundle)
             bundle["trial_seed"] = [seed, trial]
             failures.append((trial, bundle))
     return SuiteReport(name, trials, seed, tuple(failures),

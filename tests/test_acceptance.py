@@ -296,7 +296,8 @@ def test_criterion_11_cli_goldens_and_exit_codes(tmp_path):
     assert _cli(["generate"]).returncode == 2
     assert _cli(["analyze", str(bad)]).returncode == 3
     # the child inherits the environment (PYTHONPATH included) plus the budget
-    over = _cli(["ideals", str(big)], env={**os.environ, "OC_BUDGET": "50"})
+    over = _cli(["ideals", str(big), "--all-downsets"],
+                env={**os.environ, "OC_BUDGET": "50"})
     assert over.returncode == 4, over.stderr
     _announce(11, "CLI goldens byte-identical, round trips hold, "
                   "exit codes 0-4 observed")

@@ -99,8 +99,14 @@ class TestExitCodes:
         big.write_text(P.to_json(P.antichain(12)))
         # the child inherits the environment (PYTHONPATH included) plus the budget
         monkeypatch.setenv("OC_BUDGET", "50")
-        code, _, err = run_cli(["ideals", str(big)])
+        code, _, err = run_cli(["ideals", str(big), "--all-downsets"])
         assert code == 4, err
+        code, _, err = run_cli(["ideals", str(big), "--lattice"])
+        assert code == 4, err
+        # the ideals alone are the 12 principal downsets: no enumeration
+        code, out, err = run_cli(["ideals", str(big)])
+        assert code == 0, err
+        assert len(json.loads(out)["sets"]) == 12
 
     def test_powerset_over_budget_is_4(self):
         # the size check runs before any element is built
@@ -283,6 +289,16 @@ class TestCommands:
         assert len(json.loads(out)["sets"]) == 3
         code, out, _ = run_cli(["ideals", str(f), "--all-downsets"])
         assert len(json.loads(out)["sets"]) == 4
+
+    def test_ideals_of_b6_need_no_downsets(self, tmp_path, capsys):
+        # 64 ideals among 7,828,354 downsets: read off the cones, not filtered
+        f = tmp_path / "b6.json"
+        f.write_text(P.to_json(F.finite_powerset(6)))
+        started = time.monotonic()
+        assert cli.main(["ideals", str(f)]) == 0
+        assert time.monotonic() - started < 1.0
+        sets = json.loads(capsys.readouterr().out)["sets"]
+        assert len(sets) == 64 and sets[0] == [0] and len(sets[-1]) == 64
 
     def test_ramsey_cli(self, tmp_path):
         f = tmp_path / "b4.json"

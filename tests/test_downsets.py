@@ -152,6 +152,23 @@ class TestEnumeration:
         principal = {D.principal(p, x).members for x in range(p.n)}
         assert {d.members for d in ideals.sets} == principal
 
+    @given(random_posets(max_n=8))
+    def test_principal_ideals_match_the_oracle(self, p):
+        # the n cones, sorted, against the downsets filtered by definition
+        got, want = D.principal_ideals(p), D.enumerate_ideals(p)
+        assert got.sets == want.sets and got.role == want.role == "ideals"
+        assert got.to_json() == want.to_json()
+
+    def test_principal_ideals_enumerate_nothing(self, monkeypatch):
+        monkeypatch.setenv("OC_BUDGET", "100")
+        b6 = F.finite_powerset(6)
+        with pytest.raises(BudgetExceeded):
+            D.enumerate_ideals(b6)
+        ideals = D.principal_ideals(b6)
+        assert [d.mask for d in ideals.sets] == [
+            b6.down_incl(x) for x in sorted(range(64), key=lambda x: (
+                b6.down_incl(x).bit_count(), list(P.bits(b6.down_incl(x)))))]
+
     @given(random_posets(max_n=6))
     def test_nonempty_lattice_matches_the_family(self, p):
         masks, lattice = D.nonempty_downset_lattice(p)

@@ -677,6 +677,73 @@ class TestValidate:
             P.validate(P.Poset(2, (2, 1)))
 
 
+def _fresh(p):
+    """p without its caches: nonempty_downset_lattice keeps its answer."""
+    return P.Poset(p.n, p.up, None, p.down)
+
+
+def _every_other_downset(q):
+    lat = D.downset_lattice(q)
+    return P.induced(lat, list(range(lat.n))[::-2])
+
+
+# the constructors that hand Poset a label source, from a poset q of up to 5
+# elements and one r of up to 3
+LAZY_LABELS = {
+    "downset_lattice": lambda q, r: D.downset_lattice(q),
+    "family_poset": lambda q, r: D.family_poset(D.enumerate_downsets(q)),
+    "nonempty_downset_lattice": lambda q, r: D.nonempty_downset_lattice(q)[1],
+    "induced": lambda q, r: _every_other_downset(q),
+    "direct_product": lambda q, r: P.direct_product(D.downset_lattice(q), r),
+    "direct_sum": lambda q, r: P.direct_sum(r, D.downset_lattice(q)),
+}
+
+
+class TestLazyLabels:
+    @pytest.mark.parametrize("dual", [False, True], ids=["plain", "dual"])
+    @pytest.mark.parametrize("name", sorted(LAZY_LABELS))
+    @settings(max_examples=25)
+    @given(random_posets(max_n=5), random_posets(max_n=3))
+    def test_every_read_matches_eager_labels(self, name, dual, q, r):
+        def make():
+            p = LAZY_LABELS[name](_fresh(q), _fresh(r))
+            p = P.dual(p) if dual else p
+            assert callable(p._labels)  # nothing has read them yet
+            return p
+
+        eager = make()
+        eager = P.Poset(eager.n, eager.up, list(eager.labels), eager.down)
+        assert make().labels == eager.labels
+        assert [make().label(i) for i in range(eager.n)] == list(eager.labels)
+        assert make() == eager and eager == make()
+        assert hash(make()) == hash(eager)
+        assert P.to_json_dict(make()) == P.to_json_dict(eager)
+        assert P.to_json_dict(make())["labels"] == list(eager.labels)
+
+    def test_dual_of_read_labels_keeps_them(self):
+        lat = D.downset_lattice(P.antichain(2))
+        assert lat.labels == ("{}", "{0}", "{1}", "{0,1}")
+        assert P.dual(lat)._labels == lat.labels
+
+    def test_a_caller_list_is_checked_at_construction(self):
+        c2 = P.chain(2)
+        with pytest.raises(P.ArityMismatch, match="expected 2 labels, got 1"):
+            P.Poset(2, c2.up, ["a"])
+        with pytest.raises(P.ArityMismatch):
+            c2.relabel(["a", "b", "c"])
+        with pytest.raises(P.ArityMismatch):
+            P.induced(P.chain(3), [0, 2], labels=["x"])
+        with pytest.raises(P.ArityMismatch):
+            P.inclusion_order([0, 1], ["x"])
+        with pytest.raises(P.ArityMismatch):
+            P.set_lattice(P.chain(1), [0, 1], [])
+
+    def test_a_source_is_checked_on_first_read(self):
+        p = P.Poset(2, P.chain(2).up, lambda: ["a"])
+        with pytest.raises(P.ArityMismatch, match="expected 2 labels, got 1"):
+            p.labels
+
+
 class TestSerialization:
     @given(random_posets())
     def test_json_round_trip(self, p):

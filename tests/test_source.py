@@ -271,3 +271,45 @@ def test_one_search_core_for_embeddings_and_isomorphism():
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
         assert nested == [], name
         assert "_search" in set(_names(fn)), name
+
+
+# where each label-taking function takes its labels, by position
+LABEL_ARGS = {"Poset": 2, "relabel": 0, "build": 3, "induced": 2,
+              "inclusion_order": 1, "set_lattice": 2}
+
+
+def _passes_label_source(node):
+    """A call that hands a label-taking function a lambda as its labels."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    if func not in LABEL_ARGS:
+        return False
+    pos = LABEL_ARGS[func]
+    args = node.args[pos:pos + 1] + [kw.value for kw in node.keywords if kw.arg == "labels"]
+    return any(isinstance(sub, ast.Lambda) for arg in args for sub in ast.walk(arg))
+
+
+def test_only_package_constructors_pass_a_label_source():
+    # Poset checks a label list when it is built but a label source only
+    # when it is first read, so only the constructors that derive their
+    # labels from what they hold pass one
+    passers = {path.name: _holders(ast.parse(path.read_text()), _passes_label_source)
+               for path in sorted(SRC.glob("*.py"))}
+    assert passers.pop("poset.py") == ["direct_product", "direct_sum", "induced"]
+    assert passers.pop("downsets.py") == ["downset_lattice", "family_poset",
+                                          "nonempty_downset_lattice"]
+    assert all(holders == [] for holders in passers.values()), passers
+
+
+def test_principal_ideals_stay_out_of_their_oracle():
+    # principal_ideals reads the ideals off the cones; enumerate_ideals, the
+    # definition, checks it, and the ideal_principal suite checks that
+    downsets = ast.parse((SRC / "downsets.py").read_text())
+    suites = ast.parse((SRC / "suites.py").read_text())
+    cli = ast.parse((SRC / "cli.py").read_text())
+    assert "down_incl" in set(_names(_function(downsets, "principal_ideals")))
+    assert "principal_ideals" in set(_names(_function(cli, "_cmd_ideals")))
+    for tree, qualname in ((downsets, "enumerate_ideals"), (suites, "_suite_ideal_principal")):
+        assert "principal_ideals" not in set(_names(_function(tree, qualname))), qualname
+    assert "enumerate_ideals" in set(_names(_function(suites, "_suite_ideal_principal")))

@@ -1,6 +1,8 @@
 """Randomized suites: determinism, oracle agreement, failure bundles."""
 
 import json
+from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -109,6 +111,26 @@ class TestRunSuite:
             "error": {"type": "BudgetExceeded", "message": "more than 3 downsets"},
             "trial_seed": [7, 1]}),)
         assert json.loads(rep.to_json())["failures"][0]["bundle"]["trial_seed"] == [7, 1]
+
+    def test_failure_bundles_match_the_golden(self):
+        # the bundles of every suite but thm8_pipe at seed 3, trials 0..4,
+        # written out when each suite still serialized its posets itself:
+        # the failure helper must give back the same JSON, byte for byte
+        golden = (Path(__file__).parent / "golden" / "suite_bundles.json").read_text()
+        got = {}
+        for name, (func, bound) in SU._SUITE_FUNCS.items():
+            if name != "thm8_pipe":
+                got[name] = [SU._bundle_json(func(Random(3 * 1_000_003 + t), bound)[1])
+                             for t in range(5)]
+        assert len(got) == 10
+        assert json.dumps(got, sort_keys=True, indent=1) + "\n" == golden
+
+    def test_a_passing_trial_serializes_nothing(self):
+        # the bundle holds the Poset itself, its set labels not yet built
+        ok, bundle = SU._suite_irr_eq(Random(3), 7)
+        assert ok and isinstance(bundle["poset"], P.Poset)
+        ok, bundle = SU._suite_lem2_3(Random(3), 4)
+        assert ok and callable(bundle["host"]._labels)
 
     def test_no_false_passes_under_injection(self):
         # every injected trial must fail; a pass would be a false pass
