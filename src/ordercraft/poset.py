@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from . import budget as _budget
@@ -255,7 +256,8 @@ class Poset:
     # -- joins and meets -----------------------------------------------------
 
     def join_table(self):
-        """n*n table of binary joins, or None where a pair has no join."""
+        """n*n table of binary joins, or None where a pair has no join;
+        row tuples in a tuple, built once and shared by every caller."""
         if self._join is None:
             self._join = self._bound_table(upward=True)
         return self._join
@@ -279,7 +281,8 @@ class Poset:
                 k = by_cone.get(common)
                 row[j] = k
                 table[j][i] = k
-        return table
+            table[i] = tuple(row)  # earlier rows filled its first i entries
+        return tuple(table)
 
     def _set_table(self, upward: bool):
         """Join (meet) table of a ring of sets, built row by row along the
@@ -289,7 +292,8 @@ class Poset:
         meet row of d is the row of a mapped by the identity with a -> d.
         Joins start from the identity row of the empty set (index 0), meets
         from that of the top (index n - 1); subsets come first, so each row's
-        source is already built. copy() trims each row to its exact size."""
+        source is already built. Each row is one itemgetter gather, a tuple
+        (rows are gathered only when n >= 2, so never a scalar)."""
         n, sets = self.n, self._sets
         ident = list(range(n))
         steps = [None] * sets[-1].bit_length()
@@ -306,11 +310,10 @@ class Poset:
                 step[a], source[d], label[d] = ident[d], a, e
         rows = range(1, n) if upward else range(n - 2, -1, -1)
         table = [None] * n
-        table[0 if upward else n - 1] = ident.copy()
+        table[0 if upward else n - 1] = tuple(ident)
         for r in rows:
-            step = steps[label[r]]
-            table[r] = [step[c] for c in table[source[r]]].copy()
-        return table
+            table[r] = itemgetter(*table[source[r]])(steps[label[r]])
+        return tuple(table)
 
     def birkhoff(self):
         """Birkhoff coordinates (coords, index) when this is a distributive

@@ -404,10 +404,11 @@ class MapWitness:
 
 
 def certify(source: Poset, target: Poset, table, wanted) -> MapWitness:
-    """Witness with exactly the wanted flags that actually hold."""
+    """Witness with exactly the wanted flags that hold, each checked once."""
     probe = MapWitness(source, target, tuple(table))
     held = frozenset(fl for fl in wanted if probe.check_flag(fl))
-    return MapWitness(source, target, tuple(table), held)
+    object.__setattr__(probe, "certified", held)
+    return probe
 
 
 # ---------------------------------------------------------------------------

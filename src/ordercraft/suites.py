@@ -214,7 +214,8 @@ def width_oracle(p: Poset, limit: Optional[int] = None) -> int:
 
 def bound_oracle(p: Poset, upward: bool):
     """n*n table of least upper (greatest lower) bounds, or None where a pair
-    has none, found by scanning leq over every element for each pair.
+    has none, found by scanning leq over every element for each pair; a
+    tuple of row tuples, the shape of Poset.join_table.
 
     The oracle for Poset.join_table and meet_table, sharing nothing with the
     cone lookup or the set masks behind them."""
@@ -233,8 +234,8 @@ def bound_oracle(p: Poset, upward: bool):
             if best is not None and not all(below(best, k) for k in bounds):
                 best = None
             row.append(best)
-        table.append(row)
-    return table
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def ideal_join_oracle(host: Poset, x: int, ideal_mask: int) -> int:
@@ -300,12 +301,12 @@ def _suite_irr_eq(rng: Random, max_n: int):
     seed = rng.randrange(1 << 30)
     q = random_poset(n, p_density, seed)
     bundle = {"poset": q, "seed": seed}
-    family = _downsets.enumerate_downsets(q)
-    lattice = _downsets.family_poset(family)
+    masks = _downsets._downset_masks(q, None)
+    lattice = _poset.set_lattice(q, masks)
     irr = _semilattice.join_irreducibles(lattice)
     pri = _semilattice.join_primes(lattice)
     principal_masks = {q.down_incl(x) for x in range(q.n)}
-    got = {family.sets[i].mask for i in irr}
+    got = {masks[i] for i in irr}
     ok = irr == pri and got == principal_masks
     bundle["irr"] = irr
     bundle["primes"] = pri

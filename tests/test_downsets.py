@@ -222,15 +222,15 @@ class TestDownsetLattice:
 
     @pytest.mark.parametrize("base", [
         P.antichain(6),
-        # 48 elements: a comprehension of that length keeps spare capacity
+        # 48 elements: a list row built by a comprehension would keep spare capacity
         P.direct_sum(P.antichain(4), P.chain(2)),
-        # 11 elements: list(range(11)) keeps spare capacity
+        # 11 elements: a list row from list(range(11)) would keep spare capacity
         P.chain(10),
     ])
     def test_table_rows_have_exact_size(self, base):
         # spare capacity in each row of two n*n tables is megabytes at n = 2048
         lat = D.downset_lattice(base)
-        exact = sys.getsizeof([None] * lat.n)
+        exact = sys.getsizeof((None,) * lat.n)
         for table in (lat.join_table(), lat.meet_table()):
             assert [sys.getsizeof(row) for row in table] == [exact] * lat.n
 

@@ -516,6 +516,47 @@ def json_copy(p):
     return P.from_json_dict(P.to_json_dict(p))
 
 
+def cone_lookup_table(p, upward):
+    """Reference: joins (meets) by a direct cone lookup, pair by pair, as
+    an n*n list of lists."""
+    incl = [(p.up[i] if upward else p.down[i]) | 1 << i for i in range(p.n)]
+    by_cone = {c: i for i, c in enumerate(incl)}
+    return [[by_cone.get(a & b) for b in incl] for a in incl]
+
+
+def bowtie():
+    # 0, 1 < 2, 3: the pair 0, 1 has no join and 2, 3 no meet
+    return P.build(4, "covers", [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+class TestImmutableTables:
+    @pytest.mark.parametrize("make", [
+        lambda: D.downset_lattice(F.delta(2)),
+        lambda: P.dual(D.downset_lattice(F.delta(2))),
+        lambda: json_copy(F.finite_powerset(4)),
+        bowtie,
+    ], ids=["set_lattice", "dual", "json_b4", "bowtie"])
+    def test_tables_are_shared_and_reject_assignment(self, make):
+        p = make()
+        for get in (p.join_table, p.meet_table):
+            table = get()
+            assert get() is table
+            assert type(table) is tuple and all(type(row) is tuple for row in table)
+            with pytest.raises(TypeError):
+                table[0] = table[1]
+            with pytest.raises(TypeError):
+                table[0][0] = 1
+            assert get() is table
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_posets(max_n=7))
+    def test_tables_keep_their_values(self, q):
+        for p in (q, D.downset_lattice(q)):
+            for upward, table in ((True, p.join_table()), (False, p.meet_table())):
+                assert table == tuple(map(tuple, cone_lookup_table(p, upward)))
+                assert table == SU.bound_oracle(p, upward)
+
+
 @st.composite
 def lattices_and_posets(draw):
     """A suites.random_lattice draw (all three outcomes of the structure
@@ -543,7 +584,7 @@ class TestBirkhoff:
         assert (coords is not None) == (SU.structure_oracle(p)[0] is True)
         if coords is not None:
             joins, meets = SU.bound_oracle(p, True), SU.bound_oracle(p, False)
-            assert got == [(joins[i], meets[i]) * 2 for i in range(p.n)]
+            assert got == [(list(joins[i]), list(meets[i])) * 2 for i in range(p.n)]
 
     @pytest.mark.parametrize("name", ["M3", "N5", "S7", "S7_dual"])
     def test_named_non_distributive_lattices_have_none(self, name):

@@ -476,6 +476,23 @@ class TestMapWitness:
         assert "zero_preserving" in keeps.certified
         assert "zero_preserving" not in moves.certified
 
+    def test_certify_checks_each_wanted_flag_once(self, monkeypatch):
+        checked, real = [], S.MapWitness._check
+
+        def counting(self, flag):
+            checked.append(flag)
+            return real(self, flag)
+
+        monkeypatch.setattr(S.MapWitness, "_check", counting)
+        b2 = F.finite_powerset(2)
+        wanted = {"order_preserving", "injective", "surjective", "join_preserving"}
+        w = S.certify(P.chain(2), b2, (0, 3), wanted)
+        assert sorted(checked) == sorted(wanted)
+        assert w.certified == {"order_preserving", "injective", "join_preserving"}
+        # a witness never carries a flag its table fails, however it is made
+        assert S.certify(P.chain(2), b2, (3, 0), wanted).certified == {"injective"}
+        assert w == S.MapWitness(P.chain(2), b2, (0, 3), w.certified)
+
 
 def pairwise_order_flags(s, t, f):
     """Oracle: order_preserving and order_embedding by their definitions,

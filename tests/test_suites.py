@@ -63,10 +63,10 @@ class TestRunSuite:
         # the bowtie 0, 1 < 2, 3: the pair 0, 1 has two minimal upper bounds
         # and no join, and dually 2, 3 have no meet
         bowtie = P.build(4, "covers", [(0, 2), (0, 3), (1, 2), (1, 3)])
-        assert SU.bound_oracle(bowtie, True) == [
-            [0, None, 2, 3], [None, 1, 2, 3], [2, 2, 2, None], [3, 3, None, 3]]
-        assert SU.bound_oracle(bowtie, False) == [
-            [0, None, 0, 0], [None, 1, 1, 1], [0, 1, 2, None], [0, 1, None, 3]]
+        assert SU.bound_oracle(bowtie, True) == (
+            (0, None, 2, 3), (None, 1, 2, 3), (2, 2, 2, None), (3, 3, None, 3))
+        assert SU.bound_oracle(bowtie, False) == (
+            (0, None, 0, 0), (None, 1, 1, 1), (0, 1, 2, None), (0, 1, None, 3))
         assert SU.bound_oracle(bowtie, True) == bowtie.join_table()
 
     def test_report_json(self):
