@@ -234,22 +234,6 @@ def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
     return lattice
 
 
-def family_union_lattice(family: DownSetFamily,
-                         element_budget: Optional[int] = None) -> Poset:
-    """Closure of the family under pairwise unions, ordered by inclusion.
-
-    On a finite host the closures under finite and under arbitrary unions
-    coincide, so this is the union-closure lattice of the family.
-    """
-    if not family.sets:
-        raise ValueError("family must be non-empty")
-    limit = _budget.resolve(element_budget, _budget.ENUM_BUDGET)
-    masks = union_closure(set(), family.masks(), limit)
-    host = family.host
-    sets = canonical_sort(_from_mask(host, m) for m in masks)
-    return family_poset(DownSetFamily(host, sets, "custom"))
-
-
 def union_closure(closed, new, limit: int) -> set:
     """The union-closed set of masks ``closed`` extended by ``new``: only
     unions with a new mask, or with one they produce, are formed. Raises
@@ -275,22 +259,15 @@ def completely_meet_irreducibles(lattice: Poset):
     """Elements with exactly one upper cover, with the successor map x -> x+.
 
     Returns (elements, successor dict). The top is excluded since it has no
-    cover at all.
+    cover at all. x has the one upper cover y when up[x] is up_incl(y).
     """
     rep = _semilattice.structure_report(lattice)
     if not rep.is_lattice:
         raise NotALattice("input must be a lattice")
-    covers = {}
-    for a, b in lattice.cover_pairs():
-        covers.setdefault(a, []).append(b)
-    out = []
-    successor = {}
-    for x in range(lattice.n):
-        ups = covers.get(x, [])
-        if len(ups) == 1:
-            out.append(x)
-            successor[x] = ups[0]
-    return out, successor
+    top = lattice.top()
+    out = [x for x in _poset.at_most_one_cover(lattice, upward=False) if x != top]
+    by_cone = {lattice.up_incl(y): y for y in range(lattice.n)}
+    return out, {x: by_cone[lattice.up[x]] for x in out}
 
 
 def representation_map(p: Poset, family: DownSetFamily) -> _semilattice.MapWitness:
@@ -300,10 +277,8 @@ def representation_map(p: Poset, family: DownSetFamily) -> _semilattice.MapWitne
     not x. When the host is a join-semilattice and the family consists of
     ideals, phi also preserves joins (an ideal missing x v y misses x or y),
     and the flag is certified whenever it holds."""
-    fposet = family_poset(family)
-    target_family = enumerate_downsets(fposet)
-    index_of = {d.mask: i for i, d in enumerate(target_family.sets)}
-    target = family_poset(target_family)
+    target = downset_lattice(family_poset(family))
+    index_of = target.birkhoff()[1]
     masks = family.masks()
     table = []
     for x in range(p.n):
@@ -329,10 +304,10 @@ def meet_irreducible_ideals(p: Poset,
     """The completely meet-irreducible ideals of p (unique-upper-cover
     elements of its downset lattice that are up-directed), the family behind
     the canonical finite-set representation of a join-semilattice."""
-    family = enumerate_downsets(p, element_budget)
-    lattice = family_poset(family)
+    lattice = downset_lattice(p, element_budget)
+    masks = lattice.birkhoff()[0]
     cmi, _succ = completely_meet_irreducibles(lattice)
-    picked = [family.sets[i] for i in cmi if family.sets[i].is_ideal()]
+    picked = [_from_mask(p, masks[i]) for i in cmi if _is_ideal_mask(p, masks[i])]
     return DownSetFamily(p, canonical_sort(picked), "custom")
 
 

@@ -172,18 +172,21 @@ class FamilySpec:
 
 def _check_budget(family: str, n: int, size: Optional[int] = None) -> None:
     """Raise BudgetExceeded, before anything is built, when family(n) is
-    over the enumeration budget: 2^n elements for finite_powerset, n + 1 for
-    v, and size^2 for the generators that test every pair of elements. size
-    is the element count where n alone does not fix it (lattice_sierp)."""
+    over the enumeration budget: 2^n elements for finite_powerset, the
+    element count for the _COUNTED generators, and size^2 for the generators
+    that test every pair of elements. size is the element count where n
+    alone does not fix it (lattice_sierp, s_alpha)."""
     limit = _budget.resolve(None, _budget.ENUM_BUDGET)
     if family == "finite_powerset":
         if n >= limit.bit_length():  # 2^n > limit, without forming 2^n
             raise BudgetExceeded(
                 f"finite_powerset n={n} has 2^{n} elements, more than {limit}")
         return
-    if family == "v":
-        if n + 1 > limit:
-            raise BudgetExceeded(f"v n={n} has {n + 1} elements, more than {limit}")
+    if family in _COUNTED:
+        name, count = _COUNTED[family]
+        size = count(n) if size is None else size
+        if size > limit:
+            raise BudgetExceeded(f"{family} {name}={n} has {size} elements, more than {limit}")
         return
     if family == "omega_eta" and 2 * n >= limit.bit_length():
         # at least 2^n elements, so 2^(2n) > limit pair tests, without forming 2^n
@@ -325,6 +328,7 @@ def l_alpha(a: int) -> Poset:
     non-modular pentagon."""
     if a < 1:
         raise UnsupportedParams("a must be >= 1")
+    _check_budget("l_alpha", a)
     middle = _poset.direct_sum(_poset.chain(1), _poset.chain(a))
     out = _poset.lexicographic_sum(
         _poset.chain(3), [_poset.chain(1), middle, _poset.chain(1)])
@@ -435,46 +439,6 @@ def sierpinskisation(alpha, n: int, scheme: str = "column_alternating",
     return p
 
 
-def sierpinskisation_orders(alpha, n: int, scheme: str = "column_alternating",
-                            seed: Optional[int] = None):
-    """The two linear orders behind sierpinskisation: (natural ranks,
-    alpha-order ranks), each a permutation position list."""
-    alpha_prime = OrdinalCNF.parse(alpha).div_omega()
-    seq = _sierp_sequence(alpha_prime, n, scheme, seed)
-    keys = [(_cnf_key(c), p) for (c, p) in seq]
-    ranked = sorted(range(n), key=lambda m: keys[m])
-    alpha_rank = [0] * n
-    for r, m in enumerate(ranked):
-        alpha_rank[m] = r
-    return list(range(n)), alpha_rank
-
-
-def sierp_to_grid(alpha, n: int, scheme: str = "column_alternating",
-                  seed: Optional[int] = None):
-    """Grid form of a monotonic sierpinskisation: element m -> (r(m), col(m)),
-    where r(m) indexes the maximal runs on which the column coordinate is
-    strictly increasing (each r-fiber is the largest initial segment of the
-    leftovers with that property). The image, under the product order, is
-    order-isomorphic to the sierpinskisation.
-    """
-    alpha_prime = OrdinalCNF.parse(alpha).div_omega()
-    seq = _sierp_sequence(alpha_prime, n, scheme, seed)
-    col_key = [_cnf_key(c) for (c, _p) in seq]
-    r = [None] * n
-    level = 0
-    remaining = list(range(n))
-    while remaining:
-        run = [remaining[0]]
-        for m in remaining[1:]:
-            if col_key[m] > col_key[run[-1]]:
-                run.append(m)
-        for m in run:
-            r[m] = level
-        remaining = [m for m in remaining if r[m] is None]
-        level += 1
-    return [(r[m], col_key[m]) for m in range(n)]
-
-
 def lattice_sierp(alpha_prime, n: int) -> Poset:
     """Join-closed window of a lattice sierpinskisation: vertical lines are
     non-empty and finite, horizontal lines cofinite in the window. Finite
@@ -527,12 +491,21 @@ def s_alpha(alpha_prime, n_tail: int, trunc: int,
     chain tail."""
     if n_tail < 0:
         raise UnsupportedParams("n_tail must be >= 0")
+    _check_budget("s_alpha", n_tail, trunc + n_tail)
     core = sierpinskisation(OrdinalCNF.parse(alpha_prime).times_omega(),
                             trunc, scheme, seed)
     if n_tail == 0:
         return core
     return _poset.direct_sum(core, _poset.chain(n_tail))
 
+
+# (parameter name, element count) of the generators that build no more than
+# their elements; s_alpha passes its count, trunc + tail
+_COUNTED = {
+    "v": ("n", lambda n: n + 1),
+    "l_alpha": ("a", lambda a: a + 3),
+    "s_alpha": ("tail", None),
+}
 
 # element counts of the generators that test every pair before they build
 _PAIR_TESTED = {

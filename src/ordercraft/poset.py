@@ -28,8 +28,7 @@ class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
     __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
-                 "_gaps", "_report", "_linext", "_sets", "_birkhoff", "_few_covers",
-                 "_nonempty")
+                 "_gaps", "_report", "_linext", "_birkhoff", "_few_covers", "_nonempty")
 
     def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
         # `up` is trusted to be irreflexive and transitive (build() validates);
@@ -59,8 +58,7 @@ class Poset:
         self._gaps = None  # semilattice._table_gap fills it
         self._report = None  # semilattice.structure_report fills it
         self._linext = None
-        self._sets = None  # set_lattice fills it: element i is the set _sets[i]
-        self._birkhoff = None  # birkhoff() fills it: (coords, index) or False
+        self._birkhoff = None  # birkhoff() or set_lattice fills it: (coords, index) or False
         self._few_covers = None  # at_most_one_cover fills it, by direction
         self._nonempty = None  # downsets.nonempty_downset_lattice fills it
 
@@ -268,7 +266,7 @@ class Poset:
         return self._meet
 
     def _bound_table(self, upward: bool):
-        if self._sets is not None:
+        if self.birkhoff() is not None:
             return self._set_table(upward)
         n = self.n
         incl = [(self.up[i] if upward else self.down[i]) | (1 << i) for i in range(n)]
@@ -285,33 +283,36 @@ class Poset:
         return tuple(table)
 
     def _set_table(self, upward: bool):
-        """Join (meet) table of a ring of sets, built row by row along the
-        covers. A cover d < a adds one element e, so a v b = (d v b) + e and
-        d ^ b = (a ^ b) - e: the join row of a is the row of d mapped by
-        step[e], the identity with d -> a on every cover labelled e, and the
-        meet row of d is the row of a mapped by the identity with a -> d.
-        Joins start from the identity row of the empty set (index 0), meets
-        from that of the top (index n - 1); subsets come first, so each row's
-        source is already built. Each row is one itemgetter gather, a tuple
-        (rows are gathered only when n >= 2, so never a scalar)."""
-        n, sets = self.n, self._sets
+        """Join (meet) table from the Birkhoff coordinates, built row by row
+        along the covers. A cover d < a adds one element e to the
+        coordinates, so a v b = (d v b) + e and d ^ b = (a ^ b) - e: the join
+        row of a is the row of d mapped by step[e], the identity with d -> a
+        on every cover labelled e, and the meet row of d is the row of a
+        mapped by the identity with a -> d. Rows run in linear-extension
+        order, joins up from the identity row of the bottom and meets down
+        from that of the top, so each row's source is already built. Each
+        row is one itemgetter gather, a tuple (rows are gathered only when
+        n >= 2, so never a scalar)."""
+        n, coords = self.n, self.birkhoff()[0]
         ident = list(range(n))
-        steps = [None] * sets[-1].bit_length()
+        steps = {}
         source = [0] * n   # row -> the row it is mapped from
-        label = [0] * n    # row -> the element e of that cover
-        for d, a in self._covers:
-            e = (sets[a] ^ sets[d]).bit_length() - 1
-            step = steps[e]
+        label = [0] * n    # row -> the coordinate difference e of that cover
+        for d, a in self.cover_pairs():
+            e = coords[a] ^ coords[d]
+            step = steps.get(e)
             if step is None:
                 step = steps[e] = ident.copy()
             if upward:
-                step[d], source[a], label[a] = ident[a], d, e
+                step[d], source[a], label[a] = a, d, e
             else:
-                step[a], source[d], label[d] = ident[d], a, e
-        rows = range(1, n) if upward else range(n - 2, -1, -1)
+                step[a], source[d], label[d] = d, a, e
+        rows = self.linear_extension()
+        if not upward:
+            rows.reverse()
         table = [None] * n
-        table[0 if upward else n - 1] = tuple(ident)
-        for r in rows:
+        table[rows[0]] = tuple(ident)
+        for r in rows[1:]:
             table[r] = itemgetter(*table[source[r]])(steps[label[r]])
         return tuple(table)
 
@@ -322,14 +323,11 @@ class Poset:
         A finite distributive lattice is the lattice of downsets of its
         join-irreducibles J, the elements with exactly one lower cover,
         through x -> coords[x] = down_incl(x) & J (Birkhoff 1937); index maps
-        each coords[x] back to x. A set lattice's own masks are its
+        each coords[x] back to x. set_lattice hands over its own masks as
         coordinates; any other poset runs _birkhoff_coordinates.
         """
         if self._birkhoff is None:
-            if self._sets is not None:
-                self._birkhoff = self._sets, {m: i for i, m in enumerate(self._sets)}
-            else:
-                self._birkhoff = _birkhoff_coordinates(self) or False
+            self._birkhoff = _birkhoff_coordinates(self) or False
         return self._birkhoff or None
 
     def join(self, i: int, j: int) -> Optional[int]:
@@ -422,11 +420,15 @@ def bits(mask: int):
 def build(n: int, kind: str, pairs: Iterable[tuple], labels=None) -> Poset:
     """Build a poset from cover pairs or from (not necessarily closed) leq pairs.
 
-    Raises CyclicRelation when the pairs admit a directed cycle and
-    IndexOutOfRange on indices outside 0..n-1.
+    Raises CyclicRelation when the pairs admit a directed cycle,
+    IndexOutOfRange on indices outside 0..n-1, and BudgetExceeded, before
+    anything is allocated, when n is over the enumeration budget.
     """
     if kind not in ("covers", "leq"):
         raise ValueError(f"kind must be 'covers' or 'leq', got {kind!r}")
+    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
+    if n > limit:
+        raise BudgetExceeded(f"poset of {n} elements, more than {limit}")
     succ = [0] * n
     pred = [0] * n
     for a, b in pairs:
@@ -590,9 +592,9 @@ def set_lattice(base: Poset, masks: Sequence[int], labels=None) -> Poset:
     every mask after its subsets; element order = list order.
 
     D is covered by D | {e} for each e minimal outside D, so the covers and
-    the order are read off the masks in O(n * base.n), and the join and meet
-    tables are unions and intersections. Raises ValueError unless the masks
-    are every downset of base, once each, in that order.
+    the order are read off the masks in O(n * base.n), and the masks are the
+    lattice's Birkhoff coordinates. Raises ValueError unless the masks are
+    every downset of base, once each, in that order.
     """
     n = len(masks)
     index = {m: i for i, m in enumerate(masks)}
@@ -621,7 +623,7 @@ def set_lattice(base: Poset, masks: Sequence[int], labels=None) -> Poset:
     p._covers = tuple(sorted(covers))
     # subsets first: the smallest-index minimal element is always the next index
     p._linext = tuple(range(n))
-    p._sets = tuple(masks)
+    p._birkhoff = tuple(masks), index
     return p
 
 

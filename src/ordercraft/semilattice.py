@@ -58,34 +58,23 @@ def structure_report(p: Poset) -> StructureReport:
 
 
 def _lattice_laws(p: Poset, jt, mt):
-    """(distributive, modular) for a finite lattice p, from its covers.
+    """(distributive, modular) for a finite lattice p without Birkhoff
+    coordinates, from its covers.
 
-    Distributive: with J the elements of exactly one lower cover (the
-    join-irreducibles), x -> J(x) = {j in J : j <= x} is injective and
-    meet-preserving on any finite lattice. It is a lattice embedding into
-    2^J, which makes p distributive, iff J(x v y) = J(x) | J(y) for every
-    pair; conversely every join-irreducible of a distributive lattice is
-    join-prime (Birkhoff). O(n^2) mask operations.
+    Distributive: Poset.birkhoff finds coordinates on every finite
+    distributive lattice but the empty one, so only the empty lattice is.
 
-    Modular: a distributive lattice is modular; otherwise a lattice of
-    finite length is modular iff it is upper semimodular (distinct upper
-    covers a, b of some x have a v b covering both) and lower semimodular
-    (the dual, with meets), both checked over pairs of covers (Birkhoff).
+    Modular: a lattice of finite length is modular iff it is upper
+    semimodular (distinct upper covers a, b of some x have a v b covering
+    both) and lower semimodular (the dual, with meets), both checked over
+    pairs of covers (Birkhoff).
     """
-    n = p.n
-    upper = [0] * n
-    lower = [0] * n
+    upper = [0] * p.n
+    lower = [0] * p.n
     for a, b in p.cover_pairs():
         upper[a] |= 1 << b
         lower[b] |= 1 << a
-    j_mask = sum(1 << x for x in range(n) if lower[x].bit_count() == 1)
-    below = [p.down_incl(x) & j_mask for x in range(n)]
-    for x in range(n):
-        bx, row = below[x], jt[x]
-        for y in range(x + 1, n):
-            if below[row[y]] != bx | below[y]:
-                return False, _semimodular(upper, jt) and _semimodular(lower, mt)
-    return True, True
+    return p.n == 0, _semimodular(upper, jt) and _semimodular(lower, mt)
 
 
 def _semimodular(covers, table) -> bool:
@@ -125,9 +114,9 @@ def _table_gap(p: Poset, upward: bool):
 
 
 def _gap(p: Poset, upward: bool):
-    """A pair of p with no join (meet), or None: _table_gap once the table
-    is built, else None at once when p has Birkhoff coordinates."""
-    if (p._join if upward else p._meet) is None and p.birkhoff() is not None:
+    """A pair of p with no join (meet), or None: None at once when p has
+    Birkhoff coordinates, else _table_gap."""
+    if p.birkhoff() is not None:
         return None
     return _table_gap(p, upward)
 
@@ -144,16 +133,6 @@ def require_meets(p: Poset) -> None:
     missing = _gap(p, upward=False)
     if missing:
         raise StructureMismatch(f"elements {missing[0]} and {missing[1]} have no meet")
-
-
-def require_join_table(p: Poset):
-    """p's join table, for callers that read every pair; like require_joins
-    it raises NotJoinSemilattice, but from the table without the coordinates."""
-    jt = p.join_table()
-    missing = _table_gap(p, upward=True)
-    if missing:
-        raise NotJoinSemilattice(f"elements {missing[0]} and {missing[1]} have no join")
-    return jt
 
 
 def join_of(p: Poset, elements) -> int:
@@ -173,7 +152,7 @@ def join_of(p: Poset, elements) -> int:
 
 def join_irreducibles(p: Poset):
     """Elements x != 0 with x = a v b only trivially. Needs a least element."""
-    require_join_table(p)
+    require_joins(p)
     if p.bottom() is None:
         raise NoLeastElement("join-irreducibles need a least element")
     return _join_irreducibles_no_zero(p)
@@ -181,7 +160,8 @@ def join_irreducibles(p: Poset):
 
 def join_primes(p: Poset):
     """Elements x != 0 with x <= a v b forcing x <= a or x <= b."""
-    jt = require_join_table(p)
+    require_joins(p)
+    jt = p.join_table()
     bot = p.bottom()
     if bot is None:
         raise NoLeastElement("join-primes need a least element")

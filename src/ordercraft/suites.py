@@ -95,7 +95,7 @@ def random_join_semilattice(n: int, seed: int) -> Poset:
             break
     masks = sorted(family, key=lambda m: (m.bit_count(), m))
     out = _poset.inclusion_order(masks, [format(m, "b") for m in masks])
-    _semilattice.require_join_table(out)
+    _semilattice.require_joins(out)
     if out.bottom() is None:
         raise AssertionError("union-closed family lost its least element")
     return _log(out)
@@ -156,10 +156,11 @@ def structure_oracle(p: Poset):
     """(distributive, modular) of p by the distributive and modular laws
     checked over every triple, or (None, None) when p is not a lattice.
 
-    The O(n^3) oracle for semilattice.structure_report, whose cover-based
-    kernel it shares nothing with but the join and meet tables."""
-    jt = p.join_table()
-    mt = p.meet_table()
+    The O(n^3) oracle for semilattice.structure_report, sharing nothing
+    with its coordinates, covers or tables: the join and meet tables are
+    bound_oracle's scans of leq."""
+    jt = bound_oracle(p, True)
+    mt = bound_oracle(p, False)
     if not (_has_all(jt) and _has_all(mt)):
         return None, None
     distributive = True
@@ -218,7 +219,7 @@ def bound_oracle(p: Poset, upward: bool):
     tuple of row tuples, the shape of Poset.join_table.
 
     The oracle for Poset.join_table and meet_table, sharing nothing with the
-    cone lookup or the set masks behind them."""
+    cone lookup or the coordinates behind them."""
     def below(a, b):
         return p.leq(a, b) if upward else p.leq(b, a)
 

@@ -11,6 +11,7 @@ import pytest
 from ordercraft import budget, cli
 from ordercraft import families as F
 from ordercraft import poset as P
+from ordercraft import suites as SU
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,6 +38,17 @@ GOLDEN_SPECS = [
     (["--family", "lattice_sierp", "--alpha", "0,1", "--n", "4"], "lsierp"),
     (["--family", "s_alpha", "--alpha", "1", "--tail", "2", "--trunc", "3"], "salpha"),
 ]
+
+
+# analyze goldens: a Boolean lattice and its dual, a product of chains, and
+# a modular and a non-modular lattice times B_2
+ANALYZE_INPUTS = {
+    "b4": lambda: F.finite_powerset(4),
+    "b4_dual": lambda: P.dual(F.finite_powerset(4)),
+    "c3xc3": lambda: P.direct_product(P.chain(3), P.chain(3)),
+    "m3xb2": lambda: P.direct_product(SU.small_lattices()["M3"], F.finite_powerset(2)),
+    "n5xb2": lambda: P.direct_product(F.l_alpha(2), F.finite_powerset(2)),
+}
 
 
 class TestGenerate:
@@ -134,6 +146,28 @@ class TestExitCodes:
         assert time.monotonic() - started < 1.0
         out, err = capsys.readouterr()
         assert out == "" and "1000000" in err
+
+    @pytest.mark.parametrize("args", [
+        ["--family", "l_alpha", "--a", "2000"],
+        ["--family", "s_alpha", "--alpha", "1", "--trunc", "3", "--tail", "2000"],
+        ["--family", "v", "--n", "2000"],
+    ], ids=["l_alpha", "s_alpha", "v"])
+    def test_counted_family_over_budget_is_4(self, args, monkeypatch, capsys):
+        # each checks its element count against the budget before it builds
+        monkeypatch.setenv("OC_BUDGET", "1000")
+        assert cli.main(["generate", *args]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "elements, more than 1000" in err
+
+    def test_poset_document_over_budget_is_4(self, tmp_path, monkeypatch, capsys):
+        # the loader checks n against the budget before it allocates a row
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps(
+            {"version": 1, "n": 2000, "relation": {"kind": "covers", "pairs": []}}))
+        monkeypatch.setenv("OC_BUDGET", "1000")
+        assert cli.main(["analyze", str(f)]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "poset of 2000 elements, more than 1000" in err
 
     def test_ramsey_index_outside_host_is_2(self, tmp_path):
         b3 = tmp_path / "b3.json"
@@ -368,6 +402,15 @@ class TestCommands:
              "--target", str(tmp_path / f"{target}.json"), "--mode", mode])
         assert code == exit_code
         assert out == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("name", sorted(ANALYZE_INPUTS))
+    def test_analyze_golden(self, name, tmp_path):
+        # each host is read from JSON, so only its order reaches the kernel
+        f = tmp_path / f"{name}.json"
+        f.write_text(P.to_json(ANALYZE_INPUTS[name]()))
+        code, out, err = run_cli(["analyze", str(f)])
+        assert code == 0, err
+        assert out == (GOLDEN / f"analyze_{name}.json").read_text()
 
     def test_export_dot_stable(self, tmp_path):
         f = tmp_path / "d.json"

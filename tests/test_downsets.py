@@ -13,7 +13,7 @@ from ordercraft import semilattice as S
 from ordercraft.suites import bound_oracle
 from ordercraft.errors import BudgetExceeded, NotALattice
 
-from test_poset import random_posets
+from test_poset import cone_lookup_table, random_posets
 
 
 def brute_downsets(p):
@@ -41,13 +41,12 @@ def brute_height(p):
 
 
 def assert_set_tables(lat):
-    """A set lattice's tables against the cone path of a relabelled copy,
-    against the order scan, and against the swapped tables of its dual."""
-    cone, dual = lat.relabel(lat.labels), P.dual(lat)
-    assert lat._sets is not None and cone._sets is None and dual._sets is None
+    """A set lattice's tables against a cone lookup, against the order
+    scan, and against the swapped tables of its dual."""
+    dual = P.dual(lat)
     for upward, table, dual_table in ((True, lat.join_table(), dual.meet_table()),
                                       (False, lat.meet_table(), dual.join_table())):
-        assert table == (cone.join_table() if upward else cone.meet_table())
+        assert table == tuple(map(tuple, cone_lookup_table(lat, upward)))
         assert table == bound_oracle(lat, upward)
         assert dual_table == table == bound_oracle(dual, not upward)
 
@@ -199,12 +198,11 @@ class TestDownsetLattice:
     @given(random_posets(max_n=7))
     def test_matches_inclusion_order(self, p):
         # the set-built lattice against the pairwise inclusion order of the
-        # same masks, whose tables come from the cone lookup
+        # same masks, whose coordinates are computed from its order
         family = D.enumerate_downsets(p)
         lat = D.downset_lattice(p)
         labels = ["{" + ",".join(map(str, d.sorted_members())) + "}" for d in family.sets]
         ref = P.inclusion_order(family.masks(), labels)
-        assert lat._sets is not None and ref._sets is None
         assert lat == ref and lat.down == ref.down and lat.labels == ref.labels
         assert lat.cover_pairs() == ref.cover_pairs()
         assert lat.linear_extension() == ref.linear_extension()
@@ -213,10 +211,10 @@ class TestDownsetLattice:
         assert lat.meet_table() == ref.meet_table()
         P.validate(lat)
 
-    def test_json_round_trip_uses_the_cone_path(self):
+    def test_json_round_trip_keeps_the_tables(self):
         lat = D.downset_lattice(F.delta(3))
         back = P.from_json_dict(P.to_json_dict(lat))
-        assert back == lat and back._sets is None
+        assert back == lat
         assert back.join_table() == lat.join_table()
         assert back.meet_table() == lat.meet_table()
 
@@ -319,39 +317,6 @@ class TestUnionClosure:
         assert len(D.union_closure(set(), singletons, 15)) == 15
         with pytest.raises(BudgetExceeded, match="more than 14 unions"):
             D.union_closure(set(), singletons, 14)
-
-
-class TestFamilyUnionLattice:
-    def test_singletons_of_antichain(self):
-        host = P.antichain(3)
-        family = D.DownSetFamily(
-            host, tuple(D.principal(host, x) for x in range(3)), "custom")
-        lat = D.family_union_lattice(family)
-        assert lat.n == 7  # all non-empty subsets
-
-    def test_full_family_is_fixed(self):
-        host = P.chain(3)
-        family = D.enumerate_downsets(host)
-        lat = D.family_union_lattice(family)
-        assert lat.n == len(family.sets)
-
-    def test_delta2_omega_columns(self):
-        host = F.delta(2)
-        coords = F.delta_coords(2)
-        idx = {c: i for i, c in enumerate(coords)}
-        gens = tuple(D.principal(host, idx[(i, F.OMEGA)]) for i in range(3))
-        lat = D.family_union_lattice(D.DownSetFamily(host, gens, "custom"))
-        # oracle: explicit union closure of three generators
-        masks = {g.mask for g in gens}
-        done = False
-        while not done:
-            done = True
-            for a in list(masks):
-                for b in list(masks):
-                    if a | b not in masks:
-                        masks.add(a | b)
-                        done = False
-        assert lat.n == len(masks) == 7
 
 
 class TestMeetIrreducibles:

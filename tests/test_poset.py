@@ -467,6 +467,17 @@ def inclusion_powerset(n):
     return P.Poset(size, up, labels)
 
 
+class TestBuildBudget:
+    def test_checks_n_before_allocating(self, monkeypatch):
+        monkeypatch.setenv("OC_BUDGET", "100")
+        assert P.build(100, "covers", []).n == 100
+        doc = {"version": 1, "n": 101, "relation": {"kind": "covers", "pairs": []}}
+        for build in (lambda: P.build(101, "covers", []), lambda: P.chain(101),
+                      lambda: P.from_json_dict(doc)):
+            with pytest.raises(BudgetExceeded, match="poset of 101 elements, more than 100"):
+                build()
+
+
 class TestSetLattice:
     @pytest.mark.parametrize("n", range(7))
     def test_powerset_matches_pairwise_inclusion(self, n):
@@ -479,9 +490,12 @@ class TestSetLattice:
         assert got.meet_table() == want.meet_table()
 
     def test_only_set_lattices_keep_masks(self):
+        # a set lattice's coordinates are its masks; a copy built from its
+        # covers computes its own, over its join-irreducibles 1, 2 and 4
         b3 = F.finite_powerset(3)
-        assert b3._sets == tuple(range(8))
-        assert P.build(8, "covers", b3.cover_pairs())._sets is None
+        assert b3.birkhoff() == (tuple(range(8)), {m: m for m in range(8)})
+        coords, _index = P.build(8, "covers", b3.cover_pairs()).birkhoff()
+        assert coords == (0, 2, 4, 6, 16, 18, 20, 22)
 
     def test_views_carry_no_sets(self):
         # dual, relabel and induced do not inherit the masks: the dual's join
@@ -490,7 +504,7 @@ class TestSetLattice:
         dual = P.dual(lat)
         for view in (dual, lat.relabel(list("abcdefghijklmnop")),
                      P.induced(lat, [0, 1, 2, 3])):
-            assert view._sets is None
+            assert view.birkhoff()[0] != lat.birkhoff()[0][:view.n]
         assert dual.join_table() == lat.meet_table()
         assert dual.meet_table() == lat.join_table()
 
@@ -565,9 +579,64 @@ def lattices_and_posets(draw):
         _kind, p = SU.random_lattice(Random(draw(st.integers(0, 1 << 30))), 4)
         if draw(st.booleans()):
             return json_copy(p)
-        # a copy drops the tables built while drawing; set lattices keep theirs
-        return p if p._sets is not None else p.relabel(p.labels)
+        # a copy drops the tables built while drawing; set lattices keep
+        # the coordinates they were built with
+        return p if p._join is p._meet is None else p.relabel(p.labels)
     return draw(st.one_of(random_posets(max_n=7, min_n=1), permuted_posets(max_n=7)))
+
+
+def shuffled_copy(p, perm):
+    """p rebuilt from its covers with element i renamed perm[i]."""
+    return P.build(p.n, "covers", [(perm[a], perm[b]) for a, b in p.cover_pairs()])
+
+
+@st.composite
+def coordinate_posets(draw):
+    """A distributive lattice: a downset lattice or a product of chains,
+    then one or two of a JSON copy, the dual, a relabelled copy and a copy
+    whose index order is in general not a linear extension."""
+    if draw(st.booleans()):
+        p = D.downset_lattice(draw(random_posets(max_n=5)))
+    else:
+        p = P.chain(draw(st.integers(1, 4)))
+        for _ in range(draw(st.integers(0, 2))):
+            p = P.direct_product(p, P.chain(draw(st.integers(1, 4))))
+    for _ in range(draw(st.integers(1, 2))):
+        view = draw(st.sampled_from(["json", "dual", "relabel", "shuffle", "none"]))
+        if view == "json":
+            p = json_copy(p)
+        elif view == "dual":
+            p = P.dual(p)
+        elif view == "relabel":
+            p = p.relabel([f"x{i}" for i in range(p.n)])
+        elif view == "shuffle":
+            p = shuffled_copy(p, draw(st.permutations(range(p.n))))
+    return p
+
+
+class TestCoordinateTables:
+    @settings(max_examples=150, deadline=None)
+    @given(coordinate_posets())
+    def test_tables_from_coordinates_match_the_oracle(self, p):
+        assert p.birkhoff() is not None
+        assert p.join_table() == SU.bound_oracle(p, True)
+        assert p.meet_table() == SU.bound_oracle(p, False)
+
+    def test_shuffled_index_order_is_not_a_linear_extension(self):
+        # the rows still run bottom up (top down), in linear-extension order
+        b3 = F.finite_powerset(3)
+        p = shuffled_copy(b3, [7, 6, 5, 4, 3, 2, 1, 0])
+        assert p.linear_extension()[0] == 7 and p.birkhoff() is not None
+        assert p.join_table() == SU.bound_oracle(p, True)
+        assert p.meet_table() == SU.bound_oracle(p, False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lattices_and_posets())
+    def test_posets_without_coordinates_get_cone_tables(self, p):
+        if p.birkhoff() is None:
+            for upward, table in ((True, p.join_table()), (False, p.meet_table())):
+                assert table == tuple(map(tuple, cone_lookup_table(p, upward)))
+                assert table == SU.bound_oracle(p, upward)
 
 
 class TestBirkhoff:
@@ -577,7 +646,7 @@ class TestBirkhoff:
         if p.n == 0:  # the report calls the empty poset a lattice; it has no 0
             assert coords is None
             return
-        # read before the oracles build the tables, which join and meet prefer
+        # join and meet prefer a built table: read them with none built
         got = [([p.join(i, j) for j in range(p.n)], [p.meet(i, j) for j in range(p.n)],
                 p.joins(i, range(p.n)), p.meets(i, range(p.n))) for i in range(p.n)]
         assert p._join is None and p._meet is None or coords is None
@@ -606,7 +675,7 @@ class TestBirkhoff:
     def test_json_copy_answers_like_the_mask_built_lattice(self, q):
         lat = D.downset_lattice(q)
         back = json_copy(lat)
-        assert back._sets is None and back.birkhoff() is not None
+        assert back.birkhoff() is not None
         for i in range(lat.n):
             assert back.joins(i, range(lat.n)) == lat.joins(i, range(lat.n))
             assert back.meets(i, range(lat.n)) == lat.meets(i, range(lat.n))
@@ -616,7 +685,9 @@ class TestBirkhoff:
         monkeypatch.setattr(P, "_birkhoff_coordinates", None)
         lat = D.downset_lattice(F.delta(2))
         coords, index = lat.birkhoff()
-        assert coords is lat._sets and index == {m: i for i, m in enumerate(lat._sets)}
+        assert coords == tuple(D._downset_masks(F.delta(2), None))
+        assert index == {m: i for i, m in enumerate(coords)}
+        assert lat.join_table() == SU.bound_oracle(lat, True)
 
 
 class TestBirkhoffCache:

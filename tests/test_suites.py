@@ -30,7 +30,7 @@ class TestRandomGenerators:
         for seed in range(12):
             p = SU.random_join_semilattice(10, seed)
             assert p.n <= 10 and p.bottom() is not None
-            S.require_join_table(p)
+            S.require_joins(p)
 
     def test_join_semilattice_deterministic(self):
         a = SU.random_join_semilattice(9, 7)
