@@ -85,8 +85,8 @@ class ChainOfDownSets:
 def _indices(value, n: int, what: str) -> list:
     """value, checked to be a list of element indices in 0..n-1; raises
     ValueError otherwise, so a malformed document is an input error."""
-    if not (isinstance(value, list)
-            and all(type(v) is int and 0 <= v < n for v in value)):
+    if not (isinstance(value, list) and set(map(type, value)) <= {int}
+            and (not value or (min(value) >= 0 and max(value) < n))):
         raise ValueError(f"{what} must be a list of indices in 0..{n - 1}")
     return value
 

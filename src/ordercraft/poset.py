@@ -417,30 +417,11 @@ def bits(mask: int):
         mask ^= low
 
 
-def build(n: int, kind: str, pairs: Iterable[tuple], labels=None) -> Poset:
-    """Build a poset from cover pairs or from (not necessarily closed) leq pairs.
-
-    Raises CyclicRelation when the pairs admit a directed cycle,
-    IndexOutOfRange on indices outside 0..n-1, and BudgetExceeded, before
-    anything is allocated, when n is over the enumeration budget.
-    """
-    if kind not in ("covers", "leq"):
-        raise ValueError(f"kind must be 'covers' or 'leq', got {kind!r}")
-    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
-    if n > limit:
-        raise BudgetExceeded(f"poset of {n} elements, more than {limit}")
-    succ = [0] * n
-    pred = [0] * n
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise IndexOutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
-        if a == b:
-            raise CyclicRelation(f"reflexive pair ({a},{a}) in strict relation")
-        succ[a] |= 1 << b
-        pred[b] |= 1 << a
-
-    # Kahn topological order; leftovers mean a cycle. The bit loops stay
-    # inline: a bits() generator here cost +27% per build.
+def _kahn(succ: list) -> list:
+    """A topological order of the relation given by successor masks (Kahn);
+    leftovers mean a cycle. The bit loops stay inline: a bits() generator
+    here cost +27% per build."""
+    n = len(succ)
     indeg = [0] * n
     for a in range(n):
         m = succ[a]
@@ -463,7 +444,36 @@ def build(n: int, kind: str, pairs: Iterable[tuple], labels=None) -> Poset:
             m ^= low
     if len(topo) != n:
         raise CyclicRelation("relation contains a directed cycle")
+    return topo
 
+
+def build(n: int, kind: str, pairs: Iterable[tuple], labels=None) -> Poset:
+    """Build a poset from cover pairs or from (not necessarily closed) leq pairs.
+
+    Raises CyclicRelation when the pairs admit a directed cycle,
+    IndexOutOfRange on indices outside 0..n-1, and BudgetExceeded, before
+    anything is allocated, when n is over the enumeration budget.
+    """
+    if kind not in ("covers", "leq"):
+        raise ValueError(f"kind must be 'covers' or 'leq', got {kind!r}")
+    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
+    if n > limit:
+        raise BudgetExceeded(f"poset of {n} elements, more than {limit}")
+    succ = [0] * n
+    pred = [0] * n
+    backward = False
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise IndexOutOfRange(f"pair ({a},{b}) outside 0..{n - 1}")
+        if a >= b:
+            if a == b:
+                raise CyclicRelation(f"reflexive pair ({a},{a}) in strict relation")
+            backward = True
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+
+    # when every pair goes forward, index order is a topological order
+    topo = _kahn(succ) if backward else range(n)
     up = [0] * n
     for v in reversed(topo):
         m = succ[v]
@@ -804,12 +814,12 @@ def from_json_dict(data: dict) -> Poset:
         raise ValueError(f"pairs must be a list, got {pairs!r}")
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                and all(type(x) is int for x in pair)):
+                and type(pair[0]) is int and type(pair[1]) is int):
             raise ValueError(f"pair {pair!r} is not two integers")
     labels = data.get("labels")
     if labels is not None and not isinstance(labels, (list, tuple)):
         raise ValueError(f"labels must be a list, got {labels!r}")
-    return build(n, rel["kind"], [tuple(p) for p in pairs], labels)
+    return build(n, rel["kind"], pairs, labels)
 
 
 def to_json(p: Poset) -> str:

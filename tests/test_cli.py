@@ -1,5 +1,6 @@
 """CLI behaviour: golden outputs, round trips, exit codes end to end."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -51,14 +52,22 @@ ANALYZE_INPUTS = {
 }
 
 
+def generate_golden(name):
+    """The golden stdout of `generate` for a GOLDEN_SPECS name. m5 and eta2
+    share the files of test_acceptance's CLI_GOLDEN, made from the same
+    arguments."""
+    shared = name in ("m5", "eta2")
+    return (GOLDEN / (f"{name}.json" if shared else f"generate_{name}.json")).read_bytes()
+
+
 class TestGenerate:
     @pytest.mark.parametrize("args,name", GOLDEN_SPECS, ids=[n for _a, n in GOLDEN_SPECS])
-    def test_golden_equality(self, args, name, tmp_path):
-        code1, out1, _ = run_cli(["generate", *args])
-        code2, out2, _ = run_cli(["generate", *args])
-        assert code1 == code2 == 0
-        assert out1 == out2
-        P.from_json_dict(json.loads(out1))  # parses as a valid poset
+    def test_golden_equality(self, args, name):
+        proc = subprocess.run([sys.executable, "-m", "ordercraft.cli", "generate", *args],
+                              capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == generate_golden(name)
+        P.from_json_dict(json.loads(proc.stdout))  # parses as a valid poset
 
     def test_out_file_matches_stdout(self, tmp_path):
         target = tmp_path / "delta4.json"
@@ -192,23 +201,37 @@ class TestExitCodes:
         monkeypatch.setenv("OC_BUDGET", "50")
         assert budget.resolve(None, 10) == 50 and budget.resolve(7, 10) == 7
 
-    @pytest.mark.parametrize("doc", [
-        [1, 2],
-        {"version": 1, "n": "x", "relation": {"kind": "covers", "pairs": []}},
-        {"version": 1, "n": -1, "relation": {"kind": "covers", "pairs": []}},
-        {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [[0, 1, 1]]}},
-        {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [0]}},
-        {"version": 1, "n": 2, "relation": [1]},
-        {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": 5}},
-        {"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": []},
-         "labels": 5},
+    @pytest.mark.parametrize("doc,message", [
+        ([1, 2], "a poset document must be a JSON object"),
+        ({"version": 1, "n": "x", "relation": {"kind": "covers", "pairs": []}},
+         "n must be a non-negative integer, got 'x'"),
+        ({"version": 1, "n": -1, "relation": {"kind": "covers", "pairs": []}},
+         "n must be a non-negative integer, got -1"),
+        ({"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [[0, 1, 1]]}},
+         "pair [0, 1, 1] is not two integers"),
+        ({"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [0]}},
+         "pair 0 is not two integers"),
+        ({"version": 1, "n": 2, "relation": [1]}, "relation must be an object, got [1]"),
+        ({"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": 5}},
+         "pairs must be a list, got 5"),
+        ({"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": []}, "labels": 5},
+         "labels must be a list, got 5"),
+        ({"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [[0, True]]}},
+         "pair [0, True] is not two integers"),
+        ({"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [[0, 1.0]]}},
+         "pair [0, 1.0] is not two integers"),
+        ({"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": ["01"]}},
+         "pair '01' is not two integers"),
+        ({"version": 1, "n": 2, "relation": {"kind": "covers", "pairs": [[0]]}},
+         "pair [0] is not two integers"),
     ], ids=["list", "n_string", "n_negative", "pair_of_three", "pair_not_list",
-            "relation_not_object", "pairs_not_list", "labels_not_list"])
-    def test_document_not_a_poset_is_3(self, doc, tmp_path, capsys):
+            "relation_not_object", "pairs_not_list", "labels_not_list",
+            "pair_bool", "pair_float", "pair_string", "pair_of_one"])
+    def test_document_not_a_poset_is_3(self, doc, message, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text(json.dumps(doc))
         assert cli.main(["analyze", str(f)]) == 3
-        assert "input error" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"input error: {f}: {message}\n"
 
     @pytest.mark.parametrize("golden,keys,value", [
         ("independent_b5", (), [1, 2]),
@@ -423,3 +446,27 @@ class TestCommands:
     def test_jobs_flag_validated(self):
         code, _o, _e = run_cli(["--jobs", "0", "generate", "--family", "m5"])
         assert code == 2
+
+
+class TestParserCache:
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        m5 = ["generate", "--family", "m5"]
+        assert cli.main(m5) == 0
+        first = capsys.readouterr().out
+        assert first == (GOLDEN / "m5.json").read_text()
+        # a parse that fails leaves nothing behind for the next call
+        assert cli.main(["generate"]) == 2
+        assert cli.main(["--jobs", "0", *m5]) == 2
+        assert capsys.readouterr().out == ""
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.main(m5) == 0
+        assert capsys.readouterr().out == first
+        assert built == []

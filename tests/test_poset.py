@@ -48,6 +48,13 @@ def random_posets(draw, max_n=8, min_n=0):
 
 
 @st.composite
+def forward_relations(draw, max_n=8):
+    """n and a set of pairs i < j on 0..n-1, not closed."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+
+
+@st.composite
 def permuted_posets(draw, max_n=8):
     """random_posets with its indices shuffled, so that index order is in
     general not a linear extension; built from all its pairs or a subset."""
@@ -103,6 +110,28 @@ class TestBuild:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             P.build(2, "covers", [(0, 5)])
+
+    def test_reflexive_pair_among_forward_pairs_rejected(self):
+        with pytest.raises(CyclicRelation, match=r"reflexive pair \(1,1\)"):
+            P.build(3, "covers", [(0, 1), (1, 1), (1, 2)])
+
+    def test_backward_cycle_rejected(self):
+        with pytest.raises(CyclicRelation, match="directed cycle"):
+            P.build(4, "leq", [(0, 1), (1, 2), (2, 3), (3, 1)])
+
+    @given(forward_relations(), st.data())
+    def test_permuted_pairs_build_the_permuted_order(self, relation, data):
+        # forward pairs take index order as the topological order; permuted
+        # ones in general go backward and take Kahn's
+        n, pairs = relation
+        perm = data.draw(st.permutations(range(n)))
+        kind = data.draw(st.sampled_from(["leq", "covers"]))
+        forward = P.build(n, kind, pairs)
+        assert relation_pairs(forward) == brute_closure(n, pairs)
+        permuted = P.build(n, kind, [(perm[a], perm[b]) for a, b in pairs])
+        for x in range(n):
+            assert permuted.up[perm[x]] == sum(1 << perm[y] for y in P.bits(forward.up[x]))
+            assert permuted.down[perm[x]] == sum(1 << perm[y] for y in P.bits(forward.down[x]))
 
     @given(random_posets())
     def test_strict_order_invariants(self, p):
