@@ -6,15 +6,10 @@ ENUM_BUDGET = 10 ** 6     # produced elements (downset enumeration and closures)
 SEARCH_BUDGET = 10 ** 7   # visited nodes (isomorphism / embedding / subset search)
 
 
-def resolve(explicit, default):
-    """Pick the budget for one operation.
-
-    Explicit arguments win; otherwise OC_BUDGET, when set, overrides the
-    module default. A set OC_BUDGET that is not a positive integer raises
-    ValueError.
-    """
-    if explicit is not None:
-        return explicit
+def limit(default):
+    """The budget for one operation: OC_BUDGET when set, else the module
+    default. A set OC_BUDGET that is not a positive integer raises
+    ValueError. Read once when the operation starts."""
     raw = os.environ.get("OC_BUDGET")
     if raw is None:
         return default

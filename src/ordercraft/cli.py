@@ -268,7 +268,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         # a malformed OC_BUDGET is a usage error for every subcommand
-        _budget.resolve(None, None)
+        _budget.limit(None)
         return args.func(args)
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import downsets as _downsets
 from . import families as _families
@@ -78,6 +78,8 @@ class ChainOfDownSets:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainOfDownSets":
+        if not isinstance(data, dict):
+            raise ValueError("a chain document must be a JSON object")
         host = _poset.from_json_dict(data["host"])
         return cls(host, _members(host, data["sets"]), bool(data.get("decreasing", False)))
 
@@ -196,8 +198,14 @@ class Certificate:
                         for e in entries)):
             raise ValueError("a certificate is an object with a kind, a payload "
                              "object and a list of named evidence entries")
+        if data["kind"] not in _EVIDENCE_CHECKERS:
+            raise ValueError(f"unknown certificate kind {data['kind']!r}, expected "
+                             f"one of {', '.join(_EVIDENCE_CHECKERS)}")
+        for e in entries:
+            if type(e.get("ok")) is not bool:
+                raise ValueError(f"evidence entry {e['name']!r} needs a boolean ok")
         return cls(data["kind"], data["payload"],
-                   tuple((e["name"], bool(e["ok"])) for e in entries))
+                   tuple((e["name"], e["ok"]) for e in entries))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -246,9 +254,7 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
         x0 = min(_poset.bits(union & ~i_cur))
         xs.append(x0)
         while True:
-            x_join = xs[0]
-            for e in xs[1:]:
-                x_join = host.join(x_join, e)
+            x_join = _semilattice.join_of(host, xs)
             step = None
             for j_mask in desc:
                 if j_mask == i_cur or i_cur & ~j_mask == 0:
@@ -414,9 +420,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth):
         ys.append(xs[0])
     while stall is None and len(ys) < len(xs) and len(ys) < depth + 1:
         n = len(ys)
-        running = ys[0]
-        for e in ys[1:]:
-            running = join(running, e)
+        running = _semilattice.join_of(host, ys)
         prev_ideal = i_masks[n]  # I_{n-1}
         z = next((c for c in _poset.bits(prev_ideal)
                   if not host.leq(c, running)), None)
@@ -428,9 +432,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth):
             continue
         ts = []
         for j in range(n - 1):
-            yj = ys[j + 1]
-            for e in ys[j + 2:n]:
-                yj = join(yj, e)
+            yj = _semilattice.join_of(host, ys[j + 1:n])
             tj = next((c for c in _poset.bits(prev_ideal)
                        if host.leq(yj, join(xs[j], c))), None)
             if tj is None:
@@ -439,10 +441,7 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth):
             ts.append(tj)
         if stall:
             break
-        val = join(xs[n], z)
-        for t in ts:
-            val = join(val, t)
-        ys.append(val)
+        ys.append(_semilattice.join_of(host, [xs[n], z, *ts]))
 
     achieved = len(ys) - 1
     if achieved < 1:
@@ -698,7 +697,7 @@ def check_bad_antichain(p: Poset, antichain: Sequence[int], slack: int = 0) -> B
 # the end-to-end pipeline
 
 
-def thm8_pipeline(t: Poset, k: int, node_budget: Optional[int] = None) -> Certificate:
+def thm8_pipeline(t: Poset, k: int) -> Certificate:
     """Independent set -> powerset quotient -> delta-shaped map -> Ramsey
     classification -> downset-lattice lift; emits a certified sublattice
     witness from the nonempty-downset lattice of the classified pattern."""
@@ -707,7 +706,7 @@ def thm8_pipeline(t: Poset, k: int, node_budget: Optional[int] = None) -> Certif
     rep = _semilattice.structure_report(t)
     if not rep.is_lattice or not rep.is_distributive:
         raise NotDistributive("host must be a distributive lattice")
-    independents = _semilattice.find_independent_set(t, k, node_budget)
+    independents = _semilattice.find_independent_set(t, k)
     if independents is None:
         raise IndependenceTooSmall(f"no independent set of size {k}")
 

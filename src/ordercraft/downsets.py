@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 from . import budget as _budget
 from . import poset as _poset
@@ -109,12 +108,6 @@ class DownSetFamily:
             "role": self.role,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DownSetFamily":
-        host = _poset.from_json_dict(data["host"])
-        sets = tuple(DownSet(host, frozenset(s)) for s in data["sets"])
-        return cls(host, sets, data.get("role", "custom"))
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
@@ -123,7 +116,7 @@ def canonical_sort(sets) -> tuple:
     return tuple(sorted(sets, key=lambda d: (len(d.members), d.sorted_members())))
 
 
-def _downset_masks(p: Poset, element_budget: Optional[int]) -> list:
+def _downset_masks(p: Poset) -> list:
     """Masks of all downsets, each exactly once, in canonical order.
 
     Grows downsets by adding minimal elements of the complement; the budget
@@ -135,7 +128,7 @@ def _downset_masks(p: Poset, element_budget: Optional[int]) -> list:
     sorted members) order, and it has the larger mirror. Adding e to D adds
     (1 << n) - (1 << (n-1-e)) to the key.
     """
-    limit = _budget.resolve(element_budget, _budget.ENUM_BUDGET)
+    limit = _budget.limit(_budget.ENUM_BUDGET)
     n, down = p.n, p.down
     full = (1 << n) - 1
     step = [(1 << n) - (1 << (n - 1 - e)) for e in range(n)]
@@ -162,12 +155,12 @@ def _downset_masks(p: Poset, element_budget: Optional[int]) -> list:
     return sorted(key, key=key.__getitem__)
 
 
-def enumerate_downsets(p: Poset, element_budget: Optional[int] = None) -> DownSetFamily:
+def enumerate_downsets(p: Poset) -> DownSetFamily:
     """All downsets, each exactly once, in canonical order (see
     _downset_masks for the budget)."""
     # built from a list: tuple() over a generator resizes the tuple as it
     # grows, which cost about 0.5 MB of peak RSS on perfbench's suite_oracles
-    sets = tuple([_from_mask(p, m) for m in _downset_masks(p, element_budget)])
+    sets = tuple([_from_mask(p, m) for m in _downset_masks(p)])
     return DownSetFamily(p, sets, "all")
 
 
@@ -177,7 +170,7 @@ def enumerate_ideals(p: Poset) -> DownSetFamily:
     On a finite poset these are exactly the principal downsets; that equality
     is asserted as a test property, not assumed here.
     """
-    ideals = tuple([_from_mask(p, m) for m in _downset_masks(p, None)
+    ideals = tuple([_from_mask(p, m) for m in _downset_masks(p)
                     if _is_ideal_mask(p, m)])
     return DownSetFamily(p, ideals, "ideals")
 
@@ -206,16 +199,16 @@ def nonempty_downset_lattice(p: Poset):
     the f-vee lift. Built once per Poset and cached on it; a cached answer
     still raises BudgetExceeded when the enumeration would, under the
     budget in force now."""
-    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
     if p._nonempty is None:
-        masks = tuple(_downset_masks(p, limit)[1:])  # the empty set is first
+        masks = tuple(_downset_masks(p)[1:])  # the empty set is first
         p._nonempty = masks, _poset.inclusion_order(masks, lambda: _set_labels(masks))
-    elif len(p._nonempty[0]) >= limit:  # with the empty set, over the limit
+    elif len(p._nonempty[0]) >= (limit := _budget.limit(_budget.ENUM_BUDGET)):
+        # with the empty set, over the limit
         raise BudgetExceeded(f"more than {limit} downsets")
     return p._nonempty
 
 
-def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
+def downset_lattice(p: Poset) -> Poset:
     """All downsets of p ordered by inclusion, in canonical family order.
 
     Joins are unions and meets are intersections, so the result is a
@@ -223,7 +216,7 @@ def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
     masks; closure under both operations is asserted here, on each unordered
     pair of distinct sets once, and full identity checks live in the tests.
     """
-    masks = _downset_masks(p, element_budget)
+    masks = _downset_masks(p)
     lattice = _poset.set_lattice(p, masks, lambda: _set_labels(masks))
     if lattice.n <= 256:
         closed = set(masks)
@@ -234,10 +227,12 @@ def downset_lattice(p: Poset, element_budget: Optional[int] = None) -> Poset:
     return lattice
 
 
-def union_closure(closed, new, limit: int) -> set:
+def union_closure(closed, new) -> set:
     """The union-closed set of masks ``closed`` extended by ``new``: only
     unions with a new mask, or with one they produce, are formed. Raises
-    BudgetExceeded when the unions it adds take the set past ``limit``."""
+    BudgetExceeded when the unions it adds take the set past the
+    enumeration budget."""
+    limit = _budget.limit(_budget.ENUM_BUDGET)
     out = set(closed)
     out.update(new)
     frontier = list(new)
@@ -299,20 +294,18 @@ def representation_map(p: Poset, family: DownSetFamily) -> _semilattice.MapWitne
     return _semilattice.certify(p, target, table, wanted)
 
 
-def meet_irreducible_ideals(p: Poset,
-                            element_budget: Optional[int] = None) -> DownSetFamily:
+def meet_irreducible_ideals(p: Poset) -> DownSetFamily:
     """The completely meet-irreducible ideals of p (unique-upper-cover
     elements of its downset lattice that are up-directed), the family behind
     the canonical finite-set representation of a join-semilattice."""
-    lattice = downset_lattice(p, element_budget)
+    lattice = downset_lattice(p)
     masks = lattice.birkhoff()[0]
     cmi, _succ = completely_meet_irreducibles(lattice)
     picked = [_from_mask(p, masks[i]) for i in cmi if _is_ideal_mask(p, masks[i])]
     return DownSetFamily(p, canonical_sort(picked), "custom")
 
 
-def phi_triangle(p: Poset, x: int,
-                 element_budget: Optional[int] = None) -> DownSetFamily:
+def phi_triangle(p: Poset, x: int) -> DownSetFamily:
     """Completely meet-irreducible ideals of p that do not contain x.
 
     Computed inside the downset lattice of p: its unique-upper-cover elements
@@ -321,6 +314,6 @@ def phi_triangle(p: Poset, x: int,
     """
     if not (0 <= x < p.n):
         raise ValueError(f"element {x} outside host")
-    base = meet_irreducible_ideals(p, element_budget)
+    base = meet_irreducible_ideals(p)
     picked = [d for d in base.sets if x not in d.members]
     return DownSetFamily(p, tuple(picked), "custom")

@@ -176,7 +176,7 @@ def _check_budget(family: str, n: int, size: Optional[int] = None) -> None:
     element count for the _COUNTED generators, and size^2 for the generators
     that test every pair of elements. size is the element count where n
     alone does not fix it (lattice_sierp, s_alpha)."""
-    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
+    limit = _budget.limit(_budget.ENUM_BUDGET)
     if family == "finite_powerset":
         if n >= limit.bit_length():  # 2^n > limit, without forming 2^n
             raise BudgetExceeded(

@@ -55,7 +55,7 @@ class Poset:
         self._covers = None
         self._join = None
         self._meet = None
-        self._gaps = None  # semilattice._table_gap fills it
+        self._gaps = None  # semilattice._gap fills it
         self._report = None  # semilattice.structure_report fills it
         self._linext = None
         self._birkhoff = None  # birkhoff() or set_lattice fills it: (coords, index) or False
@@ -203,7 +203,7 @@ class Poset:
         """Number of elements in a longest chain."""
         return max(self.heights(), default=-1) + 1
 
-    def width(self, limit: Optional[int] = None) -> int:
+    def width(self) -> int:
         """Largest antichain size, n minus a maximum matching of the strict
         comparabilities (Dilworth; Fulkerson): left copy i, right copy j, an
         edge when i < j.
@@ -211,7 +211,7 @@ class Poset:
         Kuhn's augmenting paths over the up masks, iterative, with one seen
         mask per search; a visited node is one right vertex claimed.
         """
-        limit = _budget.resolve(limit, _budget.SEARCH_BUDGET)
+        limit = _budget.limit(_budget.SEARCH_BUDGET)
         up = self.up
         owner = [-1] * self.n      # right vertex -> matched left vertex
         matched = 0
@@ -242,12 +242,12 @@ class Poset:
                 lefts.append(owner[j])
         return self.n - matched
 
-    def basic_stats(self, width_budget: Optional[int] = None) -> dict:
+    def basic_stats(self) -> dict:
         return {
             "minimals": self.minimals(),
             "maximals": self.maximals(),
             "height": self.height(),
-            "width": self.width(width_budget),
+            "width": self.width(),
             "linear_extension": self.linear_extension(),
         }
 
@@ -456,7 +456,7 @@ def build(n: int, kind: str, pairs: Iterable[tuple], labels=None) -> Poset:
     """
     if kind not in ("covers", "leq"):
         raise ValueError(f"kind must be 'covers' or 'leq', got {kind!r}")
-    limit = _budget.resolve(None, _budget.ENUM_BUDGET)
+    limit = _budget.limit(_budget.ENUM_BUDGET)
     if n > limit:
         raise BudgetExceeded(f"poset of {n} elements, more than {limit}")
     succ = [0] * n
@@ -739,7 +739,7 @@ def _search(pattern: Poset, target: Poset, order, domains, limit: int,
     return None
 
 
-def is_isomorphic(a: Poset, b: Poset, node_budget: Optional[int] = None):
+def is_isomorphic(a: Poset, b: Poset):
     """Order-isomorphism witness (list: a-index -> b-index) or None.
 
     The search core with colour-refined classes as domains, smallest class
@@ -748,7 +748,7 @@ def is_isomorphic(a: Poset, b: Poset, node_budget: Optional[int] = None):
     """
     if a.n != b.n:
         return None
-    limit = _budget.resolve(node_budget, _budget.SEARCH_BUDGET)
+    limit = _budget.limit(_budget.SEARCH_BUDGET)
     ca, cb = _refine_colors(a), _refine_colors(b)
     if sorted(ca) != sorted(cb):
         return None

@@ -48,8 +48,8 @@ def structure_report(p: Poset) -> StructureReport:
         if p.birkhoff() is not None:
             p._report = StructureReport(True, True, True, True, True)
         else:
-            has_join = _table_gap(p, upward=True) is None
-            has_meet = _table_gap(p, upward=False) is None
+            has_join = _gap(p, upward=True) is None
+            has_meet = _gap(p, upward=False) is None
             is_lattice = has_join and has_meet
             laws = (_lattice_laws(p, p.join_table(), p.meet_table())
                     if is_lattice else (None, None))
@@ -104,21 +104,17 @@ def _missing_pair(table):
     return None
 
 
-def _table_gap(p: Poset, upward: bool):
-    """_missing_pair of p's join (meet) table, scanned once per Poset."""
+def _gap(p: Poset, upward: bool):
+    """A pair of p with no join (meet), or None: None at once when p has
+    Birkhoff coordinates, else the _missing_pair of its join (meet) table,
+    scanned once per Poset."""
+    if p.birkhoff() is not None:
+        return None
     if p._gaps is None:
         p._gaps = {}
     if upward not in p._gaps:
         p._gaps[upward] = _missing_pair(p.join_table() if upward else p.meet_table())
     return p._gaps[upward]
-
-
-def _gap(p: Poset, upward: bool):
-    """A pair of p with no join (meet), or None: None at once when p has
-    Birkhoff coordinates, else _table_gap."""
-    if p.birkhoff() is not None:
-        return None
-    return _table_gap(p, upward)
 
 
 def require_joins(p: Poset) -> None:
@@ -212,7 +208,7 @@ def is_independent(p: Poset, xs: Sequence[int]) -> bool:
     return True
 
 
-def find_independent_set(p: Poset, k: int, node_budget: Optional[int] = None):
+def find_independent_set(p: Poset, k: int):
     """A size-k independent set in canonical order, or None.
 
     Complete: every element of a join-semilattice is a finite join of
@@ -227,17 +223,13 @@ def find_independent_set(p: Poset, k: int, node_budget: Optional[int] = None):
     if k == 1:
         # every singleton is vacuously independent (no non-empty F exists)
         return [0] if p.n else None
-    limit = _budget.resolve(node_budget, _budget.SEARCH_BUDGET)
+    limit = _budget.limit(_budget.SEARCH_BUDGET)
     cands = _join_irreducibles_no_zero(p)
     visited = 0
 
     def ok(xs) -> bool:
         for idx, x in enumerate(xs):
-            rest = xs[:idx] + xs[idx + 1:]
-            acc = rest[0]
-            for e in rest[1:]:
-                acc = p.join(acc, e)
-            if p.leq(x, acc):
+            if p.leq(x, join_of(p, xs[:idx] + xs[idx + 1:])):
                 return False
         return True
 
@@ -397,8 +389,8 @@ def certify(source: Poset, target: Poset, table, wanted) -> MapWitness:
 EMBEDDING_MODES = ("order", "join", "meet", "sublattice")
 
 
-def embedding_search(pattern: Poset, target: Poset, mode: str = "order",
-                     node_budget: Optional[int] = None) -> Optional[MapWitness]:
+def embedding_search(pattern: Poset, target: Poset,
+                     mode: str = "order") -> Optional[MapWitness]:
     """First injective structure-preserving map in canonical order, or None.
 
     Pattern elements are processed by (height, index); target candidates
@@ -411,13 +403,13 @@ def embedding_search(pattern: Poset, target: Poset, mode: str = "order",
         raise ValueError(f"unknown mode {mode!r}")
 
     if mode in ("join", "sublattice"):
-        if _table_gap(pattern, upward=True) or _table_gap(target, upward=True):
+        if _gap(pattern, upward=True) or _gap(target, upward=True):
             raise StructureMismatch("join mode needs join-semilattices on both sides")
     if mode in ("meet", "sublattice"):
-        if _table_gap(pattern, upward=False) or _table_gap(target, upward=False):
+        if _gap(pattern, upward=False) or _gap(target, upward=False):
             raise StructureMismatch("meet mode needs meet-semilattices on both sides")
 
-    limit = _budget.resolve(node_budget, _budget.SEARCH_BUDGET)
+    limit = _budget.limit(_budget.SEARCH_BUDGET)
     heights = pattern.heights()
     # a stable sort by height keeps index order within a height
     order = sorted(range(pattern.n), key=heights.__getitem__)

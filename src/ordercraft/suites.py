@@ -82,13 +82,14 @@ def random_join_semilattice(n: int, seed: int) -> Poset:
     a join-semilattice with a least element."""
     rng = Random(seed)
     base = random_poset(rng.randint(1, 5), rng.random(), rng.randrange(1 << 30))
-    all_masks = _downsets._downset_masks(base, None)
+    all_masks = _downsets._downset_masks(base)
     family = {0}
     candidates = [m for m in all_masks if m]
     rng.shuffle(candidates)
     for m in candidates:
-        # unions of downsets of base are downsets of base: the limit never trips
-        closure = _downsets.union_closure(family, [m], len(all_masks))
+        # unions of downsets of base are downsets of base, which the budget
+        # already counted: the union budget never trips
+        closure = _downsets.union_closure(family, [m])
         if len(closure) <= n:
             family = closure
         if len(family) == n:
@@ -185,12 +186,12 @@ def structure_oracle(p: Poset):
     return distributive, modular
 
 
-def width_oracle(p: Poset, limit: Optional[int] = None) -> int:
+def width_oracle(p: Poset) -> int:
     """Largest antichain size by branch-and-bound over the ground set.
 
     The exponential oracle for Poset.width, whose matching kernel it shares
     nothing with but the up and down masks."""
-    limit = _budget.resolve(limit, _budget.SEARCH_BUDGET)
+    limit = _budget.limit(_budget.SEARCH_BUDGET)
     order = sorted(range(p.n), key=lambda i: (p.up[i] | p.down[i]).bit_count())
     comp = [p.up[i] | p.down[i] for i in range(p.n)]
     best = 0
@@ -302,7 +303,7 @@ def _suite_irr_eq(rng: Random, max_n: int):
     seed = rng.randrange(1 << 30)
     q = random_poset(n, p_density, seed)
     bundle = {"poset": q, "seed": seed}
-    masks = _downsets._downset_masks(q, None)
+    masks = _downsets._downset_masks(q)
     lattice = _poset.set_lattice(q, masks)
     irr = _semilattice.join_irreducibles(lattice)
     pri = _semilattice.join_primes(lattice)

@@ -196,10 +196,12 @@ class TestExitCodes:
         for raw in ("abc", "0", "-5", ""):
             monkeypatch.setenv("OC_BUDGET", raw)
             with pytest.raises(ValueError, match="OC_BUDGET"):
-                budget.resolve(None, 10)
+                budget.limit(10)
             assert cli.main(["ideals", str(f)]) == 2
         monkeypatch.setenv("OC_BUDGET", "50")
-        assert budget.resolve(None, 10) == 50 and budget.resolve(7, 10) == 7
+        assert budget.limit(10) == 50
+        monkeypatch.delenv("OC_BUDGET")
+        assert budget.limit(10) == 10
 
     @pytest.mark.parametrize("doc,message", [
         ([1, 2], "a poset document must be a JSON object"),
@@ -273,6 +275,45 @@ class TestExitCodes:
         assert cli.main(["verify-cert", str(f)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "input error" in err
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(kind="Nope"),
+         "unknown certificate kind 'Nope', expected one of IndependentSet, "
+         "DescendingChain, GridMap, RamseyClass, SublatticePattern"),
+        (lambda doc: doc["evidence"][0].pop("ok"),
+         "evidence entry 'chain_is_separating' needs a boolean ok"),
+        (lambda doc: doc["evidence"][0].update(ok=1),
+         "evidence entry 'chain_is_separating' needs a boolean ok"),
+    ], ids=["kind_unknown", "ok_missing", "ok_int"])
+    def test_certificate_error_names_the_problem(self, edit, message, tmp_path, capsys):
+        doc = json.loads((GOLDEN / "independent_b5.json").read_text())
+        edit(doc)
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 3
+        assert capsys.readouterr().err == f"input error: {f}: {message}\n"
+
+    @pytest.mark.parametrize("doc", [[], "x", 5, None], ids=["list", "string", "int", "null"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{bad}"],
+        ["embed", "--pattern", "{bad}", "--target", "{good}"],
+        ["embed", "--pattern", "{good}", "--target", "{bad}"],
+        ["ideals", "{bad}"],
+        ["ramsey", "{bad}", "--antichain", "0", "--m", "3"],
+        ["dichotomy", "{bad}", "--depth", "2"],
+        ["pipeline", "{bad}", "--k", "4"],
+        ["verify-cert", "{bad}"],
+        ["export", "{bad}"],
+    ], ids=["analyze", "embed_pattern", "embed_target", "ideals", "ramsey",
+            "dichotomy", "pipeline", "verify_cert", "export"])
+    def test_document_not_an_object_is_3(self, argv, doc, tmp_path, capsys):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(json.dumps(doc))
+        good.write_text(P.to_json(P.chain(2)))
+        argv = [arg.format(bad=bad, good=good) for arg in argv]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error:") and "Traceback" not in err
 
     def test_pattern_outside_the_pattern_families_is_3(self, tmp_path, capsys):
         # omega_star_grid is a shared shape but no Ramsey pattern: its 3

@@ -108,7 +108,7 @@ class TestEnumeration:
         # members) order, on the downsets of p and on every subset of its
         # elements (the downsets of the antichain)
         for q in (p, P.antichain(p.n)):
-            masks = D._downset_masks(q, None)
+            masks = D._downset_masks(q)
             assert set(masks) == {sum(1 << x for x in s) for s in brute_downsets(q)}
             assert masks == sorted(masks, key=lambda m: (
                 bin(m).count("1"), [x for x in range(q.n) if (m >> x) & 1]))
@@ -119,9 +119,11 @@ class TestEnumeration:
         keys = [(len(d.members), d.sorted_members()) for d in sets]
         assert keys == sorted(keys)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        anti = P.antichain(10)
+        monkeypatch.setenv("OC_BUDGET", "100")
         with pytest.raises(BudgetExceeded):
-            D.enumerate_downsets(P.antichain(10), element_budget=100)
+            D.enumerate_downsets(anti)
 
     @given(random_posets(max_n=7))
     def test_ideals_match_definition_oracle(self, p):
@@ -309,14 +311,19 @@ class TestUnionClosure:
            st.sets(st.integers(min_value=0, max_value=255), max_size=4))
     def test_matches_brute_force_fixpoint(self, base, new):
         closed = brute_union_closure(base)
-        assert D.union_closure(closed, new, 256) == brute_union_closure(closed | new)
-        assert D.union_closure(set(), base, 256) == closed
+        # set per example: @given runs every example inside one test call
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("OC_BUDGET", "256")
+            assert D.union_closure(closed, new) == brute_union_closure(closed | new)
+            assert D.union_closure(set(), base) == closed
 
-    def test_budget_counts_added_unions(self):
+    def test_budget_counts_added_unions(self, monkeypatch):
         singletons = [1 << i for i in range(4)]
-        assert len(D.union_closure(set(), singletons, 15)) == 15
+        monkeypatch.setenv("OC_BUDGET", "15")
+        assert len(D.union_closure(set(), singletons)) == 15
+        monkeypatch.setenv("OC_BUDGET", "14")
         with pytest.raises(BudgetExceeded, match="more than 14 unions"):
-            D.union_closure(set(), singletons, 14)
+            D.union_closure(set(), singletons)
 
 
 class TestMeetIrreducibles:

@@ -279,13 +279,14 @@ class TestIndependence:
         found = S.find_independent_set(grid, k)
         assert (found is not None) == oracle == (k <= 2)
         assert found is None or S.is_independent(grid, found)
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         from ordercraft.errors import BudgetExceeded
+        b3, b4, b6 = (F.finite_powerset(n) for n in (3, 4, 6))
+        monkeypatch.setenv("OC_BUDGET", "3")
         with pytest.raises(BudgetExceeded):
-            S.find_independent_set(F.finite_powerset(6), 6, node_budget=3)
+            S.find_independent_set(b6, 6)
         with pytest.raises(BudgetExceeded):
-            S.embedding_search(F.finite_powerset(3), F.finite_powerset(4),
-                               "order", node_budget=3)
+            S.embedding_search(b3, b4, "order")
 
 
 class TestEmbeddingSearch:
@@ -393,9 +394,10 @@ class TestEmbeddingAgainstPermutations:
             assert w.certified == MODE_FLAGS[mode]
             assert all(w.check_flag(flag) for flag in MODE_FLAGS[mode])
 
-    def test_pentagon_no_sublattice_of_b6_within_budget(self):
-        assert S.embedding_search(pentagon(), F.finite_powerset(6), "sublattice",
-                                  node_budget=100_000) is None
+    def test_pentagon_no_sublattice_of_b6_within_budget(self, monkeypatch):
+        n5, b6 = pentagon(), F.finite_powerset(6)
+        monkeypatch.setenv("OC_BUDGET", "100000")
+        assert S.embedding_search(n5, b6, "sublattice") is None
 
     def test_b5_join_embeds_in_downsets_of_delta4(self):
         w = S.embedding_search(F.finite_powerset(5), D.downset_lattice(F.delta(4)), "join")

@@ -314,3 +314,27 @@ def test_principal_ideals_stay_out_of_their_oracle():
     for tree, qualname in ((downsets, "enumerate_ideals"), (suites, "_suite_ideal_principal")):
         assert "principal_ideals" not in set(_names(_function(tree, qualname))), qualname
     assert "enumerate_ideals" in set(_names(_function(suites, "_suite_ideal_principal")))
+
+
+def _public_functions(tree):
+    """(qualname, node) for each public module-level function and each
+    public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for child in node.body:
+                if isinstance(child, ast.FunctionDef) and not child.name.startswith("_"):
+                    yield f"{node.name}.{child.name}", child
+
+
+def test_no_public_budget_parameter():
+    # OC_BUDGET, else the built-in default, is the one source of a budget,
+    # so no public function or method takes one as an argument
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, fn in _public_functions(ast.parse(path.read_text())):
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            found += [f"{path.name}:{qualname}({arg.arg})" for arg in params
+                      if arg.arg == "limit" or arg.arg.endswith("_budget")]
+    assert found == []
