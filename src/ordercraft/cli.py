@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from contextlib import contextmanager
 
 from . import budget as _budget
 from . import constructions as _constructions
@@ -29,32 +28,25 @@ EXIT_BAD_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-
-
 class _InputError(Exception):
     pass
 
 
-@contextmanager
-def _reading(path: str):
-    """Turn a malformed-input error raised inside the block into _InputError."""
+def _load(path: str, parse=None):
+    """parse, by default poset.from_json_dict (looked up at each call),
+    applied to the JSON document at path; an unreadable file, or a
+    malformed-input error raised by parse, becomes _InputError."""
     try:
-        yield
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return (parse or _poset.from_json_dict)(data)
     except BudgetExceeded:
         raise  # an OrderError, but exit 4, not an input error
     except (KeyError, ValueError, OrderError) as exc:
         raise _InputError(f"{path}: {exc}") from exc
-
-
-def _load_poset(path: str):
-    with _reading(path):
-        return _poset.from_json_dict(_load_json(path))
 
 
 def _write(text: str, out_path=None) -> None:
@@ -80,7 +72,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    p = _load_poset(args.infile)
+    p = _load(args.infile)
     rep = _semilattice.structure_report(p)
     out = {
         "n": p.n,
@@ -96,8 +88,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    pattern = _load_poset(args.pattern)
-    target = _load_poset(args.target)
+    pattern = _load(args.pattern)
+    target = _load(args.target)
     witness = _semilattice.embedding_search(pattern, target, args.mode)
     if witness is None:
         _emit({"found": False}, args.out)
@@ -107,7 +99,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_ideals(args) -> int:
-    p = _load_poset(args.infile)
+    p = _load(args.infile)
     if args.all_downsets:
         family = _downsets.enumerate_downsets(p)
     else:
@@ -120,7 +112,7 @@ def _cmd_ideals(args) -> int:
 
 
 def _cmd_ramsey(args) -> int:
-    p = _load_poset(args.infile)
+    p = _load(args.infile)
     antichain = [int(x) for x in args.antichain.split(",")]
     for x in antichain:
         if not 0 <= x < p.n:
@@ -131,16 +123,14 @@ def _cmd_ramsey(args) -> int:
 
 
 def _cmd_dichotomy(args) -> int:
-    data = _load_json(args.chain)
-    with _reading(args.chain):
-        chain = _constructions.ChainOfDownSets.from_json_dict(data)
+    chain = _load(args.chain, _constructions.ChainOfDownSets.from_json_dict)
     cert = _constructions.dichotomy_extract(chain, args.depth)
     _emit(cert.to_json_dict(), args.out)
     return EXIT_OK if cert.ok() else EXIT_FAIL
 
 
 def _cmd_pipeline(args) -> int:
-    p = _load_poset(args.infile)
+    p = _load(args.infile)
     cert = _constructions.thm8_pipeline(p, args.k)
     _emit(cert.to_json_dict(), args.out)
     return EXIT_OK if cert.ok() else EXIT_FAIL
@@ -149,22 +139,23 @@ def _cmd_pipeline(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if args.max_n is not None and args.max_n < 1:
+        raise ValueError("--max-n must be >= 1")
     report = _suites.run_suite(args.suite, args.trials, args.seed, args.max_n)
     _emit(report.to_json_dict(), args.out)
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def _cmd_verify_cert(args) -> int:
-    data = _load_json(args.certfile)
-    with _reading(args.certfile):
-        cert = _constructions.Certificate.from_json_dict(data)
-        valid = _constructions.certificate_valid(cert)
+    # re-checking reads the payload too, so its errors are input errors
+    valid = _load(args.certfile, lambda data: _constructions.certificate_valid(
+        _constructions.Certificate.from_json_dict(data)))
     _emit({"valid": valid})
     return EXIT_OK if valid else EXIT_FAIL
 
 
 def _cmd_export(args) -> int:
-    _write(_poset.to_dot(_load_poset(args.infile)), args.out)
+    _write(_poset.to_dot(_load(args.infile)), args.out)
     return EXIT_OK
 
 

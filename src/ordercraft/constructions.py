@@ -80,8 +80,11 @@ class ChainOfDownSets:
     def from_json_dict(cls, data: dict) -> "ChainOfDownSets":
         if not isinstance(data, dict):
             raise ValueError("a chain document must be a JSON object")
+        decreasing = data.get("decreasing", False)
+        if not isinstance(decreasing, bool):
+            raise ValueError("decreasing must be a boolean")
         host = _poset.from_json_dict(data["host"])
-        return cls(host, _members(host, data["sets"]), bool(data.get("decreasing", False)))
+        return cls(host, _members(host, data["sets"]), decreasing)
 
 
 def _indices(value, n: int, what: str) -> list:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import budget as _budget
 from . import poset as _poset
 from . import semilattice as _semilattice
-from .errors import BudgetExceeded, NotALattice
+from .errors import BudgetExceeded
 from .poset import Poset
 
 
@@ -183,14 +183,10 @@ def principal_ideals(p: Poset) -> DownSetFamily:
                                            for x in range(p.n)), "ideals")
 
 
-def _set_labels(masks):
-    return ["{" + ",".join(map(str, _poset.bits(m))) + "}" for m in masks]
-
-
 def family_poset(family: DownSetFamily) -> Poset:
     """The family ordered by inclusion, element order = family order."""
     masks = family.masks()
-    return _poset.inclusion_order(masks, lambda: _set_labels(masks))
+    return _poset.inclusion_order(masks, lambda: _poset.set_labels(masks))
 
 
 def nonempty_downset_lattice(p: Poset):
@@ -201,7 +197,7 @@ def nonempty_downset_lattice(p: Poset):
     budget in force now."""
     if p._nonempty is None:
         masks = tuple(_downset_masks(p)[1:])  # the empty set is first
-        p._nonempty = masks, _poset.inclusion_order(masks, lambda: _set_labels(masks))
+        p._nonempty = masks, _poset.inclusion_order(masks, lambda: _poset.set_labels(masks))
     elif len(p._nonempty[0]) >= (limit := _budget.limit(_budget.ENUM_BUDGET)):
         # with the empty set, over the limit
         raise BudgetExceeded(f"more than {limit} downsets")
@@ -212,19 +208,12 @@ def downset_lattice(p: Poset) -> Poset:
     """All downsets of p ordered by inclusion, in canonical family order.
 
     Joins are unions and meets are intersections, so the result is a
-    distributive lattice by construction, built by set_lattice from the
-    masks; closure under both operations is asserted here, on each unordered
-    pair of distinct sets once, and full identity checks live in the tests.
+    distributive lattice by construction: set_lattice raises unless the
+    masks are exactly the downsets of p, and downsets are closed under both
+    operations. Full identity checks live in the tests and the suites.
     """
     masks = _downset_masks(p)
-    lattice = _poset.set_lattice(p, masks, lambda: _set_labels(masks))
-    if lattice.n <= 256:
-        closed = set(masks)
-        for i, a in enumerate(masks):
-            for b in masks[i + 1:]:
-                if a | b not in closed or a & b not in closed:
-                    raise AssertionError("downsets not closed under union and intersection")
-    return lattice
+    return _poset.set_lattice(p, masks, lambda: _poset.set_labels(masks))
 
 
 def union_closure(closed, new) -> set:
@@ -248,21 +237,6 @@ def union_closure(closed, new) -> set:
                     nxt.append(u)
         frontier = nxt
     return out
-
-
-def completely_meet_irreducibles(lattice: Poset):
-    """Elements with exactly one upper cover, with the successor map x -> x+.
-
-    Returns (elements, successor dict). The top is excluded since it has no
-    cover at all. x has the one upper cover y when up[x] is up_incl(y).
-    """
-    rep = _semilattice.structure_report(lattice)
-    if not rep.is_lattice:
-        raise NotALattice("input must be a lattice")
-    top = lattice.top()
-    out = [x for x in _poset.at_most_one_cover(lattice, upward=False) if x != top]
-    by_cone = {lattice.up_incl(y): y for y in range(lattice.n)}
-    return out, {x: by_cone[lattice.up[x]] for x in out}
 
 
 def representation_map(p: Poset, family: DownSetFamily) -> _semilattice.MapWitness:
@@ -292,28 +266,3 @@ def representation_map(p: Poset, family: DownSetFamily) -> _semilattice.MapWitne
         wanted.add("order_embedding")
         wanted.add("injective")
     return _semilattice.certify(p, target, table, wanted)
-
-
-def meet_irreducible_ideals(p: Poset) -> DownSetFamily:
-    """The completely meet-irreducible ideals of p (unique-upper-cover
-    elements of its downset lattice that are up-directed), the family behind
-    the canonical finite-set representation of a join-semilattice."""
-    lattice = downset_lattice(p)
-    masks = lattice.birkhoff()[0]
-    cmi, _succ = completely_meet_irreducibles(lattice)
-    picked = [_from_mask(p, masks[i]) for i in cmi if _is_ideal_mask(p, masks[i])]
-    return DownSetFamily(p, canonical_sort(picked), "custom")
-
-
-def phi_triangle(p: Poset, x: int) -> DownSetFamily:
-    """Completely meet-irreducible ideals of p that do not contain x.
-
-    Computed inside the downset lattice of p: its unique-upper-cover elements
-    that are ideals of p stand for the completely meet-irreducible ideals
-    (on a finite poset, ideals are principal, so the two readings coincide).
-    """
-    if not (0 <= x < p.n):
-        raise ValueError(f"element {x} outside host")
-    base = meet_irreducible_ideals(p)
-    picked = [d for d in base.sets if x not in d.members]
-    return DownSetFamily(p, tuple(picked), "custom")

@@ -33,10 +33,6 @@ class UnsupportedOrdinal(OrderError):
 
 # -- structure requirements ----------------------------------------------
 
-class NotALattice(OrderError):
-    pass
-
-
 class NotJoinSemilattice(OrderError):
     pass
 

@@ -417,6 +417,11 @@ def bits(mask: int):
         mask ^= low
 
 
+def set_labels(masks) -> list:
+    """The label "{a,b}" of each mask: its set bits, lowest first."""
+    return ["{" + ",".join(map(str, bits(m))) + "}" for m in masks]
+
+
 def _kahn(succ: list) -> list:
     """A topological order of the relation given by successor masks (Kahn);
     leftovers mean a cycle. The bit loops stay inline: a bits() generator

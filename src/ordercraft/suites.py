@@ -277,7 +277,7 @@ def ideal_join_oracle(host: Poset, x: int, ideal_mask: int) -> int:
 
 
 def _suite_tm21(rng: Random, max_n: int):
-    n = rng.randint(2, max_n)
+    n = rng.randint(2, max(2, max_n))
     seed = rng.randrange(1 << 30)
     p = random_join_semilattice(n, seed)
     k = rng.randint(1, 3)

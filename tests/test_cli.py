@@ -60,6 +60,18 @@ def generate_golden(name):
     return (GOLDEN / (f"{name}.json" if shared else f"generate_{name}.json")).read_bytes()
 
 
+def grid_chain(n):
+    """A chain document: the decreasing ideals {(i,j) : i >= k} of the
+    omega_star_grid(n), k = 0..n-1."""
+    coords = F.grid_coords(n)
+    idx = {c: i for i, c in enumerate(coords)}
+    return {
+        "host": P.to_json_dict(F.omega_star_grid(n)),
+        "sets": [sorted(idx[(i, j)] for (i, j) in coords if i >= k) for k in range(n)],
+        "decreasing": True,
+    }
+
+
 class TestGenerate:
     @pytest.mark.parametrize("args,name", GOLDEN_SPECS, ids=[n for _a, n in GOLDEN_SPECS])
     def test_golden_equality(self, args, name):
@@ -190,6 +202,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "--trials" in err
 
+    def test_verify_max_n_below_one_is_2(self, capsys):
+        for raw in ("0", "-2"):
+            assert cli.main(["verify", "--suite", "tables", "--trials", "3",
+                             "--max-n", raw]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err == "usage error: --max-n must be >= 1\n"
+
+    def test_tm21_runs_at_max_n_one(self, capsys):
+        # tm21 needs two elements, so max_n 1 draws hosts of 2
+        assert cli.main(["verify", "--suite", "tm21", "--trials", "5",
+                         "--max-n", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["failures"] == []
+
     def test_malformed_budget_is_2(self, tmp_path, monkeypatch):
         f = tmp_path / "c.json"
         f.write_text(P.to_json(P.chain(3)))
@@ -315,6 +340,28 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["no", "false", [1]], ids=["no", "false", "list"])
+    def test_chain_decreasing_not_a_boolean_is_3(self, value, tmp_path, capsys):
+        doc = grid_chain(6)
+        doc["decreasing"] = value
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["dichotomy", str(f), "--depth", "3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"input error: {f}: decreasing must be a boolean\n"
+
+    def test_chain_without_decreasing_is_increasing(self, tmp_path, capsys):
+        # the members, listed upward, form a valid increasing chain, which
+        # dichotomy then turns down
+        doc = grid_chain(6)
+        del doc["decreasing"]
+        doc["sets"].reverse()
+        f = tmp_path / "chain.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["dichotomy", str(f), "--depth", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "usage error: dichotomy_extract needs a decreasing chain\n")
+
     def test_pattern_outside_the_pattern_families_is_3(self, tmp_path, capsys):
         # omega_star_grid is a shared shape but no Ramsey pattern: its 3
         # elements fit the first 3 table entries, and still the input is bad
@@ -408,14 +455,7 @@ class TestCommands:
 
     def test_dichotomy_and_verify_cert(self, tmp_path):
         grid = F.omega_star_grid(6)
-        coords = F.grid_coords(6)
-        idx = {c: i for i, c in enumerate(coords)}
-        chain = {
-            "host": P.to_json_dict(grid),
-            "sets": [sorted(idx[(i, j)] for (i, j) in coords if i >= k)
-                     for k in range(6)],
-            "decreasing": True,
-        }
+        chain = grid_chain(6)
         cf = tmp_path / "chain.json"
         cf.write_text(json.dumps(chain))
         out_cert = tmp_path / "cert.json"

@@ -11,7 +11,7 @@ from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import semilattice as S
 from ordercraft.suites import bound_oracle
-from ordercraft.errors import BudgetExceeded, NotALattice
+from ordercraft.errors import BudgetExceeded
 
 from test_poset import cone_lookup_table, random_posets
 
@@ -326,33 +326,17 @@ class TestUnionClosure:
             D.union_closure(set(), singletons)
 
 
-class TestMeetIrreducibles:
-    def test_powerset_coatoms(self):
-        b3 = F.finite_powerset(3)
-        elems, succ = D.completely_meet_irreducibles(b3)
-        # oracle: brute scan for unique upper cover
-        expected = []
-        for x in range(8):
-            covers = [y for y in range(8) if b3.lt(x, y)
-                      and not any(b3.lt(x, z) and b3.lt(z, y) for z in range(8))]
-            if len(covers) == 1:
-                expected.append(x)
-        assert elems == expected
-        assert all(b3.lt(x, succ[x]) for x in elems)
-
-    def test_chain(self):
-        elems, succ = D.completely_meet_irreducibles(P.chain(4))
-        assert elems == [0, 1, 2]
-        assert succ == {0: 1, 1: 2, 2: 3}
-
-    def test_diamond(self):
-        diamond = P.build(4, "covers", [(0, 1), (0, 2), (1, 3), (2, 3)])
-        elems, _ = D.completely_meet_irreducibles(diamond)
-        assert elems == [1, 2]
-
-    def test_not_a_lattice(self):
-        with pytest.raises(NotALattice):
-            D.completely_meet_irreducibles(P.antichain(2))
+def meet_irreducible_ideals(p):
+    """The completely meet-irreducible ideals of a finite poset, in canonical
+    order: the principal ideals down(x) with one upper cover in the downset
+    lattice, that is, whose complement has exactly one minimal element."""
+    full = (1 << p.n) - 1
+    picked = []
+    for d in D.principal_ideals(p).sets:
+        rest = full & ~d.mask
+        if sum(1 for e in P.bits(rest) if not p.down[e] & rest) == 1:
+            picked.append(d)
+    return D.DownSetFamily(p, tuple(picked), "custom")
 
 
 class TestRepresentationMap:
@@ -384,7 +368,7 @@ class TestRepresentationMap:
         # every finite join-semilattice embeds into the downset lattice of
         # its completely meet-irreducible ideal family, preserving joins
         lat = D.downset_lattice(p)
-        fam = D.meet_irreducible_ideals(lat)
+        fam = meet_irreducible_ideals(lat)
         w = D.representation_map(lat, fam)
         assert "order_embedding" in w.certified
         assert "join_preserving" in w.certified
@@ -394,31 +378,10 @@ class TestRepresentationMap:
         # the untruncated object, so the finite window sees too few of them
         # to separate; join preservation still holds for any ideal family
         host = F.omega_star_grid(3)
-        fam = D.meet_irreducible_ideals(host)
+        fam = meet_irreducible_ideals(host)
         for d in fam.sets:
             assert d.is_ideal()
         w = D.representation_map(host, fam)
         assert "join_preserving" in w.certified
         assert "order_embedding" not in w.certified
 
-
-class TestPhiTriangle:
-    def test_chain_top(self):
-        fam = D.phi_triangle(P.chain(3), 2)
-        assert [d.sorted_members() for d in fam.sets] == [(0,), (0, 1)]
-
-    def test_antichain(self):
-        fam = D.phi_triangle(P.antichain(2), 0)
-        assert [d.sorted_members() for d in fam.sets] == [(1,)]
-
-    def test_minimum_element_in_every_ideal(self):
-        p = P.build(3, "covers", [(0, 1), (0, 2)])
-        assert D.phi_triangle(p, 0).sets == ()
-
-    @given(random_posets(max_n=6))
-    def test_members_are_ideals_excluding_x(self, p):
-        if p.n == 0:
-            return
-        fam = D.phi_triangle(p, 0)
-        for d in fam.sets:
-            assert d.is_ideal() and 0 not in d.members

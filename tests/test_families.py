@@ -132,7 +132,7 @@ class TestGrid:
 
     def test_no_bottom_then_bottom(self):
         assert F.omega_star_grid(3).bottom() is None
-        withbot = F.omega_star_grid(3, with_bottom=True)
+        withbot = F.generate(F.FamilySpec("omega_star_grid", {"n": 3}, with_bottom=True))
         assert withbot.bottom() == withbot.n - 1
 
     def test_meets_partial(self):
@@ -273,9 +273,20 @@ class TestSierpinskisation:
            st.integers(min_value=1, max_value=9),
            st.sampled_from(F.SIERP_SCHEMES))
     def test_order_is_intersection_of_recorded_orders(self, alpha, n, scheme):
-        # sierpinskisation raises unless its order is the intersection of
-        # the natural order with the recorded alpha-order
-        assert F.sierpinskisation(alpha, n, scheme, seed=7).n == n
+        # the order is the natural order intersected with the alpha-order
+        # read off the recorded (column, position) pairs, and positions
+        # increase along each column (the monotonic condition)
+        p = F.sierpinskisation(alpha, n, scheme, seed=7)
+        seq = F._sierp_sequence(F.OrdinalCNF.parse(alpha).div_omega(), n, scheme, 7)
+        key = [(F._cnf_key(col), position) for col, position in seq]
+        for x in range(n):
+            for y in range(n):
+                if x != y:
+                    assert p.lt(x, y) == (x < y and key[x] < key[y])
+        last = {}
+        for col, position in seq:
+            assert position > last.get(col, -1)
+            last[col] = position
 
     def test_seeded_shuffle_reproducible(self):
         a = F.sierpinskisation("0,2", 8, "seeded_shuffle", seed=5)
