@@ -122,8 +122,17 @@ def _cmd_ramsey(args) -> int:
     return EXIT_OK if cert.ok() else EXIT_FAIL
 
 
+def _decreasing_chain(data):
+    """A chain document dichotomy_extract accepts; an increasing chain is
+    an input error, like any other fault in the file."""
+    chain = _constructions.ChainOfDownSets.from_json_dict(data)
+    if not chain.decreasing:
+        raise ValueError("dichotomy_extract needs a decreasing chain")
+    return chain
+
+
 def _cmd_dichotomy(args) -> int:
-    chain = _load(args.chain, _constructions.ChainOfDownSets.from_json_dict)
+    chain = _load(args.chain, _decreasing_chain)
     cert = _constructions.dichotomy_extract(chain, args.depth)
     _emit(cert.to_json_dict(), args.out)
     return EXIT_OK if cert.ok() else EXIT_FAIL

@@ -460,17 +460,6 @@ def _dichotomy_case_grid(host, chain, masks, e_set, depth):
     })
 
 
-def _grid_join_preserving(host: Poset, coords, table) -> bool:
-    idx = {c: k for k, c in enumerate(coords)}
-    for (i, j) in coords:
-        for (a, b) in coords:
-            want = table[idx[(min(i, a), max(j, b))]]
-            have = host.join(table[idx[(i, j)]], table[idx[(a, b)]])
-            if want != have:
-                return False
-    return True
-
-
 def _check_descending_chain(host: Poset, payload):
     xs = _indices(payload["elements"], host.n, "elements")
     return [
@@ -489,13 +478,21 @@ def _check_grid_map(host: Poset, payload):
     coords = _families.grid_coords(achieved)
     return [
         ("requested_depth_reached", achieved >= depth),
-        ("grid_join_preserving", _grid_join_preserving(host, coords, table)),
+        ("grid_join_preserving", _families.grid_join_preserving(host, coords, table)),
         ("grid_injective", len(set(table)) == len(table)),
     ]
 
 
 # ---------------------------------------------------------------------------
 # Ramsey classification
+
+
+def _comparable_pair(host: Poset, xs):
+    """The first pair (xs[a], xs[b]), a < b in list order, that is not
+    incomparable (equal elements count as comparable), or None when xs is
+    an antichain."""
+    return next(((x, y) for a, x in enumerate(xs) for y in xs[a + 1:]
+                 if not host.incomparable(x, y)), None)
 
 
 def _triple_class(host: Poset, xs, i, j, k) -> int:
@@ -558,10 +555,8 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
         raise ValueError("m must be >= 3")
     if len(set(xs)) != len(xs):
         raise NotAntichain("repeated elements")
-    for a in range(len(xs)):
-        for b in range(a + 1, len(xs)):
-            if not host.incomparable(xs[a], xs[b]):
-                raise NotAntichain(f"{xs[a]} and {xs[b]} are comparable")
+    if pair := _comparable_pair(host, xs):
+        raise NotAntichain(f"{pair[0]} and {pair[1]} are comparable")
     if len(xs) < m:
         raise NoMonochromaticSubset(f"antichain has fewer than {m} elements")
     picked = _monochromatic_subset(host, xs, m)
@@ -625,8 +620,6 @@ def _check_ramsey(host: Poset, payload):
     _semilattice.require_meets(host)
     xs = _indices(payload["antichain"], host.n, "antichain")
     picked = _indices(payload["subset"], len(xs), "subset")
-    anti = all(host.incomparable(xs[a], xs[b])
-               for a in range(len(xs)) for b in range(a + 1, len(xs)))
     classes = {
         _triple_class(host, xs, picked[a], picked[b], picked[c])
         for a in range(len(picked))
@@ -634,7 +627,7 @@ def _check_ramsey(host: Poset, payload):
         for c in range(b + 1, len(picked))
     }
     mono = len(classes) == 1
-    out = [("antichain", anti), ("monochromatic", mono)]
+    out = [("antichain", _comparable_pair(host, xs) is None), ("monochromatic", mono)]
     if payload["classification"] == NOT_WQO_EVIDENCE:
         out.append(("wqo_evidence", False))
         return out
@@ -665,10 +658,8 @@ def check_bad_antichain(p: Poset, antichain: Sequence[int], slack: int = 0) -> B
     the maximum antichain size of the part not above any member.
     """
     a = list(antichain)
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if not p.incomparable(a[i], a[j]):
-                raise NotAntichain(f"{a[i]} and {a[j]} are comparable")
+    if pair := _comparable_pair(p, a):
+        raise NotAntichain(f"{pair[0]} and {pair[1]} are comparable")
     worst = 0
     violations = []
     for x in range(p.n):
@@ -772,8 +763,7 @@ def _check_sublattice_pattern(host: Poset, payload):
         ("phi_lattice_hom_onto_powerset",
          phi.check_flag("lattice_hom") and phi.check_flag("surjective")),
         ("delta_map_meet_preserving", f.check_flag("meet_preserving")),
-        ("row_antichain", all(host.incomparable(a, b)
-                              for i, a in enumerate(row) for b in row[i + 1:])),
+        ("row_antichain", _comparable_pair(host, row) is None),
         ("ramsey_map_meet_preserving", h.check_flag("meet_preserving")),
         ("ramsey_map_injective", h.check_flag("injective")),
         ("sublattice_hom", lift.check_flag("lattice_hom")),

@@ -8,6 +8,7 @@ properties of the infinite objects they approximate.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -102,48 +103,25 @@ def _cnf_key(coeffs):
 def ordinals_below(alpha: OrdinalCNF, count: int):
     """The first `count` ordinals below alpha in a fixed w-enumeration.
 
-    Each returned ordinal is a coefficient tuple. The enumeration grows a
-    coefficient cap, adding the finitely many new ordinals per cap in
-    increasing ordinal order; any bijective listing works for the
-    sierpinskisation schemes, this one is simply reproducible.
+    Each returned ordinal is a coefficient tuple with no trailing zero. The
+    listing is by largest coefficient, then by _cnf_key of the tuple, which
+    reads the highest power first but is not the ordinal order across
+    degrees: below w*3, w+2 comes before 2. Any bijective listing works for
+    the sierpinskisation schemes; this one is reproducible. Only the tuples
+    under the least coefficient cap that holds `count` of them are listed.
     """
-    if alpha.is_zero:
+    if alpha.is_zero or count <= 0:
         return []
-    degree = len(alpha.coeffs)
-    out = []
-    seen = set()
-    cap = 1
-    while len(out) < count:
-        batch = []
-        for coeffs in _tuples_below(alpha.coeffs, degree, cap):
-            if coeffs not in seen:
-                batch.append(coeffs)
-        batch.sort(key=_cnf_key)
-        for c in batch:
-            seen.add(c)
-            out.append(c)
-            if len(out) == count:
-                break
-        cap += 1
-        if cap > count + max(alpha.coeffs) + 2:
-            break  # alpha finite and exhausted
-    return out
-
-
-def _tuples_below(alpha_coeffs, degree, cap):
-    def rec(pos, prefix):
-        if pos < 0:
-            coeffs = tuple(prefix[::-1])
-            trimmed = list(coeffs)
-            while len(trimmed) > 1 and trimmed[-1] == 0:
-                trimmed.pop()
-            if _cnf_key(tuple(trimmed) + (0,) * (degree - len(trimmed))) < _cnf_key(alpha_coeffs):
-                yield tuple(trimmed)
-            return
-        for c in range(cap):
-            yield from rec(pos - 1, prefix + [c])
-
-    yield from rec(degree - 1, [])
+    *low, lead = alpha.coeffs
+    # the cap**len(low) * min(cap, lead) tuples with every coefficient below
+    # cap and the leading one below lead all lie below alpha
+    need = min(count, lead) if alpha.is_finite else count
+    cap = next(c for c in itertools.count(1) if c ** len(low) * min(c, lead) >= need)
+    found = [t for t in itertools.product(*[range(cap)] * len(low), range(min(cap, lead + 1)))
+             if _cnf_key(t) < _cnf_key(alpha.coeffs)]
+    # trimmed past the last nonzero coefficient, as OrdinalCNF keeps them
+    out = [t[:max((k for k, c in enumerate(t) if c), default=0) + 1] for t in found]
+    return sorted(out, key=lambda t: (max(t), _cnf_key(t)))[:count]
 
 
 @dataclass(frozen=True)
@@ -220,19 +198,24 @@ def omega_star_grid(n: int) -> Poset:
         raise UnsupportedParams("n must be >= 1")
     _check_budget("omega_star_grid", n)
     coords = grid_coords(n)
-    idx = {c: k for k, c in enumerate(coords)}
     p = _from_leq(coords, lambda c, d: d[0] <= c[0] and c[1] <= d[1],
                   [f"({i},{j})" for (i, j) in coords])
-    jt = p.join_table()
-    for (i, j) in coords:
-        for (a, b) in coords:
-            if jt[idx[(i, j)]][idx[(a, b)]] != idx[(min(i, a), max(j, b))]:
-                raise AssertionError(f"join of ({i},{j}) and ({a},{b}) is not coordinatewise")
+    if not grid_join_preserving(p, coords, range(len(coords))):
+        raise AssertionError("the cone-built join of the grid is not coordinatewise")
     return p
 
 
 def grid_coords(n: int):
     return sorted((i, j) for i in range(n) for j in range(i + 1, n + 1))
+
+
+def grid_join_preserving(host: Poset, coords, table) -> bool:
+    """Whether the grid cells coords, cell k sent to host element table[k],
+    keep the grid join law: host.join of the images of (i,j) and (a,b) is
+    the image of (min(i,a), max(j,b))."""
+    idx = {c: k for k, c in enumerate(coords)}
+    return all(host.join(table[k], table[l]) == table[idx[(min(i, a), max(j, b))]]
+               for k, (i, j) in enumerate(coords) for l, (a, b) in enumerate(coords))
 
 
 def delta_coords(n: int):
@@ -363,23 +346,14 @@ def _sierp_sequence(alpha_prime: OrdinalCNF, n: int, scheme: str,
         cols = ordinals_below(alpha_prime, n)
     pos = {t: 0 for t in cols}
     seq = []
-    if scheme == "column_alternating":
-        if alpha_prime.is_finite:
-            for m in range(n):
-                col = cols[m % len(cols)]
-                seq.append((col, pos[col]))
-                pos[col] += 1
-        else:
-            # Cantor dovetail: diagonal d lists columns 0..d
-            d, inner = 0, 0
-            while len(seq) < n:
-                col = cols[inner]
-                seq.append((col, pos[col]))
-                pos[col] += 1
-                inner += 1
-                if inner > d:
-                    d, inner = d + 1, 0
-    elif scheme == "block":
+    if scheme == "column_alternating" and alpha_prime.is_finite:
+        for m in range(n):
+            col = cols[m % len(cols)]
+            seq.append((col, pos[col]))
+            pos[col] += 1
+    elif scheme != "seeded_shuffle":
+        # round b lists columns 0..b-1; over infinitely many columns this is
+        # also column_alternating, the Cantor dovetail
         b = 1
         while len(seq) < n:
             for col in cols[:min(b, len(cols))]:

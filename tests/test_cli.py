@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ordercraft import budget, cli
+from ordercraft import constructions as C
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import suites as SU
@@ -352,15 +353,29 @@ class TestExitCodes:
 
     def test_chain_without_decreasing_is_increasing(self, tmp_path, capsys):
         # the members, listed upward, form a valid increasing chain, which
-        # dichotomy then turns down
+        # dichotomy turns down as a fault of the input file
         doc = grid_chain(6)
         del doc["decreasing"]
         doc["sets"].reverse()
         f = tmp_path / "chain.json"
         f.write_text(json.dumps(doc))
-        assert cli.main(["dichotomy", str(f), "--depth", "3"]) == 2
+        assert cli.main(["dichotomy", str(f), "--depth", "3"]) == 3
         assert capsys.readouterr().err == (
-            "usage error: dichotomy_extract needs a decreasing chain\n")
+            f"input error: {f}: dichotomy_extract needs a decreasing chain\n")
+
+    @pytest.mark.parametrize("i,j", [(0, 1), (0, 5), (2, 3)])
+    def test_grid_map_with_swapped_cells_fails(self, i, j, tmp_path, capsys):
+        # the table stays injective, and the grid join law breaks
+        doc = json.loads((GOLDEN / "grid_chain6_d3.json").read_text())
+        table = doc["payload"]["table"]
+        table[i], table[j] = table[j], table[i]
+        assert dict(C.verify_certificate(C.Certificate.from_json_dict(doc))) == {
+            "requested_depth_reached": True, "grid_join_preserving": False,
+            "grid_injective": True}
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"valid": False}
 
     def test_pattern_outside_the_pattern_families_is_3(self, tmp_path, capsys):
         # omega_star_grid is a shared shape but no Ramsey pattern: its 3

@@ -254,6 +254,12 @@ class TestRamsey:
         with pytest.raises(NotAntichain):
             C.ramsey_extract(F.finite_powerset(3), [1, 3], 3)
 
+    def test_not_antichain_names_the_first_comparable_pair(self):
+        # 4 < 6 and 1 < 3: the pair of the earliest first element is named,
+        # though 1 < 3 closes first
+        with pytest.raises(NotAntichain, match="^4 and 6 are comparable$"):
+            C.ramsey_extract(F.finite_powerset(3), [4, 1, 3, 6], 3)
+
     def test_decreasing_meets_report_not_wqo_evidence(self):
         # tops {i} u S_i with S_0 > S_1 > ... nested: pairwise meets S_max
         # strictly shrink in the later index, the second triple class
@@ -342,6 +348,14 @@ class TestBadAntichain:
     def test_non_antichain_rejected(self):
         with pytest.raises(NotAntichain):
             C.check_bad_antichain(P.chain(3), [0, 2])
+
+    @pytest.mark.parametrize("xs,message", [
+        ([4, 1, 3, 6], "4 and 6 are comparable"),
+        ([2, 2], "2 and 2 are comparable"),
+    ], ids=["first_of_two_pairs", "repeated"])
+    def test_not_antichain_names_the_first_comparable_pair(self, xs, message):
+        with pytest.raises(NotAntichain, match=f"^{message}$"):
+            C.check_bad_antichain(F.finite_powerset(3), xs)
 
 
 class TestPipeline:

@@ -1,5 +1,8 @@
 """Family generators: exact counts, orders, and determinism."""
 
+import hashlib
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -230,6 +233,107 @@ class TestSmallFamilies:
         assert oe.bottom() == 0
 
 
+# ordinals_below(alpha, 40), pinned; every shorter count is a prefix of it
+ORDINALS_BELOW = {
+    "0,1": [
+        (0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,), (12,),
+        (13,), (14,), (15,), (16,), (17,), (18,), (19,), (20,), (21,), (22,), (23,), (24,),
+        (25,), (26,), (27,), (28,), (29,), (30,), (31,), (32,), (33,), (34,), (35,), (36,),
+        (37,), (38,), (39,),
+    ],
+    "1,1": [
+        (0,), (1,), (0, 1), (2,), (3,), (4,), (5,), (6,), (7,), (8,), (9,), (10,), (11,),
+        (12,), (13,), (14,), (15,), (16,), (17,), (18,), (19,), (20,), (21,), (22,), (23,),
+        (24,), (25,), (26,), (27,), (28,), (29,), (30,), (31,), (32,), (33,), (34,), (35,),
+        (36,), (37,), (38,),
+    ],
+    "0,3": [
+        (0,), (1,), (0, 1), (1, 1), (2, 1), (2,), (0, 2), (1, 2), (2, 2), (3, 1), (3, 2),
+        (3,), (4, 1), (4, 2), (4,), (5, 1), (5, 2), (5,), (6, 1), (6, 2), (6,), (7, 1),
+        (7, 2), (7,), (8, 1), (8, 2), (8,), (9, 1), (9, 2), (9,), (10, 1), (10, 2), (10,),
+        (11, 1), (11, 2), (11,), (12, 1), (12, 2), (12,), (13, 1),
+    ],
+    "0,0,1": [
+        (0,), (1,), (0, 1), (1, 1), (2, 1), (2,), (0, 2), (1, 2), (2, 2), (3, 1), (3, 2),
+        (3,), (0, 3), (1, 3), (2, 3), (3, 3), (4, 1), (4, 2), (4, 3), (4,), (0, 4), (1, 4),
+        (2, 4), (3, 4), (4, 4), (5, 1), (5, 2), (5, 3), (5, 4), (5,), (0, 5), (1, 5),
+        (2, 5), (3, 5), (4, 5), (5, 5), (6, 1), (6, 2), (6, 3), (6, 4),
+    ],
+    "0,1,1": [
+        (0,), (1,), (0, 1), (0, 0, 1), (1, 0, 1), (1, 1), (2, 0, 1), (2, 1), (2,), (0, 2),
+        (1, 2), (2, 2), (3, 0, 1), (3, 1), (3, 2), (3,), (0, 3), (1, 3), (2, 3), (3, 3),
+        (4, 0, 1), (4, 1), (4, 2), (4, 3), (4,), (0, 4), (1, 4), (2, 4), (3, 4), (4, 4),
+        (5, 0, 1), (5, 1), (5, 2), (5, 3), (5, 4), (5,), (0, 5), (1, 5), (2, 5), (3, 5),
+    ],
+    "0,0,0,1": [
+        (0,), (1,), (0, 1), (0, 0, 1), (1, 0, 1), (1, 1), (0, 1, 1), (1, 1, 1), (2, 0, 1),
+        (2, 1, 1), (2, 1), (0, 2, 1), (1, 2, 1), (2, 2, 1), (2,), (0, 2), (0, 0, 2),
+        (1, 0, 2), (2, 0, 2), (1, 2), (0, 1, 2), (1, 1, 2), (2, 1, 2), (2, 2), (0, 2, 2),
+        (1, 2, 2), (2, 2, 2), (3, 0, 1), (3, 1, 1), (3, 2, 1), (3, 1), (0, 3, 1), (1, 3, 1),
+        (2, 3, 1), (3, 3, 1), (3, 0, 2), (3, 1, 2), (3, 2, 2), (3, 2), (0, 3, 2),
+    ],
+    "5": [
+        (0,), (1,), (2,), (3,), (4,),
+    ],
+}
+
+# the column indexes of _sierp_sequence(alpha', 40, scheme, seed=7), pinned;
+# an index points into ordinals_below(alpha', 40) when alpha' is infinite
+TRIANGLE_COLUMNS = [
+    0, 0, 1, 0, 1, 2, 0, 1, 2, 3, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 6, 0,
+    1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3,
+]
+SHUFFLED_COLUMNS = [
+    20, 9, 25, 3, 4, 34, 6, 23, 37, 3, 32, 13, 2, 5, 27, 26, 4, 15, 5, 35, 27, 3, 36, 7, 14,
+    37, 3, 36, 37, 25, 3, 14, 2, 35, 8, 18, 26, 9, 34, 7,
+]
+SIERP_COLUMNS = {
+    ("0,1", "column_alternating"): TRIANGLE_COLUMNS,
+    ("0,1", "block"): TRIANGLE_COLUMNS,
+    ("1,1", "column_alternating"): TRIANGLE_COLUMNS,
+    ("1,1", "block"): TRIANGLE_COLUMNS,
+    ("0,0,1", "column_alternating"): TRIANGLE_COLUMNS,
+    ("0,0,1", "block"): TRIANGLE_COLUMNS,
+    ("0,1", "seeded_shuffle"): SHUFFLED_COLUMNS,
+    ("1,1", "seeded_shuffle"): SHUFFLED_COLUMNS,
+    ("0,0,1", "seeded_shuffle"): SHUFFLED_COLUMNS,
+    ("2", "column_alternating"): [
+        0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1,
+        0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1,
+    ],
+    ("2", "block"): [
+        0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+        1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+    ],
+    ("2", "seeded_shuffle"): [
+        1, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 1,
+        0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1,
+    ],
+    ("3", "column_alternating"): [
+        0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0,
+        1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0,
+    ],
+    ("3", "block"): [
+        0, 0, 1, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0,
+        1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0,
+    ],
+    ("3", "seeded_shuffle"): [
+        1, 0, 1, 2, 0, 0, 2, 0, 1, 2, 0, 2, 0, 0, 0, 1, 1, 0, 0, 0, 2, 1, 0, 2, 0, 0, 2, 2,
+        2, 0, 2, 2, 1, 0, 0, 0, 2, 0, 1, 1,
+    ],
+}
+
+# sha256 of repr([_sierp_sequence(alpha', n, "seeded_shuffle", 7) for n in 1..40]),
+# pinned: a shuffle over infinitely many columns draws from n of them
+SHUFFLE_DIGESTS = {
+    "0,1": "5810cf1ca3f0458061ea1780710db3bb625ae55ac1185eed750ddcbacecddc02",
+    "1,1": "153efbc987619b46a42f7efc4d4a163929e2dd07b602c36bab7049318b725a1a",
+    "0,0,1": "ed0a4f27ac22bd202c3cfd8e7f04d284d6f04d9802188953cdcdcb6278ab11c8",
+    "2": "e32e84f0483e9dabd9f91ee44c34c0b69da84b27733b591df5155c0a7af995cf",
+    "3": "4f8cd91fc5cd003e5f592f64817a83e2202312f0a06df38e2ac881e49c5fb28f",
+}
+
+
 class TestOrdinalCNF:
     def test_parse_and_str(self):
         a = F.OrdinalCNF.parse("0,2")
@@ -248,8 +352,14 @@ class TestOrdinalCNF:
 
     def test_enumeration_below_omega2_alternates_blocks(self):
         got = F.ordinals_below(F.OrdinalCNF.parse("0,2"), 6)
-        # every ordinal below w*2 is w*q + r with q < 2
-        assert set(got) <= {(r, q) for r in range(6) for q in range(2)} | {(0,), (1,), (2,), (3,), (4,), (5,)}
+        # by largest coefficient, then highest power first: w+2 before 2
+        assert got == [(0,), (1,), (0, 1), (1, 1), (2, 1), (2,)]
+
+    @pytest.mark.parametrize("alpha", list(ORDINALS_BELOW))
+    def test_enumeration_is_pinned(self, alpha):
+        listing = ORDINALS_BELOW[alpha]
+        for count in range(41):
+            assert F.ordinals_below(F.OrdinalCNF.parse(alpha), count) == listing[:count]
 
 
 class TestSierpinskisation:
@@ -287,6 +397,32 @@ class TestSierpinskisation:
         for col, position in seq:
             assert position > last.get(col, -1)
             last[col] = position
+
+    @pytest.mark.parametrize("alpha_prime,scheme", list(SIERP_COLUMNS))
+    def test_sequence_is_pinned(self, alpha_prime, scheme):
+        ap = F.OrdinalCNF.parse(alpha_prime)
+        cols = [(k,) for k in range(ap.coeffs[0])] if ap.is_finite else F.ordinals_below(ap, 40)
+        want = []
+        for k in SIERP_COLUMNS[(alpha_prime, scheme)]:
+            want.append((cols[k], sum(1 for col, _p in want if col == cols[k])))
+        # a shuffle over infinitely many columns draws from n of them, so
+        # only its n = 40 sequence is a literal (SHUFFLE_DIGESTS has the rest)
+        sizes = [40] if scheme == "seeded_shuffle" and not ap.is_finite else range(1, 41)
+        for n in sizes:
+            assert F._sierp_sequence(ap, n, scheme, 7) == want[:n]
+
+    @pytest.mark.parametrize("alpha_prime", list(SHUFFLE_DIGESTS))
+    def test_shuffle_is_pinned(self, alpha_prime):
+        ap = F.OrdinalCNF.parse(alpha_prime)
+        seqs = [F._sierp_sequence(ap, n, "seeded_shuffle", 7) for n in range(1, 41)]
+        assert hashlib.sha256(repr(seqs).encode()).hexdigest() == SHUFFLE_DIGESTS[alpha_prime]
+
+    def test_omega_squared_at_1000_builds_in_seconds(self):
+        # alpha' = w lists 1000 columns below it
+        started = time.monotonic()
+        s = F.sierpinskisation("0,0,1", 1000)
+        assert time.monotonic() - started < 5.0
+        assert s.n == 1000
 
     def test_seeded_shuffle_reproducible(self):
         a = F.sierpinskisation("0,2", 8, "seeded_shuffle", seed=5)

@@ -114,8 +114,8 @@ PER_PAIR_CALLERS = {
     "constructions.py": ["ChainOfDownSets.__post_init__", "ideal_join",
                          "_is_separating_masks", "independent_from_separating",
                          "dichotomy_extract", "_dichotomy_case_grid",
-                         "_grid_join_preserving", "_triple_class", "ramsey_extract",
-                         "_check_ramsey"],
+                         "_triple_class", "ramsey_extract", "_check_ramsey"],
+    "families.py": ["grid_join_preserving"],
     "suites.py": ["_suite_fvee", "_suite_lem2_3"],
 }
 
