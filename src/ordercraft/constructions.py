@@ -13,12 +13,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from . import budget as _budget
 from . import downsets as _downsets
 from . import families as _families
 from . import poset as _poset
 from . import semilattice as _semilattice
 from .downsets import DownSet
 from .errors import (
+    BudgetExceeded,
     ConstructionStalled,
     DepthUnreachable,
     IndependenceTooSmall,
@@ -508,8 +510,11 @@ def _triple_class(host: Poset, xs, i, j, k) -> int:
 
 
 def _monochromatic_subset(host: Poset, xs, m: int):
-    """Lexicographically first size-m subset with all triples in one class."""
+    """Lexicographically first size-m subset with all triples in one class.
+    Each candidate tried is a node counted against the search budget."""
     n = len(xs)
+    limit = _budget.limit(_budget.SEARCH_BUDGET)
+    visited = 0
     chosen: list = []
 
     def cls_ok(c: int) -> bool:
@@ -519,11 +524,16 @@ def _monochromatic_subset(host: Poset, xs, m: int):
                    for a in range(len(chosen)) for b in range(a + 1, len(chosen)))
 
     def grow(start: int):
+        nonlocal visited
         if len(chosen) == m:
             return True
         for c in range(start, n):
             if n - c < m - len(chosen):
                 return False
+            visited += 1
+            if visited > limit:
+                raise BudgetExceeded(
+                    f"Ramsey subset search visited more than {limit} nodes")
             if len(chosen) >= 3 and not cls_ok(c):
                 continue
             chosen.append(c)
@@ -559,24 +569,26 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
         raise NotAntichain(f"{pair[0]} and {pair[1]} are comparable")
     if len(xs) < m:
         raise NoMonochromaticSubset(f"antichain has fewer than {m} elements")
+    fields = _ramsey_fields(host, xs, m)
+    return _certificate("RamseyClass", host, {
+        "host": _poset.to_json_dict(host), "antichain": xs, "m": m, **fields})
+
+
+def _ramsey_fields(host: Poset, xs, m: int) -> dict:
+    """ramsey_extract's payload past its inputs: subset and ramsey_class,
+    then classification alone for classes 1 and 2, else thinned,
+    classification, pattern and the pattern map's table. Raises
+    NoMonochromaticSubset when no size-m subset of xs is monochromatic."""
     picked = _monochromatic_subset(host, xs, m)
     if picked is None:
         raise NoMonochromaticSubset(f"no monochromatic subset of size {m}")
     cls = _triple_class(host, xs, picked[0], picked[1], picked[2])
+    fields = {"subset": picked, "ramsey_class": cls}
+    if cls in (1, 2):
+        fields["classification"] = NOT_WQO_EVIDENCE
+        return fields
     meet = host.meet
     h_elems = [xs[c] for c in picked]
-
-    payload = {
-        "host": _poset.to_json_dict(host),
-        "antichain": xs,
-        "m": m,
-        "subset": picked,
-        "ramsey_class": cls,
-    }
-    if cls in (1, 2):
-        payload["classification"] = NOT_WQO_EVIDENCE
-        return _certificate("RamseyClass", host, payload)
-
     if cls == 3:
         thinned = picked[0::2]
         row = [xs[c] for c in thinned]
@@ -592,12 +604,9 @@ def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate
         thinned = picked
         table = [meet(h_elems[0], h_elems[1])] + h_elems
         classification = V_LIKE
-
-    payload["thinned"] = thinned
-    payload["classification"] = classification
-    payload["pattern"] = _pattern_descriptor(classification, len(thinned))
-    payload["table"] = table
-    return _certificate("RamseyClass", host, payload)
+    fields.update(thinned=thinned, classification=classification,
+                  pattern=_pattern_descriptor(classification, len(thinned)), table=table)
+    return fields
 
 
 def _pattern_descriptor(classification: str, cols: int) -> dict:
@@ -694,7 +703,9 @@ def check_bad_antichain(p: Poset, antichain: Sequence[int], slack: int = 0) -> B
 def thm8_pipeline(t: Poset, k: int) -> Certificate:
     """Independent set -> powerset quotient -> delta-shaped map -> Ramsey
     classification -> downset-lattice lift; emits a certified sublattice
-    witness from the nonempty-downset lattice of the classified pattern."""
+    witness from the nonempty-downset lattice of the classified pattern.
+    The steps build tables only; the SublatticePattern certificate, the
+    checker verify_certificate runs, is the one check of their maps."""
     if k < 4:
         raise IndependenceTooSmall("pipeline needs k >= 4")
     rep = _semilattice.structure_report(t)
@@ -704,40 +715,34 @@ def thm8_pipeline(t: Poset, k: int) -> Certificate:
     if independents is None:
         raise IndependenceTooSmall(f"no independent set of size {k}")
 
-    sub_elements, phi = _semilattice._phi_quotient(t, independents)
-    f = _semilattice.delta_from_hom(t, phi, sub_elements)
-
+    sub_elements, phi_table = _semilattice._phi_table(t, independents)
+    delta_table = _semilattice._delta_table(t, phi_table, sub_elements, k)
     coords = _families.delta_coords(k - 1)
-    row = [f.table[i] for i, c in enumerate(coords) if c[1] == _families.OMEGA]
+    row = [delta_table[i] for i, c in enumerate(coords) if c[1] == _families.OMEGA]
     ramsey = None
     for m in range(len(row), 2, -1):
         try:
-            ramsey = ramsey_extract(t, row, m)
+            ramsey = _ramsey_fields(t, row, m)
         except NoMonochromaticSubset:
             continue
-        if ramsey.payload["classification"] != NOT_WQO_EVIDENCE:
+        if ramsey["classification"] != NOT_WQO_EVIDENCE:
             break
-    if ramsey is None or ramsey.payload["classification"] == NOT_WQO_EVIDENCE:
-        raise ConstructionStalled("no usable monochromatic subset", ramsey)
+    if ramsey is None or ramsey["classification"] == NOT_WQO_EVIDENCE:
+        raise ConstructionStalled("no usable monochromatic subset")
 
-    pattern = _pattern_poset(ramsey.payload["pattern"])
-    h = _semilattice.MapWitness(
-        pattern, t, tuple(ramsey.payload["table"]),
-        frozenset({"meet_preserving", "injective"}))
-    lift = _semilattice.f_vee(h)
-
+    masks, _lattice = _downsets.nonempty_downset_lattice(_pattern_poset(ramsey["pattern"]))
     payload = {
         "host": _poset.to_json_dict(t),
         "k": k,
         "independent_set": list(independents),
         "sublattice_elements": list(sub_elements),
-        "phi_table": list(phi.table),
-        "delta_table": list(f.table),
+        "phi_table": list(phi_table),
+        "delta_table": list(delta_table),
         "delta_row": row,
-        "classification": ramsey.payload["classification"],
-        "pattern": ramsey.payload["pattern"],
-        "pattern_table": list(ramsey.payload["table"]),
-        "lift_table": list(lift.table),
+        "classification": ramsey["classification"],
+        "pattern": ramsey["pattern"],
+        "pattern_table": list(ramsey["table"]),
+        "lift_table": list(_semilattice._lift_table(t, ramsey["table"], masks)),
     }
     cert = _certificate("SublatticePattern", t, payload)
     if not cert.ok():

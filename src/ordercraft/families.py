@@ -108,7 +108,8 @@ def ordinals_below(alpha: OrdinalCNF, count: int):
     reads the highest power first but is not the ordinal order across
     degrees: below w*3, w+2 comes before 2. Any bijective listing works for
     the sierpinskisation schemes; this one is reproducible. Only the tuples
-    under the least coefficient cap that holds `count` of them are listed.
+    under the least coefficient cap that holds `count` of them are listed,
+    and they count against the enumeration budget before any is.
     """
     if alpha.is_zero or count <= 0:
         return []
@@ -117,6 +118,10 @@ def ordinals_below(alpha: OrdinalCNF, count: int):
     # cap and the leading one below lead all lie below alpha
     need = min(count, lead) if alpha.is_finite else count
     cap = next(c for c in itertools.count(1) if c ** len(low) * min(c, lead) >= need)
+    listed = cap ** len(low) * min(cap, lead + 1)
+    if listed > (limit := _budget.limit(_budget.ENUM_BUDGET)):
+        raise BudgetExceeded(f"the ordinals below {alpha} take {listed} coefficient "
+                             f"tuples to list, more than {limit}")
     found = [t for t in itertools.product(*[range(cap)] * len(low), range(min(cap, lead + 1)))
              if _cnf_key(t) < _cnf_key(alpha.coeffs)]
     # trimmed past the last nonzero coefficient, as OrdinalCNF keeps them

@@ -158,12 +158,6 @@ class Poset:
             return mins[0]
         return None
 
-    def top(self) -> Optional[int]:
-        maxs = self.maximals()
-        if len(maxs) == 1 and self.down_incl(maxs[0]) == (1 << self.n) - 1:
-            return maxs[0]
-        return None
-
     def linear_extension(self):
         """Repeated removal of the smallest-index minimal element: Kahn's
         algorithm over the covers, with a min-heap of the minimal elements

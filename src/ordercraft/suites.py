@@ -283,11 +283,14 @@ def _suite_tm21(rng: Random, max_n: int):
     from itertools import combinations
     oracle = any(_semilattice.is_independent(p, list(c))
                  for c in combinations(range(p.n), k))
-    found = _semilattice.find_independent_set(p, k) is not None
+    chosen = _semilattice.find_independent_set(p, k)
+    found = chosen is not None
     bk = _families.shape("finite_powerset", k)
     order_emb = _semilattice.embedding_search(bk, p, "order") is not None
     join_emb = _semilattice.embedding_search(bk, p, "join") is not None
-    ok = oracle == found == order_emb == join_emb
+    # the set the search returns passes the exhaustive check too
+    ok = oracle == found == order_emb == join_emb and (
+        not found or _semilattice.is_independent(p, chosen))
     bundle["results"] = {"oracle": oracle, "search": found,
                          "order": order_emb, "join": join_emb}
     return ok, bundle
@@ -383,9 +386,23 @@ def _suite_fvee(rng: Random, max_n: int):
     lift = _semilattice.f_vee(f)
     ok = lift.check_flag("lattice_hom")
     crit = "injective" in lift.certified
-    ok = ok and crit == lift.check_flag("injective")
+    ok = ok and crit == lift.check_flag("injective") == lift_injectivity_criterion(f)
     bundle["lift_injective"] = crit
     return ok, bundle
+
+
+def lift_injectivity_criterion(f) -> bool:
+    """The two-part criterion for f_vee(f) to be injective: f is injective,
+    and no f(x) is the join of the images of a nonempty X strictly below x.
+    Joins are monotone in X, so X can be everything strictly below x."""
+    p, t, table = f.source, f.target, f.table
+    if len(set(table)) != p.n:
+        return False
+    for x in range(p.n):
+        below = [y for y in range(p.n) if p.lt(y, x)]
+        if below and _semilattice.join_of(t, [table[y] for y in below]) == table[x]:
+            return False
+    return True
 
 
 def _suite_thm8_pipe(rng: Random, max_n: int):

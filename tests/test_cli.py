@@ -142,6 +142,15 @@ class TestExitCodes:
         assert code == 0, err
         assert len(json.loads(out)["sets"]) == 12
 
+    def test_ramsey_over_budget_is_4(self, tmp_path, monkeypatch):
+        # the Ramsey subset search counts its nodes against the search budget
+        b5 = tmp_path / "b5.json"
+        b5.write_text(P.to_json(F.finite_powerset(5)))
+        pairs = ",".join(str(x) for x in range(32) if bin(x).count("1") == 2)
+        monkeypatch.setenv("OC_BUDGET", "100")
+        code, out, err = run_cli(["ramsey", str(b5), "--antichain", pairs, "--m", "5"])
+        assert code == 4 and out == "" and "more than 100 nodes" in err, err
+
     def test_powerset_over_budget_is_4(self):
         # the size check runs before any element is built
         code, out, err = run_cli(
@@ -158,11 +167,13 @@ class TestExitCodes:
         ["--family", "lattice_sierp", "--alpha", "0,1", "--n", "100000"],
         ["--family", "lattice_sierp", "--alpha", "100000", "--n", "100000"],
         ["--family", "v", "--n", "100000000"],
+        ["--family", "sierpinskisation", "--alpha", ",".join(["0"] * 30 + ["1"]), "--n", "2"],
     ], ids=["delta", "gamma", "grid", "sierpinskisation", "omega_eta",
-            "lattice_sierp_w", "lattice_sierp_finite", "v"])
+            "lattice_sierp_w", "lattice_sierp_finite", "v", "sierpinskisation_w30"])
     def test_pair_tested_family_over_budget_is_4(self, args, capsys):
         # the size check runs before the pairs are tested (v tests none: its
-        # n + 1 elements are checked against the budget)
+        # n + 1 elements are checked against the budget; below w^30, the
+        # 2^31 coefficient tuples of two columns are checked before listing)
         started = time.monotonic()
         assert cli.main(["generate", *args]) == 4
         assert time.monotonic() - started < 1.0

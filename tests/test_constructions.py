@@ -14,6 +14,7 @@ from ordercraft import poset as P
 from ordercraft import semilattice as S
 from ordercraft import suites as SU
 from ordercraft.errors import (
+    BudgetExceeded,
     DepthUnreachable,
     IndependenceTooSmall,
     IndexOutOfRange,
@@ -274,6 +275,19 @@ class TestRamsey:
     def test_too_small(self):
         with pytest.raises(NoMonochromaticSubset):
             C.ramsey_extract(F.finite_powerset(3), [1, 2], 3)
+
+    def test_subset_search_runs_under_the_search_budget(self, monkeypatch):
+        # the ten 2-subsets of {0..4} hold no monochromatic 5-subset; the
+        # search proves it in a few hundred nodes, more than a budget of 100
+        b5 = F.finite_powerset(5)
+        pairs = [x for x in range(32) if bin(x).count("1") == 2]
+        with pytest.raises(NoMonochromaticSubset, match="no monochromatic subset"):
+            C.ramsey_extract(b5, pairs, 5)
+        monkeypatch.setenv("OC_BUDGET", "100")
+        with pytest.raises(BudgetExceeded, match="more than 100 nodes"):
+            C.ramsey_extract(b5, pairs, 5)
+        # a subset found in fewer nodes is unchanged
+        assert C.ramsey_extract(b5, pairs, 3).payload["subset"] == [0, 1, 2]
 
     def test_class_invariant_under_meet_fixing_permutations(self):
         # permutations under which pairwise meets are literally unchanged

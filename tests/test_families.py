@@ -355,6 +355,16 @@ class TestOrdinalCNF:
         # by largest coefficient, then highest power first: w+2 before 2
         assert got == [(0,), (1,), (0, 1), (1, 1), (2, 1), (2,)]
 
+    def test_listing_counts_against_the_budget(self, monkeypatch):
+        # 8 ordinals below w^3 take cap 2: 2^3 tuples below the cap, times
+        # the 2 leading coefficients 0 and 1, are charged before any is listed
+        alpha = F.OrdinalCNF.parse("0,0,0,1")
+        monkeypatch.setenv("OC_BUDGET", "15")
+        with pytest.raises(BudgetExceeded, match="16 coefficient tuples"):
+            F.ordinals_below(alpha, 8)
+        monkeypatch.setenv("OC_BUDGET", "16")
+        assert len(F.ordinals_below(alpha, 8)) == 8
+
     @pytest.mark.parametrize("alpha", list(ORDINALS_BELOW))
     def test_enumeration_is_pinned(self, alpha):
         listing = ORDINALS_BELOW[alpha]

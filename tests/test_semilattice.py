@@ -648,7 +648,38 @@ class TestWitnessSelfAudit:
             assert w is not None and w.verify_all(), w.certified
 
 
+# the hosts of the pipeline's first two steps, with their independent-set size
+QUOTIENT_HOSTS = {
+    "B_3": (lambda: F.finite_powerset(3), 3),
+    "B_4": (lambda: F.finite_powerset(4), 4),
+    "O(delta 3)": (lambda: D.downset_lattice(F.delta(3)), 4),
+    "O(gamma 4)": (lambda: D.downset_lattice(F.gamma(4)), 5),
+}
+
+
+def quotient(name):
+    """(host, generators, sublattice elements, phi) for a QUOTIENT_HOSTS entry."""
+    make, k = QUOTIENT_HOSTS[name]
+    host = make()
+    gens = S.find_independent_set(host, k)
+    assert gens is not None and len(gens) == k
+    return host, gens, S.subsemilattice_generated(host, gens, "both"), S.phi_quotient(host, gens)
+
+
 class TestPhiQuotient:
+    @pytest.mark.parametrize("name", QUOTIENT_HOSTS)
+    def test_generators_are_join_irreducible_in_the_sublattice(self, name):
+        # by the definition: a generator is not the least element of the
+        # sublattice and is no join of two elements strictly below it
+        _host, gens, elements, phi = quotient(name)
+        sub = phi.source
+        assert sub.n == len(elements)
+        for a in gens:
+            i = elements.index(a)
+            lower = [x for x in range(sub.n) if sub.lt(x, i)]
+            assert lower, a
+            assert all(sub.join(x, y) != i for x in lower for y in lower), a
+
     def test_powerset_identity(self):
         b3 = F.finite_powerset(3)
         w = S.phi_quotient(b3, [1, 2, 4])
@@ -819,6 +850,17 @@ class TestDeltaFromHom:
         back = {e: k for k, e in enumerate(sub)}
         for i, r in enumerate(row):
             assert phi.table[back[r]] == 1 << i
+
+    @pytest.mark.parametrize("name", QUOTIENT_HOSTS)
+    def test_rows_map_to_singletons(self, name):
+        # phi sends row i of the constructed delta map to {i}, on every host
+        # of the pipeline's first steps
+        host, gens, elements, phi = quotient(name)
+        f = S.delta_from_hom(host, phi, elements)
+        coords = F.delta_coords(len(gens) - 1)
+        row = [f.table[i] for i, c in enumerate(coords) if c[1] == F.OMEGA]
+        assert [phi.table[elements.index(r)] for r in row] == [
+            1 << i for i in range(len(gens))]
 
     def test_minimal_two_columns(self):
         b2 = F.finite_powerset(2)

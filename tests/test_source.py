@@ -110,13 +110,15 @@ def _function(tree, qualname):
 PER_PAIR_CALLERS = {
     "semilattice.py": ["is_independent", "find_independent_set", "join_of", "_closure",
                        "subsemilattice_generated", "check_delta_map", "delta_from_hom",
-                       "MapWitness.check_flag", "MapWitness._check", "f_vee"],
+                       "MapWitness.check_flag", "MapWitness._check", "f_vee",
+                       "_phi_table", "_delta_table", "_lift_table"],
     "constructions.py": ["ChainOfDownSets.__post_init__", "ideal_join",
                          "_is_separating_masks", "independent_from_separating",
                          "dichotomy_extract", "_dichotomy_case_grid",
-                         "_triple_class", "ramsey_extract", "_check_ramsey"],
+                         "_triple_class", "ramsey_extract", "_ramsey_fields",
+                         "_check_ramsey", "thm8_pipeline"],
     "families.py": ["grid_join_preserving"],
-    "suites.py": ["_suite_fvee", "_suite_lem2_3"],
+    "suites.py": ["_suite_fvee", "lift_injectivity_criterion", "_suite_lem2_3"],
 }
 
 
@@ -242,6 +244,19 @@ def test_one_evidence_path_per_certificate():
     ramsey = next(node for node in ast.walk(tree)
                   if isinstance(node, ast.FunctionDef) and node.name == "ramsey_extract")
     assert "certify" not in set(_names(ramsey))
+
+
+def test_pipeline_builds_tables_and_checks_once():
+    # thm8_pipeline calls the table cores, not the public steps that certify
+    # their own maps, and its SublatticePattern certificate is its one check
+    tree = ast.parse((SRC / "constructions.py").read_text())
+    pipeline = _function(tree, "thm8_pipeline")
+    checked = {"MapWitness", "phi_quotient", "delta_from_hom", "f_vee",
+               "ramsey_extract", "is_independent", "certify"}
+    assert set(_names(pipeline)) & checked == set()
+    assert sum(map(_calls("_certificate"), ast.walk(pipeline))) == 1
+    assert {"_phi_table", "_delta_table", "_ramsey_fields", "_lift_table"} <= set(
+        _names(pipeline))
 
 
 def _passes_down(node):

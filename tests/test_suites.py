@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import semilattice as S
 from ordercraft import suites as SU
@@ -137,3 +138,45 @@ class TestRunSuite:
         # every injected trial must fail; a pass would be a false pass
         rep = SU.run_suite("lem2_3", 5, seed=3, inject_fault=True)
         assert len(rep.failures) == 5
+
+
+class TestMovedCrossChecks:
+    """Cross-checks the operations no longer run on themselves: the suites
+    hold them, and each fails a trial when its two sides disagree."""
+
+    @pytest.mark.parametrize("source, target, table, injective", [
+        # f injective, and f(1) is not the image of 0, the one element below 1
+        (P.chain(2), P.chain(2), (0, 1), True),
+        # f not injective: the lift of a constant map is constant
+        (P.chain(2), P.chain(2), (0, 0), False),
+        # f injective, but the top of B_2 is the join of the atoms below it
+        (F.finite_powerset(2), F.finite_powerset(2), (0, 1, 2, 3), False),
+    ])
+    def test_lift_criterion_against_the_lift_table(self, source, target, table, injective):
+        f = S.certify(source, target, table, {"meet_preserving"})
+        lift = S.f_vee(f)
+        assert SU.lift_injectivity_criterion(f) is injective
+        assert lift.check_flag("injective") is injective
+        assert ("injective" in lift.certified) is injective
+
+    def test_fvee_fails_a_trial_whose_criterion_disagrees(self, monkeypatch):
+        real = SU.lift_injectivity_criterion
+        assert SU.run_suite("fvee", 20, 3).ok
+        monkeypatch.setattr(SU, "lift_injectivity_criterion", lambda f: not real(f))
+        rep = SU.run_suite("fvee", 20, 3)
+        assert len(rep.failures) == 20
+
+    def test_tm21_fails_a_trial_whose_found_set_is_dependent(self, monkeypatch):
+        real = S.find_independent_set
+
+        def repeated(p, k):
+            # a found set with its first member repeated is never independent
+            got = real(p, k)
+            return None if got is None else [got[0]] * k
+
+        monkeypatch.setattr(S, "find_independent_set", repeated)
+        rep = SU.run_suite("tm21", 30, 3)
+        failed = [bundle for _t, bundle in rep.failures]
+        assert failed and all(b["results"]["search"] for b in failed)
+        # a found singleton is independent, so only k >= 2 trials fail
+        assert {b["k"] for b in failed} <= {2, 3}
