@@ -13,14 +13,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from . import budget as _budget
 from . import downsets as _downsets
 from . import families as _families
 from . import poset as _poset
 from . import semilattice as _semilattice
 from .downsets import DownSet
 from .errors import (
-    BudgetExceeded,
     ConstructionStalled,
     DepthUnreachable,
     IndependenceTooSmall,
@@ -510,41 +508,18 @@ def _triple_class(host: Poset, xs, i, j, k) -> int:
 
 
 def _monochromatic_subset(host: Poset, xs, m: int):
-    """Lexicographically first size-m subset with all triples in one class.
-    Each candidate tried is a node counted against the search budget."""
-    n = len(xs)
-    limit = _budget.limit(_budget.SEARCH_BUDGET)
-    visited = 0
-    chosen: list = []
+    """Lexicographically first size-m subset of indices into xs with all
+    triples in one class, found by poset._first_subset."""
 
-    def cls_ok(c: int) -> bool:
+    def fits(chosen, c) -> bool:
         # the triples inside chosen share one class; each new one must match it
+        if len(chosen) < 3:
+            return True
         want = _triple_class(host, xs, *chosen[:3])
         return all(_triple_class(host, xs, chosen[a], chosen[b], c) == want
                    for a in range(len(chosen)) for b in range(a + 1, len(chosen)))
 
-    def grow(start: int):
-        nonlocal visited
-        if len(chosen) == m:
-            return True
-        for c in range(start, n):
-            if n - c < m - len(chosen):
-                return False
-            visited += 1
-            if visited > limit:
-                raise BudgetExceeded(
-                    f"Ramsey subset search visited more than {limit} nodes")
-            if len(chosen) >= 3 and not cls_ok(c):
-                continue
-            chosen.append(c)
-            if grow(c + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if grow(0):
-        return list(chosen)
-    return None
+    return _poset._first_subset(range(len(xs)), m, fits, "Ramsey subset search")
 
 
 def ramsey_extract(host: Poset, antichain: Sequence[int], m: int) -> Certificate:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from . import budget as _budget
 from . import poset as _poset
-from . import semilattice as _semilattice
 from .errors import BudgetExceeded
 from .poset import Poset
 
@@ -237,32 +236,3 @@ def union_closure(closed, new) -> set:
                     nxt.append(u)
         frontier = nxt
     return out
-
-
-def representation_map(p: Poset, family: DownSetFamily) -> _semilattice.MapWitness:
-    """phi(x) = {J in family : x not in J}, landing in the downset lattice of
-    the family poset. Always order-preserving; certified an order embedding
-    exactly when every x !<= y is separated by some member containing y but
-    not x. When the host is a join-semilattice and the family consists of
-    ideals, phi also preserves joins (an ideal missing x v y misses x or y),
-    and the flag is certified whenever it holds."""
-    target = downset_lattice(family_poset(family))
-    index_of = target.birkhoff()[1]
-    masks = family.masks()
-    table = []
-    for x in range(p.n):
-        fmask = 0
-        for j, m in enumerate(masks):
-            if not (m >> x) & 1:
-                fmask |= 1 << j
-        table.append(index_of[fmask])
-    separated = all(
-        any((masks[j] >> y) & 1 and not (masks[j] >> x) & 1 for j in range(len(masks)))
-        for x in range(p.n) for y in range(p.n)
-        if not p.leq(x, y)
-    )
-    wanted = {"order_preserving", "join_preserving"}
-    if separated:
-        wanted.add("order_embedding")
-        wanted.add("injective")
-    return _semilattice.certify(p, target, table, wanted)

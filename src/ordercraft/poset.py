@@ -657,8 +657,7 @@ def _refine_colors(p: Poset):
         colors, count = [remap[s] for s in sig], len(remap)
 
 
-def _search(pattern: Poset, target: Poset, order, domains, limit: int,
-            joins=None, meets=None):
+def _search(pattern: Poset, target: Poset, order, domains, joins=None, meets=None):
     """First injective order embedding of pattern into target (a list,
     pattern index -> target index), or None.
 
@@ -672,6 +671,7 @@ def _search(pattern: Poset, target: Poset, order, domains, limit: int,
     comes before them and is checked when the later one is assigned. A
     visited node is one domain value tried.
     """
+    limit = _budget.limit(_budget.SEARCH_BUDGET)
     n = len(order)
     if n == 0:
         return []
@@ -738,6 +738,38 @@ def _search(pattern: Poset, target: Poset, order, domains, limit: int,
     return None
 
 
+def _first_subset(items, k: int, fits, what: str):
+    """The lexicographically first k of items (a list or range), in order,
+    such that fits(chosen, x) holds as each x is appended to chosen, or None.
+
+    fits must be hereditary (it holds for every prefix of an answer), so a
+    rejected x is never tried again below the same prefix. A visited node is
+    one item tried; a branch stops once fewer items remain than it still
+    needs.
+    """
+    limit = _budget.limit(_budget.SEARCH_BUDGET)
+    n = len(items)
+    chosen: list = []
+    at: list = []  # at[d]: the index in items of chosen[d]
+    visited = 0
+    i = 0
+    while len(chosen) < k:
+        if n - i < k - len(chosen):
+            if not chosen:
+                return None
+            chosen.pop()
+            i = at.pop() + 1
+            continue
+        visited += 1
+        if visited > limit:
+            raise BudgetExceeded(f"{what} visited more than {limit} nodes")
+        if fits(chosen, items[i]):
+            chosen.append(items[i])
+            at.append(i)
+        i += 1
+    return chosen
+
+
 def is_isomorphic(a: Poset, b: Poset):
     """Order-isomorphism witness (list: a-index -> b-index) or None.
 
@@ -747,7 +779,6 @@ def is_isomorphic(a: Poset, b: Poset):
     """
     if a.n != b.n:
         return None
-    limit = _budget.limit(_budget.SEARCH_BUDGET)
     ca, cb = _refine_colors(a), _refine_colors(b)
     if sorted(ca) != sorted(cb):
         return None
@@ -757,7 +788,7 @@ def is_isomorphic(a: Poset, b: Poset):
     domains = [classes[c] for c in ca]
     sizes = [d.bit_count() for d in domains]
     # a stable sort by class size keeps index order within a size
-    return _search(a, b, sorted(range(a.n), key=sizes.__getitem__), domains, limit)
+    return _search(a, b, sorted(range(a.n), key=sizes.__getitem__), domains)
 
 
 # -- validation ---------------------------------------------------------------

@@ -8,11 +8,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import budget as _budget
+from . import downsets as _downsets
 from . import families as _families
 from . import poset as _poset
 from .errors import (
-    BudgetExceeded,
     BaseHypothesisViolated,
     NoLeastElement,
     NotDistributive,
@@ -223,35 +222,14 @@ def find_independent_set(p: Poset, k: int):
     if k == 1:
         # every singleton is vacuously independent (no non-empty F exists)
         return [0] if p.n else None
-    limit = _budget.limit(_budget.SEARCH_BUDGET)
-    cands = _join_irreducibles_no_zero(p)
-    visited = 0
 
-    def ok(xs) -> bool:
-        for idx, x in enumerate(xs):
-            if p.leq(x, join_of(p, xs[:idx] + xs[idx + 1:])):
-                return False
-        return True
+    def fits(chosen, x) -> bool:
+        xs = chosen + [x]
+        return not chosen or not any(p.leq(y, join_of(p, xs[:i] + xs[i + 1:]))
+                                     for i, y in enumerate(xs))
 
-    chosen: list = []
-
-    def grow(start: int):
-        nonlocal visited
-        if len(chosen) == k:
-            return True
-        for ci in range(start, len(cands)):
-            visited += 1
-            if visited > limit:
-                raise BudgetExceeded("independent-set search budget exhausted")
-            chosen.append(cands[ci])
-            if (len(chosen) == 1 or ok(chosen)) and grow(ci + 1):
-                return True
-            chosen.pop()
-        return False
-
-    if grow(0):
-        return list(chosen)
-    return None
+    return _poset._first_subset(_join_irreducibles_no_zero(p), k, fits,
+                                "independent-set search")
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +359,35 @@ def certify(source: Poset, target: Poset, table, wanted) -> MapWitness:
     return probe
 
 
+def representation_map(p: Poset, family: _downsets.DownSetFamily) -> MapWitness:
+    """phi(x) = {J in family : x not in J}, landing in the downset lattice of
+    the family poset. Always order-preserving; certified an order embedding
+    exactly when every x !<= y is separated by some member containing y but
+    not x. When the host is a join-semilattice and the family consists of
+    ideals, phi also preserves joins (an ideal missing x v y misses x or y),
+    and the flag is certified whenever it holds."""
+    target = _downsets.downset_lattice(_downsets.family_poset(family))
+    index_of = target.birkhoff()[1]
+    masks = family.masks()
+    table = []
+    for x in range(p.n):
+        fmask = 0
+        for j, m in enumerate(masks):
+            if not (m >> x) & 1:
+                fmask |= 1 << j
+        table.append(index_of[fmask])
+    separated = all(
+        any((masks[j] >> y) & 1 and not (masks[j] >> x) & 1 for j in range(len(masks)))
+        for x in range(p.n) for y in range(p.n)
+        if not p.leq(x, y)
+    )
+    wanted = {"order_preserving", "join_preserving"}
+    if separated:
+        wanted.add("order_embedding")
+        wanted.add("injective")
+    return certify(p, target, table, wanted)
+
+
 # ---------------------------------------------------------------------------
 # embedding search
 
@@ -407,7 +414,6 @@ def embedding_search(pattern: Poset, target: Poset,
         if _gap(pattern, upward=False) or _gap(target, upward=False):
             raise StructureMismatch("meet mode needs meet-semilattices on both sides")
 
-    limit = _budget.limit(_budget.SEARCH_BUDGET)
     heights = pattern.heights()
     # a stable sort by height keeps index order within a height
     order = sorted(range(pattern.n), key=heights.__getitem__)
@@ -422,7 +428,7 @@ def embedding_search(pattern: Poset, target: Poset,
     for pu, pd in zip(pattern.up, pattern.down):
         nu, nd = pu.bit_count(), pd.bit_count()
         domains.append(sum(1 << v for v, (u, d) in enumerate(cones) if u >= nu and d >= nd))
-    table = _poset._search(pattern, target, order, domains, limit, joins, meets)
+    table = _poset._search(pattern, target, order, domains, joins, meets)
     if table is None:
         return None
     flags = {"injective", "order_embedding", "order_preserving"}
@@ -593,7 +599,6 @@ def f_vee(f: MapWitness) -> MapWitness:
     rep = structure_report(f.target)
     if not rep.is_lattice or not rep.is_distributive:
         raise NotDistributive("target must be a distributive lattice")
-    from . import downsets as _downsets
     masks, i0 = _downsets.nonempty_downset_lattice(f.source)
     table = _lift_table(f.target, f.table, masks)
     flags = {"lattice_hom", "order_preserving", "join_preserving", "meet_preserving"}

@@ -22,10 +22,6 @@ from . import semilattice as _semilattice
 from .errors import BudgetExceeded, UnknownSuite
 from .poset import Poset
 
-SUITES = ("tm21", "irr_eq", "sum_prod", "ideal_principal", "lem2_3",
-          "fvee", "thm8_pipe", "separating", "structure", "width", "tables")
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     suite: str
@@ -347,25 +343,17 @@ def _random_meet_semilattice(rng: Random, max_n: int) -> Poset:
     return _downsets.downset_lattice(q)
 
 
-def _suite_lem2_3(rng: Random, max_n: int, inject_fault: bool = False):
-    if inject_fault:
-        # self-test of the reporting pipeline: a descending row violates the
-        # order conditions, so asserting them must surface a failure bundle
-        host = _poset.chain(4)
-        row = [3, 2, 1]
-    else:
-        host = _random_meet_semilattice(rng, max_n)
-        cols = rng.randint(3, 5)
-        row = [rng.randrange(host.n) for _ in range(cols)]
+def _suite_lem2_3(rng: Random, max_n: int):
+    host = _random_meet_semilattice(rng, max_n)
+    cols = rng.randint(3, 5)
+    row = [rng.randrange(host.n) for _ in range(cols)]
     coords = _families.delta_coords(len(row) - 1)
     table = [row[i] if j == _families.OMEGA else host.meet(row[i], row[j])
              for (i, j) in coords]
     bundle = {"host": host, "row": row}
     report = _semilattice.check_delta_map(host, table)
     ok = report.all_equivalent
-    if inject_fault:
-        ok = ok and report.conditions_hold
-    elif report.conditions_hold:
+    if report.conditions_hold:
         ok = ok and report.injective == (report.cond_a and report.cond_b)
     bundle["conditions"] = report.conditions
     return ok, bundle
@@ -501,6 +489,7 @@ _SUITE_FUNCS = {
     "width": (_suite_width, 12),
     "tables": (_suite_tables, 6),
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def _bundle_json(bundle: dict) -> dict:
@@ -510,29 +499,22 @@ def _bundle_json(bundle: dict) -> dict:
 
 
 def run_suite(name: str, trials: int, seed: int,
-              max_n: Optional[int] = None,
-              inject_fault: bool = False) -> SuiteReport:
+              max_n: Optional[int] = None) -> SuiteReport:
     """Run one suite; deterministic given (name, trials, seed, max_n).
 
-    inject_fault plants a known violation (lem2_3 only) so the failure
-    reporting path can be exercised deliberately. A trial that raises is a
-    failure whose bundle holds the error's type and message.
+    A trial that raises is a failure whose bundle holds the error's type
+    and message.
     """
     if name not in _SUITE_FUNCS:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITES}")
     func, default_n = _SUITE_FUNCS[name]
-    if inject_fault and name != "lem2_3":
-        raise UnknownSuite("fault injection is only defined for lem2_3")
     bound = max_n if max_n is not None else default_n
     failures = []
     started = time.monotonic()
     for trial in range(trials):
         rng = Random(seed * 1_000_003 + trial)
         try:
-            if inject_fault:
-                ok, bundle = func(rng, bound, inject_fault=True)
-            else:
-                ok, bundle = func(rng, bound)
+            ok, bundle = func(rng, bound)
         except Exception as exc:  # a raising trial fails; the run goes on
             ok = False
             bundle = {"error": {"type": type(exc).__name__, "message": str(exc)}}

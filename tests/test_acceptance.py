@@ -223,7 +223,7 @@ def test_criterion_09_pipeline_end_to_end():
     _announce(9, "pipeline certificates re-verify on delta(4), gamma(4), B_6")
 
 
-def test_criterion_10_lem2_3_suite():
+def test_criterion_10_lem2_3_suite(monkeypatch, planted_lem2_3):
     report = SU.run_suite("lem2_3", 100, seed=42)
     assert report.failures == ()
 
@@ -238,7 +238,8 @@ def test_criterion_10_lem2_3_suite():
     rep = S.check_delta_map(host, table)
     assert rep.all_equivalent and not rep.conditions_hold
     assert all(v is False for v in rep.conditions.values())
-    injected = SU.run_suite("lem2_3", 3, seed=42, inject_fault=True)
+    monkeypatch.setitem(SU._SUITE_FUNCS, "lem2_3", (planted_lem2_3, 4))
+    injected = SU.run_suite("lem2_3", 3, seed=42)
     assert len(injected.failures) == 3  # every planted violation is caught
     _announce(10, "delta-map conditions share one truth value; "
                   "injectivity criterion exact; faults caught")

@@ -4,6 +4,7 @@ and the end-to-end pipeline with certificate re-verification."""
 import itertools
 import json
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -288,6 +289,19 @@ class TestRamsey:
             C.ramsey_extract(b5, pairs, 5)
         # a subset found in fewer nodes is unchanged
         assert C.ramsey_extract(b5, pairs, 3).payload["subset"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_subset_search_is_the_first_monochromatic_combination(self, seed):
+        # the lexicographically first m-subset of positions whose triples
+        # all share one class, found here by listing every combination
+        rng = Random(seed)
+        host = D.downset_lattice(SU.random_poset(rng.randint(3, 6), rng.random() / 2, seed))
+        xs = rng.sample(range(host.n), min(host.n, rng.randint(5, 10)))
+        for m in (2, 3, 4, 5):
+            first = next((list(c) for c in itertools.combinations(range(len(xs)), m)
+                          if len({C._triple_class(host, xs, *t)
+                                  for t in itertools.combinations(c, 3)}) <= 1), None)
+            assert C._monochromatic_subset(host, xs, m) == first, (xs, m)
 
     def test_class_invariant_under_meet_fixing_permutations(self):
         # permutations under which pairwise meets are literally unchanged

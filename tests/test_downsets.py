@@ -342,24 +342,24 @@ def meet_irreducible_ideals(p):
 class TestRepresentationMap:
     def test_chain_with_all_ideals_embeds(self):
         p = P.chain(2)
-        w = D.representation_map(p, D.enumerate_ideals(p))
+        w = S.representation_map(p, D.enumerate_ideals(p))
         assert "order_embedding" in w.certified
 
     def test_empty_family_constant(self):
         p = P.chain(3)
-        w = D.representation_map(p, D.DownSetFamily(p, (), "custom"))
+        w = S.representation_map(p, D.DownSetFamily(p, (), "custom"))
         assert len(set(w.table)) == 1
         assert "order_embedding" not in w.certified
 
     def test_antichain_with_singletons(self):
         p = P.antichain(2)
-        w = D.representation_map(p, D.enumerate_ideals(p))
+        w = S.representation_map(p, D.enumerate_ideals(p))
         assert "order_embedding" in w.certified
         assert w.table[0] != w.table[1]
 
     @given(random_posets(max_n=5))
     def test_always_order_preserving(self, p):
-        w = D.representation_map(p, D.enumerate_ideals(p))
+        w = S.representation_map(p, D.enumerate_ideals(p))
         assert w.check_flag("order_preserving")
 
     @settings(max_examples=25, deadline=None)
@@ -369,7 +369,7 @@ class TestRepresentationMap:
         # its completely meet-irreducible ideal family, preserving joins
         lat = D.downset_lattice(p)
         fam = meet_irreducible_ideals(lat)
-        w = D.representation_map(lat, fam)
+        w = S.representation_map(lat, fam)
         assert "order_embedding" in w.certified
         assert "join_preserving" in w.certified
 
@@ -381,7 +381,7 @@ class TestRepresentationMap:
         fam = meet_irreducible_ideals(host)
         for d in fam.sets:
             assert d.is_ideal()
-        w = D.representation_map(host, fam)
+        w = S.representation_map(host, fam)
         assert "join_preserving" in w.certified
         assert "order_embedding" not in w.certified
 

@@ -133,6 +133,19 @@ class TestGrid:
             for (a, b) in coords:
                 assert jt[idx[(i, j)]][idx[(a, b)]] == idx[(min(i, a), max(j, b))]
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cone_built_join_is_coordinatewise(self, n):
+        # the grid's join comes from its cones; it must be (min i, max j)
+        coords = F.grid_coords(n)
+        assert F.grid_join_preserving(F.omega_star_grid(n), coords, range(len(coords)))
+
+    def test_join_law_check_sees_a_misplaced_cell(self):
+        # (0,1) and the top (0,2) swapped: the images of (0,1) and (1,2)
+        # join to the top, but the law asks for the image of (0,2), now (0,1)
+        grid, coords = F.omega_star_grid(2), F.grid_coords(2)
+        assert coords == [(0, 1), (0, 2), (1, 2)]
+        assert not F.grid_join_preserving(grid, coords, [1, 0, 2])
+
     def test_no_bottom_then_bottom(self):
         assert F.omega_star_grid(3).bottom() is None
         withbot = F.generate(F.FamilySpec("omega_star_grid", {"n": 3}, with_bottom=True))
@@ -464,6 +477,46 @@ class TestLatticeSierp:
     def test_rejects_zero(self):
         with pytest.raises(UnsupportedOrdinal):
             F.lattice_sierp("0", 3)
+
+    @staticmethod
+    def cells(alpha, n):
+        """The window's cells (i, column) in element order: every column
+        below a finite alpha', else the staircase over ordinals_below."""
+        alpha = F.OrdinalCNF.parse(alpha)
+        if alpha.is_finite:
+            cells = [(i, (a,)) for i in range(n) for a in range(alpha.coeffs[0])]
+        else:
+            cols = F.ordinals_below(alpha, n)
+            cells = [(i, cols[j]) for i in range(n) for j in range(i + 1)]
+        return sorted(cells, key=lambda c: (c[0], F._cnf_key(c[1])))
+
+    @staticmethod
+    def joins_by_coordinates(host, cells) -> bool:
+        """Whether every join in host is the cell (max i, max column by
+        _cnf_key), and that cell is in the window."""
+        idx = {c: k for k, c in enumerate(cells)}
+        for a in cells:
+            for b in cells:
+                want = (max(a[0], b[0]), max(a[1], b[1], key=F._cnf_key))
+                if want not in idx or host.join(idx[a], idx[b]) != idx[want]:
+                    return False
+        return True
+
+    @pytest.mark.parametrize("alpha", ["2", "3", "0,1", "1,1", "0,0,1"])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_cone_built_join_is_coordinatewise(self, alpha, n):
+        ls, cells = F.lattice_sierp(alpha, n), self.cells(alpha, n)
+        assert [ls.label(k) for k in range(ls.n)] == [
+            f"({i},{F.OrdinalCNF(a) if len(a) > 1 else a[0]})" for (i, a) in cells]
+        assert self.joins_by_coordinates(ls, cells)
+
+    def test_join_law_check_sees_a_dropped_cell(self):
+        # without (1,1), the join of (1,0) and (0,1) in chain 4 x chain 2 is
+        # (2,1), not a cell the formula can name
+        ls, cells = F.lattice_sierp("2", 4), self.cells("2", 4)
+        keep = [k for k, c in enumerate(cells) if c != (1, (1,))]
+        assert len(keep) == len(cells) - 1
+        assert not self.joins_by_coordinates(P.induced(ls, keep), [cells[k] for k in keep])
 
 
 class TestSAlpha:

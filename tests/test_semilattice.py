@@ -2,6 +2,7 @@
 certified-map machinery."""
 
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -279,11 +280,27 @@ class TestIndependence:
         found = S.find_independent_set(grid, k)
         assert (found is not None) == oracle == (k <= 2)
         assert found is None or S.is_independent(grid, found)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_search_is_the_first_independent_combination(self, seed):
+        # the lexicographically first k-subset of the zero-free irreducibles,
+        # in list order, that the exhaustive definition accepts
+        rng = Random(seed)
+        hosts = (SU.random_join_semilattice(rng.randint(1, 12), seed),
+                 D.downset_lattice(SU.random_poset(rng.randint(1, 5), rng.random(), seed)))
+        for p in hosts:
+            irr = S._join_irreducibles_no_zero(p)
+            for k in (2, 3, 4):
+                first = next((list(c) for c in itertools.combinations(irr, k)
+                              if S.is_independent(p, c)), None)
+                assert S.find_independent_set(p, k) == first, (p.n, k)
+
     def test_budget(self, monkeypatch):
         from ordercraft.errors import BudgetExceeded
         b3, b4, b6 = (F.finite_powerset(n) for n in (3, 4, 6))
         monkeypatch.setenv("OC_BUDGET", "3")
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded,
+                           match="^independent-set search visited more than 3 nodes$"):
             S.find_independent_set(b6, 6)
         with pytest.raises(BudgetExceeded):
             S.embedding_search(b3, b4, "order")
@@ -631,7 +648,7 @@ class TestWitnessSelfAudit:
             witnesses.append(S.embedding_search(b2, b3, mode))
         base = F.delta(2)
         lat = D.downset_lattice(base)
-        witnesses.append(D.representation_map(base, D.enumerate_ideals(base)))
+        witnesses.append(S.representation_map(base, D.enumerate_ideals(base)))
         gens = S.find_independent_set(lat, 3)
         phi = S.phi_quotient(lat, gens)
         witnesses.append(phi)

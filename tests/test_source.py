@@ -289,6 +289,58 @@ def test_one_search_core_for_embeddings_and_isomorphism():
         assert "_search" in set(_names(fn)), name
 
 
+def test_search_budget_read_by_the_search_cores_only():
+    # each search core reads its own node budget, so its callers pass none:
+    # the matching kernel, the embedding core, the subset core and the
+    # width oracle; and only the oracle keeps a nested recursive search
+    def reads_budget(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "SEARCH_BUDGET"
+                or isinstance(node, ast.Name) and node.id == "SEARCH_BUDGET")
+
+    def nested_recursion(node):
+        # a function defined inside another that calls itself
+        return any(isinstance(inner, ast.FunctionDef) and inner is not node
+                   and any(map(_calls(inner.name), ast.walk(inner)))
+                   for inner in ast.walk(node))
+
+    readers, nested = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "budget.py" and (held := _holders(tree, reads_budget)):
+            readers[path.name] = held
+        nested += [f"{path.name}:{fn.name}" for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and nested_recursion(fn)]
+    assert readers == {"poset.py": ["_first_subset", "_search", "width"],
+                       "suites.py": ["width_oracle"]}
+    assert nested == ["suites.py:width_oracle"]
+    for module, name in (("semilattice.py", "find_independent_set"),
+                         ("constructions.py", "_monochromatic_subset")):
+        tree = ast.parse((SRC / module).read_text())
+        assert "_first_subset" in set(_names(_function(tree, name))), name
+
+
+def test_package_imports_form_no_cycle():
+    # every package import sits at module level, and the modules import
+    # each other in one order, so none leans on a function-local import
+    graph, local = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[path.stem].update([node.module] if node.module
+                                        else (alias.name for alias in node.names))
+                if node not in tree.body:
+                    local.append(f"{path.name}:{node.lineno}")
+    assert local == []
+    done = set()
+    while graph.keys() - done:
+        ready = {m for m in graph.keys() - done if graph[m] <= done}
+        assert ready, sorted(graph.keys() - done)
+        done |= ready
+    assert "semilattice" not in graph["downsets"]
+
+
 # where each label-taking function takes its labels, by position
 LABEL_ARGS = {"Poset": 2, "relabel": 0, "build": 3, "induced": 2,
               "inclusion_order": 1, "set_lattice": 2}

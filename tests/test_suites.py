@@ -76,10 +76,10 @@ class TestRunSuite:
         data = rep.to_json_dict()
         assert data["suite"] == "irr_eq" and data["trials"] == 5
 
-    def test_fault_injection_reports_one_failure_with_bundle(self):
-        from ordercraft import families as F
-        from ordercraft.errors import UnknownSuite
-        rep = SU.run_suite("lem2_3", 1, seed=9, inject_fault=True)
+    def test_fault_injection_reports_one_failure_with_bundle(self, monkeypatch,
+                                                             planted_lem2_3):
+        monkeypatch.setitem(SU._SUITE_FUNCS, "lem2_3", (planted_lem2_3, 4))
+        rep = SU.run_suite("lem2_3", 1, seed=9)
         assert len(rep.failures) == 1
         _trial, bundle = rep.failures[0]
         # the bundle round-trips: re-running the bundled inputs reproduces
@@ -94,8 +94,6 @@ class TestRunSuite:
         again = S.check_delta_map(host, table)
         assert not again.conditions_hold and again.all_equivalent
         assert again.conditions == bundle["conditions"]
-        with pytest.raises(UnknownSuite):
-            SU.run_suite("tm21", 1, seed=0, inject_fault=True)
 
     def test_raising_trial_becomes_a_failure(self, monkeypatch):
         calls = []
@@ -134,9 +132,10 @@ class TestRunSuite:
         ok, bundle = SU._suite_lem2_3(Random(3), 4)
         assert ok and callable(bundle["host"]._labels)
 
-    def test_no_false_passes_under_injection(self):
+    def test_no_false_passes_under_injection(self, monkeypatch, planted_lem2_3):
         # every injected trial must fail; a pass would be a false pass
-        rep = SU.run_suite("lem2_3", 5, seed=3, inject_fault=True)
+        monkeypatch.setitem(SU._SUITE_FUNCS, "lem2_3", (planted_lem2_3, 4))
+        rep = SU.run_suite("lem2_3", 5, seed=3)
         assert len(rep.failures) == 5
 
 
