@@ -683,8 +683,7 @@ def thm8_pipeline(t: Poset, k: int) -> Certificate:
     checker verify_certificate runs, is the one check of their maps."""
     if k < 4:
         raise IndependenceTooSmall("pipeline needs k >= 4")
-    rep = _semilattice.structure_report(t)
-    if not rep.is_lattice or not rep.is_distributive:
+    if t.birkhoff() is None:
         raise NotDistributive("host must be a distributive lattice")
     independents = _semilattice.find_independent_set(t, k)
     if independents is None:

@@ -28,7 +28,7 @@ class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
     __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
-                 "_gaps", "_report", "_linext", "_birkhoff", "_few_covers", "_nonempty")
+                 "_gaps", "_linext", "_birkhoff", "_few_covers", "_nonempty")
 
     def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
         # `up` is trusted to be irreflexive and transitive (build() validates);
@@ -56,7 +56,6 @@ class Poset:
         self._join = None
         self._meet = None
         self._gaps = None  # semilattice._gap fills it
-        self._report = None  # semilattice.structure_report fills it
         self._linext = None
         self._birkhoff = None  # birkhoff() or set_lattice fills it: (coords, index) or False
         self._few_covers = None  # at_most_one_cover fills it, by direction
@@ -159,26 +158,15 @@ class Poset:
         return None
 
     def linear_extension(self):
-        """Repeated removal of the smallest-index minimal element: Kahn's
-        algorithm over the covers, with a min-heap of the minimal elements
-        left. The removed elements always form a downset, so an element is
-        minimal among the rest once its lower covers are removed."""
+        """Repeated removal of the smallest-index minimal element: _kahn over
+        the upper-cover masks. The removed elements always form a downset, so
+        an element is minimal among the rest once its lower covers are
+        removed."""
         if self._linext is None:
-            above = [[] for _ in range(self.n)]
-            lower = [0] * self.n
+            upper = [0] * self.n
             for a, b in self.cover_pairs():
-                above[a].append(b)
-                lower[b] += 1
-            heap = [i for i in range(self.n) if not lower[i]]  # sorted: a heap
-            out = []
-            while heap:
-                i = heapq.heappop(heap)
-                out.append(i)
-                for j in above[i]:
-                    lower[j] -= 1
-                    if not lower[j]:
-                        heapq.heappush(heap, j)
-            self._linext = tuple(out)
+                upper[a] |= 1 << b
+            self._linext = tuple(_kahn(upper))
         return list(self._linext)
 
     def heights(self):
@@ -225,7 +213,7 @@ class Poset:
                 seen |= low
                 visited += 1
                 if visited > limit:
-                    raise BudgetExceeded("antichain search budget exhausted")
+                    raise BudgetExceeded(f"antichain search visited more than {limit} nodes")
                 j = low.bit_length() - 1
                 rights.append(j)
                 if owner[j] < 0:
@@ -288,6 +276,8 @@ class Poset:
         row is one itemgetter gather, a tuple (rows are gathered only when
         n >= 2, so never a scalar)."""
         n, coords = self.n, self.birkhoff()[0]
+        if n == 0:
+            return ()  # no row to start from
         ident = list(range(n))
         steps = {}
         source = [0] * n   # row -> the row it is mapped from
@@ -312,7 +302,8 @@ class Poset:
 
     def birkhoff(self):
         """Birkhoff coordinates (coords, index) when this is a distributive
-        lattice, else None; computed once per Poset.
+        lattice, else None; computed once per Poset. The empty poset has
+        coordinates ((), {}). This is the package's one distributivity test.
 
         A finite distributive lattice is the lattice of downsets of its
         join-irreducibles J, the elements with exactly one lower cover,
@@ -371,7 +362,8 @@ def _birkhoff_coordinates(p: Poset):
     j_mask = sum(1 << x for x in at_most_one_cover(p) if down[x])
     coords = tuple([(d | 1 << x) & j_mask for x, d in enumerate(down)])
     index = {c: x for x, c in enumerate(coords)}
-    if len(index) != n or 0 not in index:
+    # the empty poset, on which every lattice law holds vacuously, has no 0
+    if len(index) != n or n and 0 not in index:
         return None
     # c(x) + {j} is a downset of J when c(x) & (strict down(j) + j) is
     # exactly strict down(j)
@@ -417,9 +409,10 @@ def set_labels(masks) -> list:
 
 
 def _kahn(succ: list) -> list:
-    """A topological order of the relation given by successor masks (Kahn);
-    leftovers mean a cycle. The bit loops stay inline: a bits() generator
-    here cost +27% per build."""
+    """The topological order of the relation given by successor masks that
+    always takes the smallest-index element left with no predecessor (Kahn,
+    with a min-heap); leftovers mean a cycle. The bit loops stay inline: a
+    bits() generator here cost +27% per build."""
     n = len(succ)
     indeg = [0] * n
     for a in range(n):
@@ -428,10 +421,10 @@ def _kahn(succ: list) -> list:
             low = m & -m
             indeg[low.bit_length() - 1] += 1
             m ^= low
-    stack = [i for i in range(n) if indeg[i] == 0]
+    heap = [i for i in range(n) if indeg[i] == 0]  # sorted: a heap
     topo = []
-    while stack:
-        v = stack.pop()
+    while heap:
+        v = heapq.heappop(heap)
         topo.append(v)
         m = succ[v]
         while m:
@@ -439,7 +432,7 @@ def _kahn(succ: list) -> list:
             w = low.bit_length() - 1
             indeg[w] -= 1
             if indeg[w] == 0:
-                stack.append(w)
+                heapq.heappush(heap, w)
             m ^= low
     if len(topo) != n:
         raise CyclicRelation("relation contains a directed cycle")
@@ -714,7 +707,7 @@ def _search(pattern: Poset, target: Poset, order, domains, joins=None, meets=Non
         v = low.bit_length() - 1
         visited += 1
         if visited > limit:
-            raise BudgetExceeded("embedding search budget exhausted")
+            raise BudgetExceeded(f"embedding search visited more than {limit} nodes")
         if checked[k] and any(tm[v][vals[k2]] != vals[k3] for k2, k3 in checked[k]):
             continue
         vals[k] = v

@@ -40,28 +40,26 @@ class StructureReport:
 def structure_report(p: Poset) -> StructureReport:
     """A poset with Birkhoff coordinates (Poset.birkhoff) is a distributive,
     hence modular, lattice, and needs no table. Otherwise join/meet
-    existence comes from the tables and, for lattices, distributivity and
-    modularity from :func:`_lattice_laws`. Computed once per Poset and
-    cached on it."""
-    if p._report is None:
-        if p.birkhoff() is not None:
-            p._report = StructureReport(True, True, True, True, True)
-        else:
-            has_join = _gap(p, upward=True) is None
-            has_meet = _gap(p, upward=False) is None
-            is_lattice = has_join and has_meet
-            laws = (_lattice_laws(p, p.join_table(), p.meet_table())
-                    if is_lattice else (None, None))
-            p._report = StructureReport(has_join, has_meet, is_lattice, *laws)
-    return p._report
+    existence comes from the tables and, for lattices, modularity from
+    :func:`_lattice_laws`. Not cached: the kernel tests distributivity with
+    Poset.birkhoff, so only analyze, the structure suite and the bench ask
+    for a report."""
+    if p.birkhoff() is not None:
+        return StructureReport(True, True, True, True, True)
+    has_join = _gap(p, upward=True) is None
+    has_meet = _gap(p, upward=False) is None
+    is_lattice = has_join and has_meet
+    laws = (_lattice_laws(p, p.join_table(), p.meet_table())
+            if is_lattice else (None, None))
+    return StructureReport(has_join, has_meet, is_lattice, *laws)
 
 
 def _lattice_laws(p: Poset, jt, mt):
     """(distributive, modular) for a finite lattice p without Birkhoff
     coordinates, from its covers.
 
-    Distributive: Poset.birkhoff finds coordinates on every finite
-    distributive lattice but the empty one, so only the empty lattice is.
+    Distributive: never. Poset.birkhoff finds coordinates on every finite
+    distributive lattice, the empty poset included.
 
     Modular: a lattice of finite length is modular iff it is upper
     semimodular (distinct upper covers a, b of some x have a v b covering
@@ -73,7 +71,7 @@ def _lattice_laws(p: Poset, jt, mt):
     for a, b in p.cover_pairs():
         upper[a] |= 1 << b
         lower[b] |= 1 << a
-    return p.n == 0, _semimodular(upper, jt) and _semimodular(lower, mt)
+    return False, _semimodular(upper, jt) and _semimodular(lower, mt)
 
 
 def _semimodular(covers, table) -> bool:
@@ -499,8 +497,7 @@ def phi_quotient(t: Poset, independents: Sequence[int]) -> MapWitness:
     """
     if len(independents) < 2:
         raise ValueError("need an independent set of size >= 2")
-    rep = structure_report(t)
-    if not rep.is_lattice or not rep.is_distributive:
+    if t.birkhoff() is None:
         raise NotDistributive("host must be a distributive lattice")
     if not is_independent(t, independents):
         raise NotIndependent(f"{list(independents)} is not independent")
@@ -596,8 +593,7 @@ def f_vee(f: MapWitness) -> MapWitness:
     """
     if "meet_preserving" not in f.certified or not f.check_flag("meet_preserving"):
         raise NotMeetPreserving("f must be certified meet-preserving")
-    rep = structure_report(f.target)
-    if not rep.is_lattice or not rep.is_distributive:
+    if f.target.birkhoff() is None:
         raise NotDistributive("target must be a distributive lattice")
     masks, i0 = _downsets.nonempty_downset_lattice(f.source)
     table = _lift_table(f.target, f.table, masks)

@@ -50,16 +50,6 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # random generators
 
-# when set to a list, every poset the suites generate is appended to it, so
-# umbrella checks (ideals-are-principal over everything touched) can replay
-POSET_LOG = None
-
-
-def _log(p: Poset) -> Poset:
-    if POSET_LOG is not None:
-        POSET_LOG.append(p)
-    return p
-
 
 def random_poset(n: int, p: float, seed: int) -> Poset:
     """Random forward relation on 0..n-1 with edge density p, closed
@@ -69,7 +59,7 @@ def random_poset(n: int, p: float, seed: int) -> Poset:
     rng = Random(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if rng.random() < p]
-    return _log(_poset.build(n, "leq", pairs))
+    return _poset.build(n, "leq", pairs)
 
 
 def random_join_semilattice(n: int, seed: int) -> Poset:
@@ -91,7 +81,7 @@ def random_join_semilattice(n: int, seed: int) -> Poset:
         if len(family) == n:
             break
     masks = sorted(family, key=lambda m: (m.bit_count(), m))
-    return _log(_poset.inclusion_order(masks, [format(m, "b") for m in masks]))
+    return _poset.inclusion_order(masks, [format(m, "b") for m in masks])
 
 
 def small_lattices():
@@ -132,10 +122,10 @@ def random_lattice(rng: Random, max_n: int):
         left = rng.choice(named + [_poset.chain(rng.randint(2, 3))])
         q = random_poset(rng.randint(1, 3), rng.random(), rng.randrange(1 << 30))
         right = rng.choice(named + [_downsets.downset_lattice(q)])
-        return kind, _log(_poset.direct_product(left, right))
+        return kind, _poset.direct_product(left, right)
     for _attempt in range(8):
         q = random_poset(rng.randint(1, max_n), rng.random(), rng.randrange(1 << 30))
-        out = _log(_add_bounds(q))
+        out = _add_bounds(q)
         if _has_all(out.join_table()) and _has_all(out.meet_table()):
             break
     return kind, out
@@ -193,7 +183,7 @@ def width_oracle(p: Poset) -> int:
         nonlocal best, visited
         visited += 1
         if visited > limit:
-            raise BudgetExceeded("antichain search budget exhausted")
+            raise BudgetExceeded(f"antichain search visited more than {limit} nodes")
         best = max(best, size)
         if size + (p.n - idx) <= best:
             return
@@ -318,7 +308,7 @@ def _suite_sum_prod(rng: Random, max_n: int):
     bundle = {"a": a, "b": b}
     la = _downsets.downset_lattice(a)
     lb = _downsets.downset_lattice(b)
-    lsum = _downsets.downset_lattice(_log(_poset.direct_sum(a, b)))
+    lsum = _downsets.downset_lattice(_poset.direct_sum(a, b))
     count_ok = lsum.n == la.n * lb.n
     witness = _poset.is_isomorphic(lsum, _poset.direct_product(la, lb))
     bundle["counts"] = [lsum.n, la.n, lb.n]
@@ -466,7 +456,7 @@ def _suite_tables(rng: Random, max_n: int):
     else:
         p = random_poset(rng.randint(1, 2 * max_n), rng.random(), rng.randrange(1 << 30))
         if kind == "bounded":
-            p = _log(_add_bounds(p))
+            p = _add_bounds(p)
     dual = rng.random() < 0.5
     if dual:
         p = _poset.dual(p)

@@ -19,8 +19,6 @@ from ordercraft import suites as SU
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-_collected_posets = []
-
 
 def _announce(num, name):
     # bypass capture so the criterion lines always reach the terminal
@@ -29,11 +27,7 @@ def _announce(num, name):
 
 def test_criterion_01_tm21_suite():
     started = time.monotonic()
-    SU.POSET_LOG = _collected_posets
-    try:
-        report = SU.run_suite("tm21", 300, seed=42, max_n=10)
-    finally:
-        SU.POSET_LOG = None
+    report = SU.run_suite("tm21", 300, seed=42, max_n=10)
     elapsed = time.monotonic() - started
     assert report.failures == ()
     assert elapsed < 60.0, f"tm21 took {elapsed:.1f}s"
@@ -41,34 +35,43 @@ def test_criterion_01_tm21_suite():
 
 
 def test_criterion_02_irr_eq_suite():
-    SU.POSET_LOG = _collected_posets
-    try:
-        report = SU.run_suite("irr_eq", 200, seed=42, max_n=7)
-    finally:
-        SU.POSET_LOG = None
+    report = SU.run_suite("irr_eq", 200, seed=42, max_n=7)
     assert report.failures == ()
     _announce(2, "irreducibles = primes = principal downsets, 200 trials")
 
 
 def test_criterion_03_sum_prod_suite():
-    SU.POSET_LOG = _collected_posets
-    try:
-        report = SU.run_suite("sum_prod", 200, seed=42, max_n=5)
-    finally:
-        SU.POSET_LOG = None
+    report = SU.run_suite("sum_prod", 200, seed=42, max_n=5)
     assert report.failures == ()
     _announce(3, "downset lattice of a sum is the product, 200 trials")
 
 
-def test_criterion_04_ideals_principal_everywhere():
-    # runs after 1-3: every poset they generated is re-checked here
-    assert _collected_posets, "criteria 1-3 must run first"
-    for p in _collected_posets:
+def test_criterion_04_ideals_principal_everywhere(monkeypatch):
+    # re-runs the suites of criteria 1-3 and re-checks every poset their
+    # random generators and direct sums made
+    collected = []
+
+    def collecting(make):
+        def wrapper(*args):
+            collected.append(make(*args))
+            return collected[-1]
+        return wrapper
+
+    for module, name in ((SU, "random_poset"), (SU, "random_join_semilattice"),
+                         (P, "direct_sum")):
+        monkeypatch.setattr(module, name, collecting(getattr(module, name)))
+    # criteria 1-3: the suite, its trials and its size bound, at seed 42
+    for suite, trials, max_n in (("tm21", 300, 10), ("irr_eq", 200, 7), ("sum_prod", 200, 5)):
+        assert SU.run_suite(suite, trials, seed=42, max_n=max_n).failures == ()
+    # tm21 draws a base poset and a semilattice, sum_prod two posets and
+    # their sum, irr_eq one poset per trial
+    assert len(collected) == 2 * 300 + 200 + 3 * 200
+    for p in collected:
         ideals = D.enumerate_ideals(p)
         assert len(ideals.sets) == p.n
         principal = {D.principal(p, x).mask for x in range(p.n)}
         assert {d.mask for d in ideals.sets} == principal
-    _announce(4, f"ideals are principal on all {len(_collected_posets)} "
+    _announce(4, f"ideals are principal on all {len(collected)} "
                  "posets touched by criteria 1-3")
 
 

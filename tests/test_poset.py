@@ -133,6 +133,18 @@ class TestBuild:
             assert permuted.up[perm[x]] == sum(1 << perm[y] for y in P.bits(forward.up[x]))
             assert permuted.down[perm[x]] == sum(1 << perm[y] for y in P.bits(forward.down[x]))
 
+    @given(forward_relations(), st.data())
+    def test_kahn_takes_the_smallest_free_index(self, relation, data):
+        # on any acyclic relation, not only covers, the one topological sort
+        # gives the smallest-index-first linear extension of its closure
+        n, pairs = relation
+        perm = data.draw(st.permutations(range(n)))
+        succ = [0] * n
+        for a, b in pairs:
+            succ[perm[a]] |= 1 << perm[b]
+        p = P.build(n, "leq", [(perm[a], perm[b]) for a, b in pairs])
+        assert P._kahn(succ) == rescan_linear_extension(p) == p.linear_extension()
+
     @given(random_posets())
     def test_strict_order_invariants(self, p):
         P.validate(p)
@@ -478,10 +490,16 @@ class TestStats:
     def test_width_budget_counts_claimed_vertices(self, monkeypatch):
         b6 = F.finite_powerset(6)
         monkeypatch.setenv("OC_BUDGET", "5")
-        with pytest.raises(BudgetExceeded, match="antichain search budget"):
+        with pytest.raises(BudgetExceeded, match="^antichain search visited more than 5 nodes$"):
             b6.width()
         monkeypatch.setenv("OC_BUDGET", str(10 ** 4))
         assert b6.width() == 20
+
+    def test_width_oracle_budget_names_its_limit(self, monkeypatch):
+        b3 = F.finite_powerset(3)
+        monkeypatch.setenv("OC_BUDGET", "3")
+        with pytest.raises(BudgetExceeded, match="^antichain search visited more than 3 nodes$"):
+            SU.width_oracle(b3)
 
 
 def inclusion_powerset(n):
@@ -675,9 +693,6 @@ class TestBirkhoff:
     @given(lattices_and_posets())
     def test_coordinates_exactly_on_distributive_lattices(self, p):
         coords = p.birkhoff()
-        if p.n == 0:  # the report calls the empty poset a lattice; it has no 0
-            assert coords is None
-            return
         # join and meet prefer a built table: read them with none built
         got = [([p.join(i, j) for j in range(p.n)], [p.meet(i, j) for j in range(p.n)],
                 p.joins(i, range(p.n)), p.meets(i, range(p.n))) for i in range(p.n)]
@@ -720,6 +735,23 @@ class TestBirkhoff:
         assert coords == tuple(D._downset_masks(F.delta(2)))
         assert index == {m: i for i, m in enumerate(coords)}
         assert lat.join_table() == SU.bound_oracle(lat, True)
+
+
+class TestEmptyPoset:
+    """The empty poset is a distributive lattice with no elements: every
+    law holds vacuously, and Poset.birkhoff says so like structure_report."""
+
+    def test_coordinates_tables_and_report(self):
+        for p in (P.antichain(0), json_copy(P.antichain(0))):
+            assert p.birkhoff() == ((), {})
+            assert p.join_table() == () and p.meet_table() == ()
+            assert S.structure_report(p) == S.StructureReport(True, True, True, True, True)
+            assert p.linear_extension() == []
+
+    def test_pipeline_finds_no_independent_set(self):
+        from ordercraft.errors import IndependenceTooSmall
+        with pytest.raises(IndependenceTooSmall, match="^no independent set of size 4$"):
+            C.thm8_pipeline(P.antichain(0), 4)
 
 
 class TestBirkhoffCache:

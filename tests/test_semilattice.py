@@ -149,9 +149,21 @@ class TestStructureKernelAgainstOracle:
 
 
 class TestStructureReportCache:
-    def test_computed_once_per_poset(self):
-        p = D.downset_lattice(F.delta(2))
-        assert S.structure_report(p) is S.structure_report(p)
+    def test_computed_once_per_poset(self, monkeypatch):
+        # the report itself is not cached, but what it reads is: a second
+        # report of a poset runs no Birkhoff test and builds no table again
+        tests, tables = [], []
+        real_test, real_table = P._birkhoff_coordinates, P.Poset._bound_table
+        monkeypatch.setattr(P, "_birkhoff_coordinates",
+                            lambda p: tests.append(p) or real_test(p))
+        monkeypatch.setattr(P.Poset, "_bound_table",
+                            lambda p, upward: tables.append(upward) or real_table(p, upward))
+        lat = D.downset_lattice(F.delta(2))
+        posets = (lat, P.from_json_dict(P.to_json_dict(lat)), pentagon())
+        for p in posets:
+            assert S.structure_report(p) == S.structure_report(p)
+        assert [id(p) for p in tests] == [id(p) for p in posets[1:]]
+        assert tables == [True, False]
 
     def test_only_hosts_without_coordinates_build_tables(self):
         # a distributive host read from JSON reports from its coordinates;
@@ -166,32 +178,51 @@ class TestStructureReportCache:
         assert p._join is not None and p._meet is not None
 
     def test_derived_posets_do_not_inherit_the_report(self):
+        # a view starts without the gaps and tables the report of p filled
         p = pentagon()
         rep = S.structure_report(p)
-        flipped, renamed = P.dual(p), p.relabel([str(i) for i in range(p.n)])
-        assert flipped._report is None and renamed._report is None
-        assert S.structure_report(flipped) is not rep
-        assert S.structure_report(renamed) is not rep
+        views = (P.dual(p), p.relabel([str(i) for i in range(p.n)]))
+        assert all(q._gaps is q._join is q._meet is None for q in views)
+        assert all(S.structure_report(q) == rep for q in views)
 
-    def test_pipeline_computes_the_host_report_once(self, monkeypatch):
-        # the pipeline asks for the host's report three times; one is built.
-        # Its hosts have coordinates, so no report runs _lattice_laws
+    def test_pipeline_builds_no_report(self, monkeypatch):
+        # thm8_pipeline asks Poset.birkhoff whether its host is distributive
         from ordercraft import constructions as C
-        built, laws = [], []
-        report, kernel = S.StructureReport, S._lattice_laws
-
-        def counting(*args):
-            built.append(report(*args))
-            return built[-1]
-
-        monkeypatch.setattr(S, "StructureReport", counting)
-        monkeypatch.setattr(S, "_lattice_laws", lambda *args: laws.append(args) or kernel(*args))
+        built = []
+        monkeypatch.setattr(S, "StructureReport", lambda *args: built.append(args))
         mask_built = D.downset_lattice(F.delta(3))
         for host in (mask_built, P.from_json_dict(P.to_json_dict(mask_built))):
-            built.clear()
+            assert C.certificate_valid(C.thm8_pipeline(host, 4))
+        assert built == []
+
+
+class TestDistributiveHost:
+    """The constructions that need a distributive host ask Poset.birkhoff,
+    so a host without coordinates is refused before any table is built."""
+
+    @pytest.fixture(params=["N5xB2", "M3"])
+    def host(self, request):
+        if request.param == "M3":
+            return SU.small_lattices()["M3"]
+        return P.direct_product(pentagon(), F.finite_powerset(2))
+
+    def test_pipeline_refuses(self, host):
+        from ordercraft import constructions as C
+        with pytest.raises(NotDistributive, match="^host must be a distributive lattice$"):
             C.thm8_pipeline(host, 4)
-            assert built == [host._report]
-        assert laws == []
+        assert host._join is None and host._meet is None
+
+    def test_phi_quotient_refuses(self, host):
+        with pytest.raises(NotDistributive, match="^host must be a distributive lattice$"):
+            S.phi_quotient(host, [1, 2])
+        assert host._join is None and host._meet is None
+
+    def test_f_vee_refuses(self, host):
+        # the empty map is meet-preserving without reading the target
+        f = S.MapWitness(P.antichain(0), host, (), frozenset({"meet_preserving"}))
+        with pytest.raises(NotDistributive, match="^target must be a distributive lattice$"):
+            S.f_vee(f)
+        assert host._join is None and host._meet is None
 
 
 class TestIrreducibles:
@@ -302,7 +333,8 @@ class TestIndependence:
         with pytest.raises(BudgetExceeded,
                            match="^independent-set search visited more than 3 nodes$"):
             S.find_independent_set(b6, 6)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded,
+                           match="^embedding search visited more than 3 nodes$"):
             S.embedding_search(b3, b4, "order")
 
 

@@ -259,6 +259,24 @@ def test_pipeline_builds_tables_and_checks_once():
         _names(pipeline))
 
 
+def test_one_distributivity_test_and_one_topological_sort():
+    # the constructions that need a distributive host ask Poset.birkhoff,
+    # not the structure report, which leaves no cache on the Poset
+    for module, name in (("constructions.py", "thm8_pipeline"),
+                         ("semilattice.py", "phi_quotient"), ("semilattice.py", "f_vee")):
+        used = set(_names(_function(ast.parse((SRC / module).read_text()), name)))
+        assert "birkhoff" in used and "structure_report" not in used, name
+    tree = ast.parse((SRC / "poset.py").read_text())
+    slots = next(node.value for node in _function(tree, "Poset").body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__")
+    assert "_report" not in ast.literal_eval(slots)
+    # build and linear_extension call _kahn, the module's one heap loop
+    for name in ("Poset.linear_extension", "build"):
+        assert any(map(_calls("_kahn"), ast.walk(_function(tree, name)))), name
+    assert _holders(tree, lambda node: isinstance(node, ast.Attribute)
+                    and node.attr == "heappop") == ["_kahn"]
+
+
 def _passes_down(node):
     """A Poset(...) call that hands over its own down masks."""
     func = getattr(node, "func", None)
