@@ -64,11 +64,6 @@ class ChainOfDownSets:
             if not (lo.mask & ~hi.mask == 0 and lo.mask != hi.mask):
                 raise ValueError("chain members must be strictly nested")
 
-    def suffixes(self):
-        """Tails of the descending view, longest first, length >= 2."""
-        desc = self.members if self.decreasing else tuple(reversed(self.members))
-        return [desc[k:] for k in range(len(desc) - 1)]
-
     def to_json_dict(self) -> dict:
         return {
             "host": _poset.to_json_dict(self.host),
@@ -242,40 +237,29 @@ def certificate_valid(cert: Certificate) -> bool:
 
 def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
     """Extract an independent set from a separating chain, one witness element
-    per strict descent, following the inductive a/b/c construction."""
+    per strict descent, following the inductive a/b/c construction. One pass
+    down the chain: each member either becomes the current one or is passed."""
     host = chain.host
     ok, _w = is_separating(chain)
     if not ok:
         raise NotSeparating("input chain is not separating")
-    desc = sorted((d.mask for d in chain.members), key=lambda m: -m.bit_count())
-    union = desc[0]
-    proper = [m for m in desc if m != union]
-    top = {m: _ideal_top(host, m) for m in desc}
-    xs: list = []
-    if proper:
-        i_cur = proper[0]
-        x0 = min(_poset.bits(union & ~i_cur))
-        xs.append(x0)
-        while True:
-            x_join = _semilattice.join_of(host, xs)
-            step = None
-            for j_mask in desc:
-                if j_mask == i_cur or i_cur & ~j_mask == 0:
-                    continue
-                blocked = host.down_incl(host.join(x_join, top[j_mask]))
-                if i_cur & ~blocked:
-                    step = (j_mask, min(_poset.bits(i_cur & ~blocked)))
-                    break
-            if step is None:
-                break
-            i_cur = step[0]
-            xs.append(step[1])
-    if not xs:
+    desc = [d.mask for d in (chain.members if chain.decreasing
+                             else reversed(chain.members))]
+    if len(desc) < 2:
         raise ConstructionStalled("no proper member below the union", None)
+    tops = [_ideal_top(host, m) for m in desc]
+    xs = [min(_poset.bits(desc[0] & ~desc[1]))]
+    i, x_join = 1, xs[0]
+    for j in range(2, len(desc)):
+        # I_j becomes the current member when I_i escapes {x_join} v I_j
+        if rest := desc[i] & ~host.down_incl(host.join(x_join, tops[j])):
+            xs.append(min(_poset.bits(rest)))
+            x_join = host.join(x_join, xs[-1])
+            i = j
     return _certificate("IndependentSet", host, {
         "host": _poset.to_json_dict(host),
         "chain": [list(d.sorted_members()) for d in chain.members],
-        "independent_set": list(xs),
+        "independent_set": xs,
     })
 
 
@@ -294,30 +278,14 @@ def _check_independent_set(host: Poset, payload):
 # the dichotomy
 
 
-def _truncation_unbounded(host: Poset, mask: int) -> bool:
-    """Finite surrogate for 'the ideal is unbounded': its maximum covers at
-    least two elements inside the ideal. A finite ideal always has a maximum;
-    one that sits on top of a single predecessor looks genuinely principal,
-    while a join-reducible top is the footprint of a truncated unbounded
-    ideal."""
-    members = list(_poset.bits(mask))
-    maxima = [x for x in members if host.up[x] & mask == 0]
-    if len(maxima) != 1:
-        return True  # not up-directed at the top; treat as unbounded
-    top = maxima[0]
-    rest = mask & ~(1 << top)
-    second = [x for x in _poset.bits(rest) if host.up[x] & rest == 0]
-    return len(second) >= 2
-
-
 def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
     """Either a strictly descending chain of `depth` elements or a certified
     join-preserving injective map of the (i,j)-grid of depth `depth`.
 
     Precondition: the chain is descending and every suffix of length >= 2 is
     non-separating. Case selection follows E = {x : some bounded member sits
-    properly below x}, with boundedness read through the truncation
-    surrogate; stalls surface as reduced achieved depth in the evidence.
+    properly below x}, where a member is bounded when its top has at most one
+    lower cover; stalls surface as reduced achieved depth in the evidence.
     """
     if not chain.decreasing:
         raise ValueError("dichotomy_extract needs a decreasing chain")
@@ -330,26 +298,30 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
     masks = [d.mask for d in chain.members]
     # suffixes of length <= 2 have no testable member under the finite
     # surrogate quantifiers and are vacuously separating; skip them
-    for suffix in chain.suffixes():
-        if len(suffix) < 3:
-            continue
-        ok, _w = _is_separating_masks(host, [d.mask for d in suffix])
-        if ok:
+    for k in range(len(masks) - 2):
+        if _is_separating_masks(host, masks[k:])[0]:
             raise NotSeparating("a suffix of the chain is separating")
 
-    union = masks[0]
-    least = min(masks, key=int.bit_count)
-    # the window's least member stands in for the unseen tail, as in the
-    # separating check; it neither bounds nor gets walked through
-    bounded = [m for m in masks
-               if m != least and not _truncation_unbounded(host, m)]
-    e_set = set()
-    for x in _poset.bits(union):
-        dm = host.down_incl(x)
-        if any(m & ~dm == 0 and m != dm for m in bounded):
-            e_set.add(x)
+    # Finite surrogate for 'the ideal is bounded': its top has at most one
+    # lower cover. A finite ideal always has a maximum; one that sits on top
+    # of a single predecessor looks genuinely principal, while a
+    # join-reducible top is the footprint of a truncated unbounded ideal.
+    # The least member, masks[-1], stands in for the unseen tail, as in the
+    # separating check; it neither bounds nor gets walked through.
+    tops = [_ideal_top(host, m) for m in masks]
+    irreducible = set(_poset.at_most_one_cover(host))
+    below = {}  # x in E -> the largest bounded member strictly below down(x)
+    for m, t in zip(masks[:-1], tops):
+        if t in irreducible:
+            for x in _poset.bits(host.up[t] & masks[0]):
+                below.setdefault(x, m)
 
-    walk = _descending_walk(host, bounded, e_set, union, depth)
+    # case (i): x in E, then its member, then the next x inside it; each step
+    # takes the largest member (slowest descent), the smallest x on ties
+    walk, current = [], masks[0]
+    while len(walk) < depth and (steps := [x for x in _poset.bits(current) if x in below]):
+        walk.append(max(steps, key=lambda x: below[x].bit_count()))
+        current = below[walk[-1]]
     if len(walk) >= depth:
         return _certificate("DescendingChain", host, {
             "host": _poset.to_json_dict(host),
@@ -357,63 +329,33 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
             "depth": depth,
             "elements": walk,
         })
-    return _dichotomy_case_grid(host, chain, masks, e_set, depth)
+    return _dichotomy_case_grid(host, chain, masks, tops, below, depth)
 
 
-def _descending_walk(host, bounded, e_set, union, depth):
-    """Case (i) walk: x in E, then a member strictly below x, then the next
-    x inside it. Steps pick the largest dominated member (slowest descent),
-    then the smallest element, so the walk is deterministic and as long as
-    the window allows."""
-    xs: list = []
-    current_mask = union
-    while len(xs) < depth:
-        step = None
-        for x in (e for e in _poset.bits(current_mask) if e in e_set):
-            dm = host.down_incl(x)
-            for m in sorted(bounded, key=lambda m: -m.bit_count()):
-                if m & ~dm == 0 and m != dm:
-                    if step is None or m.bit_count() > step[1].bit_count():
-                        step = (x, m)
-                    break
-        if step is None:
-            break
-        xs.append(step[0])
-        current_mask = step[1]
-    return xs
-
-
-def _dichotomy_case_grid(host, chain, masks, e_set, depth):
+def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
     """Case (ii): below the largest member missing E, pull non-separation
     witnesses (x_n, I_n), strengthen them to rows y_n with the join-control
     conditions, and map the grid through (i,j) -> y_i v y_j."""
-    start = next(i for i, m in enumerate(masks)
-                 if not any(x in e_set for x in _poset.bits(m)))
-    sub = masks[start:]
+    # E is an up-set of the union, so a member misses E when its top does
+    prev = next(i for i, t in enumerate(tops) if t not in below)
     join = host.join
 
     # phase 1: x_n in I_{n-1} minus I_n with I_n inside {x_n} v J for all
-    # J below I_{n-1}; i_masks[n + 1] stores I_n, i_masks[0] the start member
-    top = {m: _ideal_top(host, m) for m in sub}
+    # J below I_{n-1}, in one pass down the chain from the start member;
+    # i_masks[n + 1] stores I_n, i_masks[0] the start member, and prev
+    # indexes I_{n-1} in the chain
     xs: list = []
-    i_masks = [sub[0]]
-    while len(xs) < depth + 1:
-        prev = i_masks[-1]
-        group = [m for m in sub if m & ~prev == 0]
-        found = None
-        for i_mask in group:
-            if i_mask == prev:
-                continue
-            for x in _poset.bits(prev & ~i_mask):
-                if all(i_mask & ~host.down_incl(join(x, top[j])) == 0 for j in group):
-                    found = (x, i_mask)
-                    break
-            if found:
+    i_masks = [masks[prev]]
+    for i in range(prev + 1, len(masks)):
+        x = next((x for x in _poset.bits(masks[prev] & ~masks[i])
+                  if all(masks[i] & ~host.down_incl(join(x, tops[j])) == 0
+                         for j in range(prev, len(masks)))), None)
+        if x is not None:
+            xs.append(x)
+            i_masks.append(masks[i])
+            prev = i
+            if len(xs) == depth + 1:
                 break
-        if found is None:
-            break
-        xs.append(found[0])
-        i_masks.append(found[1])
 
     # phase 2: y_0 = x_0; y_n = x_n v z v t, z in I_{n-1} escaping the
     # running join, t_j in I_{n-1} re-dominating the later rows over x_j
@@ -644,19 +586,19 @@ def check_bad_antichain(p: Poset, antichain: Sequence[int], slack: int = 0) -> B
     a = list(antichain)
     if pair := _comparable_pair(p, a):
         raise NotAntichain(f"{pair[0]} and {pair[1]} are comparable")
+    up_a = 0
+    for y in a:
+        up_a |= p.up_incl(y)
+    # the elements above no member: condition 1 tests them, and they are
+    # the remainder of condition 2
+    remainder = [x for x in range(p.n) if not (up_a >> x) & 1]
     worst = 0
     violations = []
-    for x in range(p.n):
-        if any(p.leq(y, x) for y in a):
-            continue
+    for x in remainder:
         misses = sum(1 for y in a if not p.lt(x, y))
         worst = max(worst, misses)
         if misses > slack:
             violations.append(x)
-    up_a = 0
-    for y in a:
-        up_a |= p.up_incl(y)
-    remainder = [x for x in range(p.n) if not (up_a >> x) & 1]
     if remainder:
         sub = _poset.induced(p, remainder)
         max_antichain = sub.width()

@@ -28,7 +28,7 @@ class Poset:
     """Immutable finite poset. Use :func:`build` or the combinators below."""
 
     __slots__ = ("n", "up", "down", "_labels", "_covers", "_join", "_meet",
-                 "_gaps", "_linext", "_birkhoff", "_few_covers", "_nonempty")
+                 "_linext", "_birkhoff", "_few_covers", "_nonempty")
 
     def __init__(self, n: int, up: Sequence[int], labels=None, down=None):
         # `up` is trusted to be irreflexive and transitive (build() validates);
@@ -55,7 +55,6 @@ class Poset:
         self._covers = None
         self._join = None
         self._meet = None
-        self._gaps = None  # semilattice._gap fills it
         self._linext = None
         self._birkhoff = None  # birkhoff() or set_lattice fills it: (coords, index) or False
         self._few_covers = None  # at_most_one_cover fills it, by direction

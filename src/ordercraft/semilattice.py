@@ -103,15 +103,11 @@ def _missing_pair(table):
 
 def _gap(p: Poset, upward: bool):
     """A pair of p with no join (meet), or None: None at once when p has
-    Birkhoff coordinates, else the _missing_pair of its join (meet) table,
-    scanned once per Poset."""
+    Birkhoff coordinates, else the _missing_pair of its cached join (meet)
+    table."""
     if p.birkhoff() is not None:
         return None
-    if p._gaps is None:
-        p._gaps = {}
-    if upward not in p._gaps:
-        p._gaps[upward] = _missing_pair(p.join_table() if upward else p.meet_table())
-    return p._gaps[upward]
+    return _missing_pair(p.join_table() if upward else p.meet_table())
 
 
 def require_joins(p: Poset) -> None:
@@ -374,16 +370,13 @@ def representation_map(p: Poset, family: _downsets.DownSetFamily) -> MapWitness:
             if not (m >> x) & 1:
                 fmask |= 1 << j
         table.append(index_of[fmask])
-    separated = all(
-        any((masks[j] >> y) & 1 and not (masks[j] >> x) & 1 for j in range(len(masks)))
-        for x in range(p.n) for y in range(p.n)
-        if not p.leq(x, y)
-    )
-    wanted = {"order_preserving", "join_preserving"}
-    if separated:
-        wanted.add("order_embedding")
-        wanted.add("injective")
-    return certify(p, target, table, wanted)
+    witness = certify(p, target, table,
+                      {"order_preserving", "join_preserving", "order_embedding"})
+    if "order_embedding" in witness.certified:
+        # an order embedding is injective; a map that only happens to be
+        # injective is not certified so
+        object.__setattr__(witness, "certified", witness.certified | {"injective"})
+    return witness
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Separating chains, the dichotomy, Ramsey classification, bad antichains,
 and the end-to-end pipeline with certificate re-verification."""
 
+import collections
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -16,6 +18,7 @@ from ordercraft import semilattice as S
 from ordercraft import suites as SU
 from ordercraft.errors import (
     BudgetExceeded,
+    ConstructionStalled,
     DepthUnreachable,
     IndependenceTooSmall,
     IndexOutOfRange,
@@ -205,6 +208,128 @@ class TestDichotomy:
         chain = C.ChainOfDownSets(host, members, decreasing=False)
         with pytest.raises(ValueError):
             C.dichotomy_extract(chain, 2)
+
+
+def chain_host(rng):
+    """(host, n): a random join-semilattice, downset lattice, omega* grid or
+    powerset, with n the grid's size for a grid and 0 otherwise."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return SU.random_join_semilattice(rng.randint(2, 24), rng.randrange(1 << 30)), 0
+    if kind == 1:
+        return D.downset_lattice(
+            SU.random_poset(rng.randint(1, 6), rng.random(), rng.randrange(1 << 30))), 0
+    if kind == 2:
+        n = rng.randint(2, 7)
+        return F.omega_star_grid(n), n
+    return F.finite_powerset(rng.randint(1, 5)), 0
+
+
+def chain_tops(rng, host, grid):
+    """Tops of a random chain of principal ideals, largest first: on a grid,
+    half the time a subsequence of its suffix chain {(i, j) : i >= k};
+    otherwise a random descent, by a lower cover or by any element below."""
+    if grid and rng.random() < 0.5:
+        idx = {c: i for i, c in enumerate(F.grid_coords(grid))}
+        return [idx[(k, grid)] for k in sorted(rng.sample(range(grid), rng.randint(1, grid)))]
+    x = host.n - 1 if rng.random() < 0.5 else rng.randrange(host.n)
+    tops = [x]
+    while host.down[x] and rng.random() < 0.93:
+        below = list(P.bits(host.down[x]))
+        if rng.random() < 0.6:
+            below = [y for y in below if not host.up[y] & host.down[x]]
+        x = rng.choice(below)
+        tops.append(x)
+    return tops
+
+
+def random_chains(seed, hosts):
+    """Four random chains per host, each decreasing or increasing."""
+    rng = Random(seed)
+    for _ in range(hosts):
+        host, grid = chain_host(rng)
+        for _ in range(4):
+            decreasing = rng.random() < 0.5
+            tops = chain_tops(rng, host, grid)
+            members = tuple(D.principal(host, t) for t in (tops if decreasing else tops[::-1]))
+            yield C.ChainOfDownSets(host, members, decreasing)
+
+
+def outcome(make):
+    """The certificate's JSON, or the error's type and message."""
+    try:
+        return make().to_json()
+    except (ConstructionStalled, NotSeparating) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+class TestChainWalks:
+    def test_outputs_are_pinned(self):
+        # sha256 of every outcome of both chain constructions, the dichotomy
+        # at every depth its chain allows, recorded before the walks were
+        # rewritten to follow the chain's own order
+        digest, seen = hashlib.sha256(), set()
+        for chain in random_chains(0, 400):
+            runs = [lambda: C.independent_from_separating(chain)]
+            if chain.decreasing:
+                runs += [lambda d=d: C.dichotomy_extract(chain, d)
+                         for d in range(1, len(chain.members))]
+            for run in runs:
+                out = outcome(run)
+                digest.update(out.encode() + b"\n")
+                seen.add(json.loads(out)["kind"] if out.startswith("{") else out)
+        assert {"IndependentSet", "DescendingChain", "GridMap",
+                "ConstructionStalled: no proper member below the union",
+                "ConstructionStalled: phase 1 produced fewer than two witnesses",
+                "ConstructionStalled: no element of I_0 escapes the running join",
+                "NotSeparating: input chain is not separating",
+                "NotSeparating: a suffix of the chain is separating"} <= seen
+        assert digest.hexdigest() == (
+            "6fe8add54d9d8e8a11231ca6284ba2f92d554aa1782a36a7809008f8183d15ce")
+
+    def test_bounded_members_are_those_with_a_join_irreducible_top(self):
+        # the elements just below the top t of down(t), the maximal elements
+        # of the rest, are the lower covers of t; so the dichotomy's bounded
+        # members, at most one element just below the top, are those whose
+        # top is in at_most_one_cover
+        for chain in random_chains(0, 400):
+            host = chain.host
+            lower = collections.Counter(b for _a, b in host.cover_pairs())
+            few = set(P.at_most_one_cover(host))
+            for d in chain.members:
+                t = C._ideal_top(host, d.mask)
+                rest = d.mask & ~(1 << t)
+                assert sum(1 for x in P.bits(rest) if not host.up[x] & rest) == lower[t]
+                assert (lower[t] <= 1) == (t in few)
+
+    def test_one_member_chain_stalls(self):
+        host = P.chain(2)
+        chain = C.ChainOfDownSets(host, (D.principal(host, 1),), decreasing=True)
+        with pytest.raises(ConstructionStalled, match="^no proper member below the union$"):
+            C.independent_from_separating(chain)
+
+    def test_phase_one_with_one_witness_stalls(self):
+        # down(1) > down(0) on the two-element chain: nothing lies above the
+        # top 1, so E is empty and case (ii) starts at the union; phase 1
+        # finds x_0 = 1 and then runs out of members
+        host = P.chain(2)
+        chain = C.ChainOfDownSets(
+            host, (D.principal(host, 1), D.principal(host, 0)), decreasing=True)
+        with pytest.raises(ConstructionStalled,
+                           match="^phase 1 produced fewer than two witnesses$"):
+            C.dichotomy_extract(chain, 1)
+
+    def test_running_join_that_swallows_the_ideal_stalls(self):
+        # B_2 with a new top 4 above its top 3, and the chain down(4) >
+        # down(3) > down(1): E is empty, as 3 has two lower covers and the
+        # least member bounds nothing; phase 1 picks x_0 = 4, whose running
+        # join already lies above all of I_0 = down(3)
+        host = P.build(5, "covers", [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+        chain = C.ChainOfDownSets(
+            host, tuple(D.principal(host, t) for t in (4, 3, 1)), decreasing=True)
+        with pytest.raises(ConstructionStalled,
+                           match="^no element of I_0 escapes the running join$"):
+            C.dichotomy_extract(chain, 1)
 
 
 class TestRamsey:

@@ -357,6 +357,14 @@ class TestRepresentationMap:
         assert "order_embedding" in w.certified
         assert w.table[0] != w.table[1]
 
+    def test_injective_without_separation_is_not_certified_injective(self):
+        # no member holds 1 without 0, so 0 !<= 1 is not separated; yet the
+        # one member {0} tells phi(0) = {} from phi(1) = {{0}}
+        p = P.antichain(2)
+        w = S.representation_map(p, D.DownSetFamily(p, (D.DownSet(p, frozenset({0})),)))
+        assert len(set(w.table)) == 2
+        assert not {"order_embedding", "injective"} & w.certified
+
     @given(random_posets(max_n=5))
     def test_always_order_preserving(self, p):
         w = S.representation_map(p, D.enumerate_ideals(p))

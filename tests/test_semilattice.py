@@ -178,11 +178,11 @@ class TestStructureReportCache:
         assert p._join is not None and p._meet is not None
 
     def test_derived_posets_do_not_inherit_the_report(self):
-        # a view starts without the gaps and tables the report of p filled
+        # a view starts without the tables the report of p filled
         p = pentagon()
         rep = S.structure_report(p)
         views = (P.dual(p), p.relabel([str(i) for i in range(p.n)]))
-        assert all(q._gaps is q._join is q._meet is None for q in views)
+        assert all(q._join is q._meet is None for q in views)
         assert all(S.structure_report(q) == rep for q in views)
 
     def test_pipeline_builds_no_report(self, monkeypatch):

@@ -277,6 +277,26 @@ def test_one_distributivity_test_and_one_topological_sort():
                     and node.attr == "heappop") == ["_kahn"]
 
 
+def test_chain_walks_ask_the_kernel():
+    # the dichotomy calls a member bounded when its top is in
+    # poset.at_most_one_cover, the one irreducibles routine; the second
+    # test, the walk that re-sorted its members, the suffix list and the
+    # cache of table gaps are gone
+    tree = ast.parse((SRC / "constructions.py").read_text())
+    assert "at_most_one_cover" in set(_names(_function(tree, "dichotomy_extract")))
+    gone = {"_truncation_unbounded", "_descending_walk", "suffixes", "_gaps"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        strings = {node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        found += [f"{path.name}: {name}"
+                  for name in sorted(gone & (set(_names(tree)) | defined | strings))]
+    assert found == []
+
+
 def _passes_down(node):
     """A Poset(...) call that hands over its own down masks."""
     func = getattr(node, "func", None)
