@@ -42,20 +42,22 @@ NOT_WQO_EVIDENCE = "NotWqoEvidence"
 
 @dataclass(frozen=True)
 class ChainOfDownSets:
-    """Strictly monotone list of ideals of a join-semilattice host."""
+    """Strictly monotone list of ideals of a join-semilattice host, and their tops."""
 
     host: Poset
     members: tuple
     decreasing: bool = False
+    tops: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _semilattice.require_joins(self.host)
         if not self.members:
             raise ValueError("chain must be non-empty")
+        tops = []
         for d in self.members:
             # an ideal of a finite poset is principal: it has a top
             try:
-                _ideal_top(self.host, d.mask)
+                tops.append(_ideal_top(self.host, d.mask))
             except ValueError:
                 raise ValueError(
                     f"chain member {sorted(d.members)} is not an ideal") from None
@@ -63,6 +65,7 @@ class ChainOfDownSets:
             lo, hi = (b, a) if self.decreasing else (a, b)
             if not (lo.mask & ~hi.mask == 0 and lo.mask != hi.mask):
                 raise ValueError("chain members must be strictly nested")
+        object.__setattr__(self, "tops", tuple(tops))
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,11 +132,12 @@ def ideal_join(host: Poset, x: int, ideal_mask: int) -> int:
     return host.down_incl(host.join(x, _ideal_top(host, ideal_mask)))
 
 
-def _is_separating_masks(host: Poset, masks: Sequence[int]):
-    """Core check over member masks; returns (bool, violating (I,x) or None).
+def _is_separating_masks(host: Poset, masks: Sequence[int], tops: Sequence[int]):
+    """Core check over member masks and tops; returns (bool, violating (I,x) or None).
 
     Separating: every tested member I and excluded x admit a member J with
-    I not inside {x} v J.
+    I not inside {x} v J. As {x} v J = down(x v top J) only grows with J,
+    some J works exactly when the least member does.
 
     Finite surrogate: the window's least member is excluded from the
     I-quantifier (a chain with a least member is never literally separating
@@ -142,25 +146,22 @@ def _is_separating_masks(host: Poset, masks: Sequence[int]):
     generators of the host (joins that reach the window boundary would mask
     the behaviour of the object being truncated).
     """
-    union = 0
-    for m in masks:
-        union |= m
-    least = min(masks, key=int.bit_count) if len(masks) > 1 else None
+    # nested masks are ordered as integers
+    union, (least, least_top) = max(masks), min(zip(masks, tops))
     irr_mask = sum(1 << x for x in _semilattice._join_irreducibles_no_zero(host))
-    tops = [_ideal_top(host, m) for m in masks]
-    for i_mask in masks:
+    for i_mask, t in zip(masks, tops):
         if i_mask == union or i_mask == least:
             continue
         for x in _poset.bits(union & ~i_mask & irr_mask):
-            # {x} v J = down(x v top J) for each member J
-            if not any(i_mask & ~host.down_incl(host.join(x, t)) for t in tops):
+            if host.leq(t, host.join(x, least_top)):
                 return False, (i_mask, x)
     return True, None
 
 
 def is_separating(chain: ChainOfDownSets):
     """(True, None) or (False, (I, x)) with I the violating member."""
-    ok, witness = _is_separating_masks(chain.host, [d.mask for d in chain.members])
+    ok, witness = _is_separating_masks(
+        chain.host, [d.mask for d in chain.members], chain.tops)
     if ok:
         return True, None
     i_mask, x = witness
@@ -243,11 +244,10 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
     ok, _w = is_separating(chain)
     if not ok:
         raise NotSeparating("input chain is not separating")
-    desc = [d.mask for d in (chain.members if chain.decreasing
-                             else reversed(chain.members))]
+    step = 1 if chain.decreasing else -1
+    desc, tops = [d.mask for d in chain.members[::step]], chain.tops[::step]
     if len(desc) < 2:
         raise ConstructionStalled("no proper member below the union", None)
-    tops = [_ideal_top(host, m) for m in desc]
     xs = [min(_poset.bits(desc[0] & ~desc[1]))]
     i, x_join = 1, xs[0]
     for j in range(2, len(desc)):
@@ -263,13 +263,19 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
     })
 
 
-def _check_independent_set(host: Poset, payload):
+def _payload_chain(host: Poset, payload) -> ChainOfDownSets:
+    """payload["chain"] as a decreasing chain, its members largest first."""
     members = sorted(_members(host, payload["chain"]), key=lambda d: -len(d.members))
-    ok, _w = is_separating(ChainOfDownSets(host, tuple(members), decreasing=True))
+    return ChainOfDownSets(host, tuple(members), decreasing=True)
+
+
+def _check_independent_set(host: Poset, payload):
+    chain = _payload_chain(host, payload)
+    ok, _w = is_separating(chain)
     xs = _indices(payload["independent_set"], host.n, "independent_set")
     return [
         ("chain_is_separating", ok),
-        ("extracted_size_ge_members_minus_one", len(xs) >= len(members) - 1),
+        ("extracted_size_ge_members_minus_one", len(xs) >= len(chain.members) - 1),
         ("independence_exhaustive", _semilattice.is_independent(host, xs)),
     ]
 
@@ -295,12 +301,13 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
     if depth > len(chain.members) - 1:
         raise DepthUnreachable(
             f"depth {depth} needs at least {depth + 1} chain members")
-    masks = [d.mask for d in chain.members]
-    # suffixes of length <= 2 have no testable member under the finite
-    # surrogate quantifiers and are vacuously separating; skip them
-    for k in range(len(masks) - 2):
-        if _is_separating_masks(host, masks[k:])[0]:
-            raise NotSeparating("a suffix of the chain is separating")
+    masks, tops = [d.mask for d in chain.members], chain.tops
+    # suffixes of length <= 2 have no testable member and are vacuously
+    # separating; the suffix from k tests members k+1..L-2 and each x in
+    # masks[k] outside them, always against J = masks[-1], so a longer suffix
+    # keeps every violation of a shorter one: the last three members decide
+    if len(masks) > 2 and _is_separating_masks(host, masks[-3:], tops[-3:])[0]:
+        raise NotSeparating("a suffix of the chain is separating")
 
     # Finite surrogate for 'the ideal is bounded': its top has at most one
     # lower cover. A finite ideal always has a maximum; one that sits on top
@@ -308,7 +315,6 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
     # join-reducible top is the footprint of a truncated unbounded ideal.
     # The least member, masks[-1], stands in for the unseen tail, as in the
     # separating check; it neither bounds nor gets walked through.
-    tops = [_ideal_top(host, m) for m in masks]
     irreducible = set(_poset.at_most_one_cover(host))
     below = {}  # x in E -> the largest bounded member strictly below down(x)
     for m, t in zip(masks[:-1], tops):
@@ -341,15 +347,14 @@ def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
     join = host.join
 
     # phase 1: x_n in I_{n-1} minus I_n with I_n inside {x_n} v J for all
-    # J below I_{n-1}, in one pass down the chain from the start member;
-    # i_masks[n + 1] stores I_n, i_masks[0] the start member, and prev
-    # indexes I_{n-1} in the chain
+    # J below I_{n-1}, that is for the least member J, in one pass down the
+    # chain from the start member; i_masks[n + 1] stores I_n, i_masks[0] the
+    # start member, and prev indexes I_{n-1} in the chain
     xs: list = []
     i_masks = [masks[prev]]
     for i in range(prev + 1, len(masks)):
         x = next((x for x in _poset.bits(masks[prev] & ~masks[i])
-                  if all(masks[i] & ~host.down_incl(join(x, tops[j])) == 0
-                         for j in range(prev, len(masks)))), None)
+                  if host.leq(tops[i], join(x, tops[-1]))), None)
         if x is not None:
             xs.append(x)
             i_masks.append(masks[i])
@@ -403,7 +408,11 @@ def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
 
 
 def _check_descending_chain(host: Poset, payload):
+    # the walk starts in the chain's first member and stays inside it
+    first = _payload_chain(host, payload).members[0].mask
     xs = _indices(payload["elements"], host.n, "elements")
+    if any(first >> x & 1 == 0 for x in xs):
+        raise ValueError("elements must lie in the chain's first member")
     return [
         ("requested_depth_reached", len(xs) == payload["depth"]),
         ("strictly_descending", all(host.lt(b, a) for a, b in zip(xs, xs[1:]))),
@@ -414,6 +423,11 @@ def _check_grid_map(host: Poset, payload):
     achieved, depth = payload["achieved"], payload["depth"]
     if type(achieved) is not int or type(depth) is not int:
         raise ValueError("achieved and depth must be integers")
+    # each row is a join of elements of a member, so it lies in the first one
+    first = _payload_chain(host, payload).members[0].mask
+    rows = _indices(payload["rows"], host.n, "rows")
+    if len(rows) != achieved + 1 or any(first >> y & 1 == 0 for y in rows):
+        raise ValueError(f"rows must be {achieved + 1} elements of the chain's first member")
     table = _indices(payload["table"], host.n, "table")
     if len(table) != achieved * (achieved + 1) // 2:
         raise ValueError(f"table needs one entry per cell of the depth-{achieved} grid")

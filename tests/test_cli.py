@@ -289,6 +289,7 @@ class TestExitCodes:
         ("descending_chain6_d3", ("payload", "elements", 0), "a"),
         ("grid_chain6_d3", ("payload", "achieved"), "x"),
         ("grid_chain6_d3", ("payload", "table"), [0, 1]),
+        ("grid_chain6_d3", ("payload", "rows"), []),
         ("ramsey_b4_atoms_m4", ("payload", "subset", 0), 4),
         ("ramsey_b4_atoms_m4", ("payload", "pattern"), ["v", 4]),
         ("ramsey_b4_atoms_m4", ("payload", "pattern", "n"), [4]),
@@ -297,6 +298,7 @@ class TestExitCodes:
             "kind_list", "kind_unknown", "table_int", "lift_table_int", "chain_int",
             "chain_member_int", "antichain_99", "sublattice_elements_99",
             "independent_set_99", "element_string", "achieved_string", "table_short",
+            "rows_empty",
             "subset_past_antichain", "pattern_list", "pattern_n_list", "phi_table_bool"])
     def test_malformed_certificate_is_3(self, golden, keys, value, tmp_path, capsys):
         doc = json.loads((GOLDEN / f"{golden}.json").read_text())

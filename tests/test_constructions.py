@@ -2,9 +2,11 @@
 and the end-to-end pipeline with certificate re-verification."""
 
 import collections
+import functools
 import hashlib
 import itertools
 import json
+import operator
 from pathlib import Path
 from random import Random
 
@@ -116,6 +118,30 @@ class TestIsSeparating:
         chain = C.ChainOfDownSets(
             host, (D.DownSet(host, frozenset(range(4))),))
         assert C.is_separating(chain)[0]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_definition(self, seed):
+        # the first violation by the definition, I in chain order and then
+        # x ascending: I, neither the union nor the least member, lies inside
+        # {x} v J for every member J, the closure taken by the oracle; x is
+        # a join-irreducible of the union outside I
+        counts = collections.Counter()
+        for chain in random_chains(seed, 300):
+            host = chain.host
+            masks = [d.mask for d in chain.members]
+            union = functools.reduce(operator.or_, masks)
+            least = min(masks, key=int.bit_count)
+            irr = set(P.at_most_one_cover(host)) - {host.bottom()}
+            want = next(((i, x) for i in masks if i not in (union, least)
+                         for x in sorted(irr) if union >> x & 1 and not i >> x & 1
+                         if all(i & ~SU.ideal_join_oracle(host, x, j) == 0 for j in masks)),
+                        None)
+            ok, witness = C.is_separating(chain)
+            assert ok == (want is None)
+            if witness:
+                assert (witness[0].mask, witness[1]) == want
+            counts[ok, len(masks) >= 3] += 1
+        assert counts[True, True] > 100 and counts[False, True] > 100, counts
 
 
 class TestIndependentFromSeparating:
@@ -586,6 +612,30 @@ class TestCertificateIO:
         for cert in certs:
             assert C.certificate_valid(
                 C.Certificate.from_json_dict(cert.to_json_dict()))
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("descending_chain6_d3", lambda p: p.update(chain=[]), "chain must be non-empty"),
+        ("descending_chain6_d3", lambda p: p.update(chain=p["chain"][-2:]),
+         "elements must lie in the chain's first member"),
+        ("grid_chain6_d3", lambda p: p.update(chain=[]), "chain must be non-empty"),
+        ("grid_chain6_d3", lambda p: p.update(chain=p["chain"][-2:]),
+         "rows must be 4 elements of the chain's first member"),
+        ("grid_chain6_d3", lambda p: p.update(rows=[]),
+         "rows must be 4 elements of the chain's first member"),
+        ("grid_chain6_d3", lambda p: p.update(rows=p["rows"][:-1]),
+         "rows must be 4 elements of the chain's first member"),
+    ], ids=["DescendingChain chain emptied", "DescendingChain chain cut to two",
+            "GridMap chain emptied", "GridMap chain cut to two", "GridMap rows emptied",
+            "GridMap row dropped"])
+    def test_chain_and_rows_are_read(self, name, edit, message):
+        # the dichotomy picks its elements and rows in the chain's first
+        # member, one row per row of the grid; a payload that disagrees is
+        # malformed
+        data = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert C.certificate_valid(C.Certificate.from_json_dict(data))
+        edit(data["payload"])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            C.verify_certificate(C.Certificate.from_json_dict(data))
 
     @pytest.mark.parametrize("name,key,flipped", [
         ("descending_chain6_d3", "elements", "strictly_descending"),

@@ -297,6 +297,18 @@ def test_chain_walks_ask_the_kernel():
     assert found == []
 
 
+def test_chain_tops_found_once():
+    # a chain finds its members' tops when it is built and keeps them;
+    # ideal_join, which takes a bare mask, is the one other finder
+    tree = ast.parse((SRC / "constructions.py").read_text())
+
+    def names_top(node):
+        return isinstance(node, ast.Name) and node.id == "_ideal_top"
+    assert _holders(tree, names_top) == ["__post_init__", "ideal_join"]
+    chain = _function(tree, "ChainOfDownSets")
+    assert _holders(chain, names_top) == ["__post_init__"]
+
+
 def _passes_down(node):
     """A Poset(...) call that hands over its own down masks."""
     func = getattr(node, "func", None)
