@@ -14,7 +14,7 @@ from .semilattice import MapWitness, StructureReport, structure_report, \
 from .families import FamilySpec, OrdinalCNF, generate
 from .constructions import Certificate, ChainOfDownSets, is_separating, \
     independent_from_separating, dichotomy_extract, ramsey_extract, \
-    check_bad_antichain, thm8_pipeline, verify_certificate, certificate_valid
+    thm8_pipeline, verify_certificate, certificate_valid
 from .suites import SuiteReport, run_suite, random_poset, random_join_semilattice
 
 __version__ = "0.1.0"

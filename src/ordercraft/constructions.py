@@ -124,14 +124,6 @@ def _ideal_top(host: Poset, ideal_mask: int) -> int:
     raise ValueError(f"mask {ideal_mask:#x} is not a principal ideal")
 
 
-def ideal_join(host: Poset, x: int, ideal_mask: int) -> int:
-    """{x} v J: the closure of {x} and J under binary joins, then downward.
-    J = down(m) has a top, so this is down(x v m), one join (see
-    suites.ideal_join_oracle for the closure itself). Raises ValueError
-    when the mask is not a principal ideal."""
-    return host.down_incl(host.join(x, _ideal_top(host, ideal_mask)))
-
-
 def _is_separating_masks(host: Poset, masks: Sequence[int], tops: Sequence[int]):
     """Core check over member masks and tops; returns (bool, violating (I,x) or None).
 
@@ -368,7 +360,7 @@ def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
     stall = None
     if xs:
         ys.append(xs[0])
-    while stall is None and len(ys) < len(xs) and len(ys) < depth + 1:
+    while len(ys) < len(xs) and len(ys) < depth + 1:
         n = len(ys)
         running = _semilattice.join_of(host, ys)
         prev_ideal = i_masks[n]  # I_{n-1}
@@ -380,17 +372,13 @@ def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
         if n == 1:
             ys.append(join(xs[1], z))
             continue
+        # the scan always finds a t_j: phase 1 put I_j, which holds the later
+        # rows, below x_j v top(J) for the least member J, which is in I_{n-1}
         ts = []
         for j in range(n - 1):
             yj = _semilattice.join_of(host, ys[j + 1:n])
-            tj = next((c for c in _poset.bits(prev_ideal)
-                       if host.leq(yj, join(xs[j], c))), None)
-            if tj is None:
-                stall = f"no t_{j} witness at step {n}"
-                break
-            ts.append(tj)
-        if stall:
-            break
+            ts.append(next(c for c in _poset.bits(prev_ideal)
+                           if host.leq(yj, join(xs[j], c))))
         ys.append(_semilattice.join_of(host, [xs[n], z, *ts]))
 
     achieved = len(ys) - 1
@@ -408,6 +396,8 @@ def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
 
 
 def _check_descending_chain(host: Poset, payload):
+    if type(payload["depth"]) is not int:
+        raise ValueError("depth must be an integer")
     # the walk starts in the chain's first member and stays inside it
     first = _payload_chain(host, payload).members[0].mask
     xs = _indices(payload["elements"], host.n, "elements")
@@ -575,56 +565,6 @@ def _check_ramsey(host: Poset, payload):
     out.append(("map_meet_preserving", witness.check_flag("meet_preserving")))
     out.append(("map_injective", witness.check_flag("injective")))
     return out
-
-
-# ---------------------------------------------------------------------------
-# bad-antichain condition checker
-
-
-@dataclass(frozen=True)
-class BadAntichainReport:
-    condition1_holds: bool
-    condition1_slack_needed: int       # max exception count over failing side
-    condition1_violations: tuple       # elements over the slack
-    remainder_size: int
-    remainder_max_antichain: int
-
-
-def check_bad_antichain(p: Poset, antichain: Sequence[int], slack: int = 0) -> BadAntichainReport:
-    """Diagnostic for the two minimal-bad-antichain conditions.
-
-    Condition 1 at slack k: every element is above some member of the
-    antichain or below all members but at most k. Condition 2 is reported as
-    the maximum antichain size of the part not above any member.
-    """
-    a = list(antichain)
-    if pair := _comparable_pair(p, a):
-        raise NotAntichain(f"{pair[0]} and {pair[1]} are comparable")
-    up_a = 0
-    for y in a:
-        up_a |= p.up_incl(y)
-    # the elements above no member: condition 1 tests them, and they are
-    # the remainder of condition 2
-    remainder = [x for x in range(p.n) if not (up_a >> x) & 1]
-    worst = 0
-    violations = []
-    for x in remainder:
-        misses = sum(1 for y in a if not p.lt(x, y))
-        worst = max(worst, misses)
-        if misses > slack:
-            violations.append(x)
-    if remainder:
-        sub = _poset.induced(p, remainder)
-        max_antichain = sub.width()
-    else:
-        max_antichain = 0
-    return BadAntichainReport(
-        condition1_holds=not violations,
-        condition1_slack_needed=worst,
-        condition1_violations=tuple(violations),
-        remainder_size=len(remainder),
-        remainder_max_antichain=max_antichain,
-    )
 
 
 # ---------------------------------------------------------------------------

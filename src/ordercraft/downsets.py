@@ -40,10 +40,6 @@ class DownSet:
     def sorted_members(self):
         return tuple(sorted(self.members))
 
-    def is_ideal(self) -> bool:
-        """Non-empty and up-directed within itself."""
-        return _is_ideal_mask(self.host, self.mask)
-
     def __le__(self, other):
         return self.mask & ~other.mask == 0
 

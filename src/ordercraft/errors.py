@@ -45,10 +45,6 @@ class StructureMismatch(OrderError):
     """An operation needs join/meet/lattice structure the input lacks."""
 
 
-class NotIndependent(OrderError):
-    pass
-
-
 class NotDistributive(OrderError):
     pass
 
@@ -58,10 +54,6 @@ class NotMeetPreserving(OrderError):
 
 
 class NotSurjective(OrderError):
-    pass
-
-
-class NotLatticeHom(OrderError):
     pass
 
 

@@ -139,15 +139,6 @@ class FamilySpec:
         if self.family not in FAMILIES:
             raise UnsupportedParams(f"unknown family {self.family!r}")
 
-    def to_json_dict(self) -> dict:
-        return {"family": self.family, "params": dict(self.params),
-                "with_bottom": self.with_bottom}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FamilySpec":
-        return cls(data["family"], dict(data.get("params", {})),
-                   bool(data.get("with_bottom", False)))
-
 
 # ---------------------------------------------------------------------------
 # concrete generators

@@ -848,10 +848,6 @@ def to_json(p: Poset) -> str:
     return json.dumps(to_json_dict(p), sort_keys=True)
 
 
-def from_json(text: str) -> Poset:
-    return from_json_dict(json.loads(text))
-
-
 def to_dot(p: Poset) -> str:
     """Hasse diagram in DOT, ranked bottom-to-top, stable across runs."""
     lines = ["digraph poset {", "  rankdir=BT;"]

@@ -15,9 +15,7 @@ from .errors import (
     BaseHypothesisViolated,
     NoLeastElement,
     NotDistributive,
-    NotIndependent,
     NotJoinSemilattice,
-    NotLatticeHom,
     NotMeetPreserving,
     NotSurjective,
     StructureMismatch,
@@ -332,15 +330,6 @@ class MapWitness:
             "certified": {fl: True for fl in sorted(self.certified)},
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MapWitness":
-        return cls(
-            _poset.from_json_dict(data["source"]),
-            _poset.from_json_dict(data["target"]),
-            tuple(data["table"]),
-            frozenset(k for k, v in data["certified"].items() if v),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
@@ -351,32 +340,6 @@ def certify(source: Poset, target: Poset, table, wanted) -> MapWitness:
     held = frozenset(fl for fl in wanted if probe.check_flag(fl))
     object.__setattr__(probe, "certified", held)
     return probe
-
-
-def representation_map(p: Poset, family: _downsets.DownSetFamily) -> MapWitness:
-    """phi(x) = {J in family : x not in J}, landing in the downset lattice of
-    the family poset. Always order-preserving; certified an order embedding
-    exactly when every x !<= y is separated by some member containing y but
-    not x. When the host is a join-semilattice and the family consists of
-    ideals, phi also preserves joins (an ideal missing x v y misses x or y),
-    and the flag is certified whenever it holds."""
-    target = _downsets.downset_lattice(_downsets.family_poset(family))
-    index_of = target.birkhoff()[1]
-    masks = family.masks()
-    table = []
-    for x in range(p.n):
-        fmask = 0
-        for j, m in enumerate(masks):
-            if not (m >> x) & 1:
-                fmask |= 1 << j
-        table.append(index_of[fmask])
-    witness = certify(p, target, table,
-                      {"order_preserving", "join_preserving", "order_embedding"})
-    if "order_embedding" in witness.certified:
-        # an order embedding is injective; a map that only happens to be
-        # injective is not certified so
-        object.__setattr__(witness, "certified", witness.certified | {"injective"})
-    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -481,29 +444,10 @@ def subsemilattice_generated(p: Poset, seeds: Sequence[int], ops: str = "both"):
     return sorted(closed)
 
 
-def phi_quotient(t: Poset, independents: Sequence[int]) -> MapWitness:
-    """Quotient of the sublattice generated by an independent set onto the
-    powerset lattice of the set, x -> {a : a <= x}.
-
-    Source poset is the generated sublattice (labels kept from the host);
-    the witness is certified a surjective lattice homomorphism.
-    """
-    if len(independents) < 2:
-        raise ValueError("need an independent set of size >= 2")
-    if t.birkhoff() is None:
-        raise NotDistributive("host must be a distributive lattice")
-    if not is_independent(t, independents):
-        raise NotIndependent(f"{list(independents)} is not independent")
-    elements, table = _phi_table(t, independents)
-    powerset = _families.shape("finite_powerset", len(independents))
-    return MapWitness(_poset.induced(t, elements), powerset, table,
-                      frozenset({"lattice_hom", "surjective", "order_preserving"}))
-
-
 def _phi_table(t: Poset, gens: Sequence[int]):
     """(elements, table): the sublattice of t generated by gens, as sorted
-    host indices, and phi_quotient's table on it, each element sent to the
-    mask of the gens below it."""
+    host indices, and the table of its quotient onto the powerset lattice of
+    gens, each element x sent to the mask of {a in gens : a <= x}."""
     elements = subsemilattice_generated(t, gens, "both")
     leq = t.leq
     return elements, tuple(sum(1 << i for i, a in enumerate(gens) if leq(a, e))
@@ -606,46 +550,13 @@ def _lift_table(t: Poset, table, masks) -> tuple:
 # from a powerset quotient back to a delta-shaped map
 
 
-def delta_from_hom(t: Poset, phi: MapWitness,
-                   source_elements: Optional[Sequence[int]] = None) -> MapWitness:
-    """Meet-preserving map from a delta-family poset into t, built from a
-    surjective lattice homomorphism phi onto a powerset lattice B_n: the
-    (i,w) row accumulates b_k = v{f(i,w) ^ f(j,w) : i<j<k} so that
-    phi(f(i,w)) = {i} exactly.
-
-    source_elements gives the t-indices of phi's source (defaults to the
-    identity when phi is defined on t itself).
-    """
-    if "lattice_hom" not in phi.certified or not phi.check_flag("lattice_hom"):
-        raise NotLatticeHom("phi must be a certified lattice homomorphism")
-    if not phi.check_flag("surjective"):
-        raise NotSurjective("phi must be onto the powerset lattice")
-    b = phi.target
-    n = b.n.bit_length() - 1
-    # the order is x <= y iff x & y == x exactly when the covers are x < x + {i}
-    if b.n != 1 << n or b.cover_pairs() != tuple(sorted(
-            (x, x | 1 << i) for x in range(b.n) for i in range(n) if not x >> i & 1)):
-        raise ValueError("phi target is not a powerset lattice in mask encoding")
-    if n < 2:
-        raise ValueError("need a powerset lattice on at least 2 atoms")
-    if source_elements is None:
-        if phi.source.n != t.n:
-            raise ValueError("source_elements required when phi source is not t")
-        source_elements = range(t.n)
-    require_joins(t)
-    require_meets(t)
-    table = _delta_table(t, phi.table, list(source_elements), n)
-    # MapWitness checks the flags it is given
-    flags = {"meet_preserving", "order_preserving"}
-    if len(set(table)) == len(table):
-        flags.add("injective")
-    return MapWitness(_families.shape("delta", n - 1), t, table, frozenset(flags))
-
-
 def _delta_table(t: Poset, phi_table, source_elements: Sequence[int], n: int) -> tuple:
-    """delta_from_hom's table over delta_coords(n - 1), from phi's table onto
-    B_n on the host elements source_elements: row (i,w), and the meet of
-    rows i and j at (i,j)."""
+    """The table over delta_coords(n - 1) of a meet-preserving map into t,
+    from the table of a surjective lattice homomorphism phi onto B_n on the
+    host elements source_elements: row (i,w) accumulates
+    b_k = v{f(i,w) ^ f(j,w) : i<j<k} so that phi(f(i,w)) = {i}, and (i,j)
+    holds the meet of rows i and j. Raises NotSurjective when some mask has
+    no preimage."""
     join, meet = t.join, t.meet
 
     def first_with_image(mask: int) -> int:

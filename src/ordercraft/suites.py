@@ -226,8 +226,8 @@ def ideal_join_oracle(host: Poset, x: int, ideal_mask: int) -> int:
     """{x} v J by its definition: close {x} and J under binary joins, then
     take the downward closure.
 
-    The oracle for constructions.ideal_join, which reads the answer off the
-    top of J; this loop assumes no top."""
+    The oracle for the chain code's {x} v J = down(x v top J), which reads
+    the answer off the top of J; this loop assumes no top."""
     jt = host.join_table()
     mask = ideal_mask | (1 << x)
     frontier = [x]

@@ -153,7 +153,7 @@ def test_criterion_06_separating_chain_pair():
     assert not gok and gwitness is not None
     member, x = gwitness
     for j in gchain.members:
-        assert member.mask & ~C.ideal_join(gchain.host, x, j.mask) == 0
+        assert member.mask & ~SU.ideal_join_oracle(gchain.host, x, j.mask) == 0
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"criterion 6 took {elapsed:.1f}s"
     _announce(6, "B_8 suffix chain separating with size-7 extraction; "
@@ -279,7 +279,7 @@ def test_criterion_11_cli_goldens_and_exit_codes(tmp_path):
         assert proc.stdout == golden, f"golden drift for {name}"
         # JSON round-trip identity
         p = P.from_json_dict(json.loads(proc.stdout))
-        assert P.from_json(P.to_json(p)) == p
+        assert P.from_json_dict(json.loads(P.to_json(p))) == p
 
     # scripted end-to-end exit-code check: 0, 1, 2, 3, 4
     b3 = tmp_path / "b3.json"

@@ -287,6 +287,9 @@ class TestExitCodes:
         ("pipeline_b5_k5", ("payload", "sublattice_elements", 0), 99),
         ("independent_b5", ("payload", "independent_set", 0), 99),
         ("descending_chain6_d3", ("payload", "elements", 0), "a"),
+        ("descending_chain6_d3", ("payload", "depth"), "3"),
+        ("descending_chain6_d3", ("payload", "depth"), 3.0),
+        ("descending_chain6_d3", ("payload", "depth"), True),
         ("grid_chain6_d3", ("payload", "achieved"), "x"),
         ("grid_chain6_d3", ("payload", "table"), [0, 1]),
         ("grid_chain6_d3", ("payload", "rows"), []),
@@ -297,7 +300,8 @@ class TestExitCodes:
     ], ids=["document_list", "payload_list", "evidence_int", "evidence_entry_int",
             "kind_list", "kind_unknown", "table_int", "lift_table_int", "chain_int",
             "chain_member_int", "antichain_99", "sublattice_elements_99",
-            "independent_set_99", "element_string", "achieved_string", "table_short",
+            "independent_set_99", "element_string", "depth_string", "depth_float",
+            "depth_bool", "achieved_string", "table_short",
             "rows_empty",
             "subset_past_antichain", "pattern_list", "pattern_n_list", "phi_table_bool"])
     def test_malformed_certificate_is_3(self, golden, keys, value, tmp_path, capsys):

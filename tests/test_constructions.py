@@ -1,5 +1,5 @@
-"""Separating chains, the dichotomy, Ramsey classification, bad antichains,
-and the end-to-end pipeline with certificate re-verification."""
+"""Separating chains, the dichotomy, Ramsey classification, and the
+end-to-end pipeline with certificate re-verification."""
 
 import collections
 import functools
@@ -67,22 +67,13 @@ def grid_suffix_chain(n):
 
 
 class TestIdealJoin:
-    @pytest.mark.parametrize("host", [
-        F.finite_powerset(4), D.downset_lattice(F.delta(3)), F.omega_star_grid(4)],
-        ids=["B_4", "O(delta 3)", "grid 4"])
-    def test_matches_closure_oracle(self, host):
-        for top in range(host.n):
-            ideal = host.down_incl(top)
-            for x in range(host.n):
-                assert C.ideal_join(host, x, ideal) == SU.ideal_join_oracle(host, x, ideal)
-
     def test_non_principal_mask_raises(self):
         host = F.finite_powerset(2)
         # {}, {0}, {1}: a downset with two maximal elements; {0} alone is not
         # a downset; the empty mask has no top
         for mask in (0b0111, 0b0010, 0):
             with pytest.raises(ValueError, match="not a principal ideal"):
-                C.ideal_join(host, 3, mask)
+                C._ideal_top(host, mask)
 
 
 class TestChainOfDownSets:
@@ -110,7 +101,7 @@ class TestIsSeparating:
         # the witness re-checks: every member keeps the violator inside
         chain = grid_suffix_chain(8)
         for j in chain.members:
-            joined = C.ideal_join(chain.host, x, j.mask)
+            joined = SU.ideal_join_oracle(chain.host, x, j.mask)
             assert member.mask & ~joined == 0
 
     def test_singleton_chain_vacuous(self):
@@ -493,50 +484,6 @@ class TestRamsey:
         assert "injective" in lift.certified
 
 
-class TestBadAntichain:
-    def test_delta_maximals(self):
-        d4 = F.delta(4)
-        coords = F.delta_coords(4)
-        idx = {c: i for i, c in enumerate(coords)}
-        a = [idx[(i, F.OMEGA)] for i in range(5)]
-        report = C.check_bad_antichain(d4, a, slack=0)
-        # oracle: (i,j) < (k,w) iff j <= k or i == k, so the exceptions for
-        # (i,j) are exactly the columns k < j other than i: j - 1 of them
-        worst = max(j - 1 for i in range(5) for j in range(i + 1, 5))
-        assert worst == 3
-        assert report.condition1_slack_needed == worst
-        assert not report.condition1_holds
-        relaxed = C.check_bad_antichain(d4, a, slack=worst)
-        assert relaxed.condition1_holds
-        assert report.remainder_size == d4.n - 5
-        assert report.remainder_max_antichain == 4
-
-    def test_antichain_of_itself(self):
-        p = P.antichain(3)
-        report = C.check_bad_antichain(p, [0, 1, 2], slack=0)
-        assert report.condition1_holds
-        assert report.remainder_size == 0
-        assert report.remainder_max_antichain == 0
-
-    def test_chain_middle(self):
-        report = C.check_bad_antichain(P.chain(3), [1], slack=0)
-        # bottom is below the middle, top is above it: both branches covered
-        assert report.condition1_holds
-        assert report.remainder_size == 1
-
-    def test_non_antichain_rejected(self):
-        with pytest.raises(NotAntichain):
-            C.check_bad_antichain(P.chain(3), [0, 2])
-
-    @pytest.mark.parametrize("xs,message", [
-        ([4, 1, 3, 6], "4 and 6 are comparable"),
-        ([2, 2], "2 and 2 are comparable"),
-    ], ids=["first_of_two_pairs", "repeated"])
-    def test_not_antichain_names_the_first_comparable_pair(self, xs, message):
-        with pytest.raises(NotAntichain, match=f"^{message}$"):
-            C.check_bad_antichain(F.finite_powerset(3), xs)
-
-
 class TestPipeline:
     def test_delta_host(self):
         cert = C.thm8_pipeline(D.downset_lattice(F.delta(4)), 5)
@@ -566,6 +513,16 @@ class TestPipeline:
     def test_non_distributive_rejected(self):
         with pytest.raises(C.NotDistributive):
             C.thm8_pipeline(F.l_alpha(2), 4)
+
+    def test_non_verifying_witness_raises(self, monkeypatch):
+        # a lift core that sends every downset to 0 has a table of the right
+        # length that is not injective: the certificate fails and is kept
+        monkeypatch.setattr(S, "_lift_table", lambda t, table, masks: (0,) * len(masks))
+        with pytest.raises(ConstructionStalled,
+                           match="^pipeline produced a non-verifying witness$") as info:
+            C.thm8_pipeline(F.finite_powerset(5), 5)
+        assert isinstance(info.value.partial, C.Certificate)
+        assert not info.value.partial.ok()
 
     @pytest.mark.parametrize("name,host,k", [
         ("pipeline_b5_k5", lambda: F.finite_powerset(5), 5),

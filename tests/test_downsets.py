@@ -144,7 +144,8 @@ class TestEnumeration:
         ideals = D.enumerate_ideals(p)
         assert [d.sorted_members() for d in ideals.sets] == want
         assert ideals.role == "ideals"
-        assert [d for d in D.enumerate_downsets(p).sets if d.is_ideal()] == list(ideals.sets)
+        assert [d for d in D.enumerate_downsets(p).sets
+                if D._is_ideal_mask(p, d.mask)] == list(ideals.sets)
 
     @given(random_posets(max_n=8))
     def test_ideals_are_exactly_principal(self, p):
@@ -324,72 +325,3 @@ class TestUnionClosure:
         monkeypatch.setenv("OC_BUDGET", "14")
         with pytest.raises(BudgetExceeded, match="more than 14 unions"):
             D.union_closure(set(), singletons)
-
-
-def meet_irreducible_ideals(p):
-    """The completely meet-irreducible ideals of a finite poset, in canonical
-    order: the principal ideals down(x) with one upper cover in the downset
-    lattice, that is, whose complement has exactly one minimal element."""
-    full = (1 << p.n) - 1
-    picked = []
-    for d in D.principal_ideals(p).sets:
-        rest = full & ~d.mask
-        if sum(1 for e in P.bits(rest) if not p.down[e] & rest) == 1:
-            picked.append(d)
-    return D.DownSetFamily(p, tuple(picked), "custom")
-
-
-class TestRepresentationMap:
-    def test_chain_with_all_ideals_embeds(self):
-        p = P.chain(2)
-        w = S.representation_map(p, D.enumerate_ideals(p))
-        assert "order_embedding" in w.certified
-
-    def test_empty_family_constant(self):
-        p = P.chain(3)
-        w = S.representation_map(p, D.DownSetFamily(p, (), "custom"))
-        assert len(set(w.table)) == 1
-        assert "order_embedding" not in w.certified
-
-    def test_antichain_with_singletons(self):
-        p = P.antichain(2)
-        w = S.representation_map(p, D.enumerate_ideals(p))
-        assert "order_embedding" in w.certified
-        assert w.table[0] != w.table[1]
-
-    def test_injective_without_separation_is_not_certified_injective(self):
-        # no member holds 1 without 0, so 0 !<= 1 is not separated; yet the
-        # one member {0} tells phi(0) = {} from phi(1) = {{0}}
-        p = P.antichain(2)
-        w = S.representation_map(p, D.DownSetFamily(p, (D.DownSet(p, frozenset({0})),)))
-        assert len(set(w.table)) == 2
-        assert not {"order_embedding", "injective"} & w.certified
-
-    @given(random_posets(max_n=5))
-    def test_always_order_preserving(self, p):
-        w = S.representation_map(p, D.enumerate_ideals(p))
-        assert w.check_flag("order_preserving")
-
-    @settings(max_examples=25, deadline=None)
-    @given(random_posets(max_n=4))
-    def test_meet_irreducible_ideal_family_embeds_join_semilattices(self, p):
-        # every finite join-semilattice embeds into the downset lattice of
-        # its completely meet-irreducible ideal family, preserving joins
-        lat = D.downset_lattice(p)
-        fam = meet_irreducible_ideals(lat)
-        w = S.representation_map(lat, fam)
-        assert "order_embedding" in w.certified
-        assert "join_preserving" in w.certified
-
-    def test_grid_family_preserves_joins_but_cannot_separate(self):
-        # the grid's completely meet-irreducible ideals are non-principal in
-        # the untruncated object, so the finite window sees too few of them
-        # to separate; join preservation still holds for any ideal family
-        host = F.omega_star_grid(3)
-        fam = meet_irreducible_ideals(host)
-        for d in fam.sets:
-            assert d.is_ideal()
-        w = S.representation_map(host, fam)
-        assert "join_preserving" in w.certified
-        assert "order_embedding" not in w.certified
-

@@ -559,7 +559,3 @@ class TestGenerateDispatch:
     def test_unknown_param(self):
         with pytest.raises(UnsupportedParams):
             F.generate(F.FamilySpec("delta", {"n": 3, "zap": 1}))
-
-    def test_spec_json_round_trip(self):
-        spec = F.FamilySpec("delta", {"n": 4})
-        assert F.FamilySpec.from_json_dict(spec.to_json_dict()) == spec

@@ -16,7 +16,6 @@ from ordercraft.errors import (
     BaseHypothesisViolated,
     NoLeastElement,
     NotDistributive,
-    NotIndependent,
     NotJoinSemilattice,
     StructureMismatch,
 )
@@ -210,11 +209,6 @@ class TestDistributiveHost:
         from ordercraft import constructions as C
         with pytest.raises(NotDistributive, match="^host must be a distributive lattice$"):
             C.thm8_pipeline(host, 4)
-        assert host._join is None and host._meet is None
-
-    def test_phi_quotient_refuses(self, host):
-        with pytest.raises(NotDistributive, match="^host must be a distributive lattice$"):
-            S.phi_quotient(host, [1, 2])
         assert host._join is None and host._meet is None
 
     def test_f_vee_refuses(self, host):
@@ -515,11 +509,6 @@ class TestMapWitness:
         w = S.embedding_search(F.finite_powerset(2), F.finite_powerset(3), "join")
         assert w.verify_all()
 
-    def test_json_round_trip(self):
-        w = S.embedding_search(P.chain(2), F.finite_powerset(2), "order")
-        again = S.MapWitness.from_json_dict(w.to_json_dict())
-        assert again.table == w.table and again.certified == w.certified
-
     def test_zero_preserving_flag(self):
         b2 = F.finite_powerset(2)
         keeps = S.certify(P.chain(2), b2, (0, 1), {"zero_preserving"})
@@ -680,13 +669,10 @@ class TestWitnessSelfAudit:
             witnesses.append(S.embedding_search(b2, b3, mode))
         base = F.delta(2)
         lat = D.downset_lattice(base)
-        witnesses.append(S.representation_map(base, D.enumerate_ideals(base)))
         gens = S.find_independent_set(lat, 3)
-        phi = S.phi_quotient(lat, gens)
+        sub, phi = phi_witness(lat, gens)
         witnesses.append(phi)
-        sub = S.subsemilattice_generated(lat, gens, "both")
-        f = S.delta_from_hom(lat, phi, sub)
-        witnesses.append(f)
+        witnesses.append(delta_witness(lat, phi.table, sub, 3))
         fam = D.enumerate_downsets(base)
         index = {d.mask: i for i, d in enumerate(fam.sets)}
         table = tuple(index[D.principal(base, x).mask] for x in range(base.n))
@@ -706,13 +692,31 @@ QUOTIENT_HOSTS = {
 }
 
 
+def phi_witness(host, gens):
+    """(sublattice elements, phi): the pipeline's quotient table for gens,
+    in a witness whose constructor checks the flags the pipeline's
+    certificate claims of it."""
+    elements, table = S._phi_table(host, gens)
+    powerset = F.shape("finite_powerset", len(gens))
+    return elements, S.MapWitness(P.induced(host, elements), powerset, table,
+                                  frozenset({"lattice_hom", "surjective", "order_preserving"}))
+
+
+def delta_witness(host, phi_table, elements, n):
+    """The pipeline's delta-shaped table from phi onto B_n, in a witness
+    whose constructor checks that it preserves meets and order."""
+    table = S._delta_table(host, phi_table, list(elements), n)
+    return S.MapWitness(F.shape("delta", n - 1), host, table,
+                        frozenset({"meet_preserving", "order_preserving"}))
+
+
 def quotient(name):
     """(host, generators, sublattice elements, phi) for a QUOTIENT_HOSTS entry."""
     make, k = QUOTIENT_HOSTS[name]
     host = make()
     gens = S.find_independent_set(host, k)
     assert gens is not None and len(gens) == k
-    return host, gens, S.subsemilattice_generated(host, gens, "both"), S.phi_quotient(host, gens)
+    return (host, gens, *phi_witness(host, gens))
 
 
 class TestPhiQuotient:
@@ -731,7 +735,7 @@ class TestPhiQuotient:
 
     def test_powerset_identity(self):
         b3 = F.finite_powerset(3)
-        w = S.phi_quotient(b3, [1, 2, 4])
+        _elements, w = phi_witness(b3, [1, 2, 4])
         assert w.source.n == 8 and w.check_flag("surjective")
         assert P.is_isomorphic(w.source, b3) is not None
         # the quotient of the full powerset by its atoms is an isomorphism
@@ -740,24 +744,15 @@ class TestPhiQuotient:
     def test_delta_columns_onto_b3(self):
         lat = D.downset_lattice(F.delta(2))
         gens = S.find_independent_set(lat, 3)
-        w = S.phi_quotient(lat, gens)
+        _elements, w = phi_witness(lat, gens)
         assert w.target.n == 8
         assert w.check_flag("lattice_hom") and w.check_flag("surjective")
 
     def test_gamma_columns_onto_b4(self):
         lat = D.downset_lattice(F.gamma(3))
         gens = S.find_independent_set(lat, 4)
-        w = S.phi_quotient(lat, gens)
+        _elements, w = phi_witness(lat, gens)
         assert w.target.n == 16 and w.check_flag("surjective")
-
-    def test_rejects_dependent_set(self):
-        b3 = F.finite_powerset(3)
-        with pytest.raises(NotIndependent):
-            S.phi_quotient(b3, [1, 2, 3])
-
-    def test_rejects_non_distributive(self):
-        with pytest.raises(NotDistributive):
-            S.phi_quotient(pentagon(), [1, 2])
 
 
 class TestCheckDeltaMap:
@@ -879,10 +874,7 @@ class TestFVee:
 class TestDeltaFromHom:
     def test_identity_on_powerset(self):
         b3 = F.finite_powerset(3)
-        phi = S.MapWitness(b3, b3, tuple(range(8)),
-                           frozenset({"lattice_hom", "surjective"}))
-        f = S.delta_from_hom(b3, phi)
-        assert "meet_preserving" in f.certified
+        f = delta_witness(b3, tuple(range(8)), range(8), 3)
         coords = F.delta_coords(2)
         row = [f.table[i] for i, c in enumerate(coords) if c[1] == F.OMEGA]
         assert row == [1, 2, 4]  # the atoms; accumulated b_k stay empty
@@ -890,10 +882,8 @@ class TestDeltaFromHom:
     def test_from_phi_quotient_of_delta(self):
         lat = D.downset_lattice(F.delta(2))
         gens = S.find_independent_set(lat, 3)
-        phi = S.phi_quotient(lat, gens)
-        sub = S.subsemilattice_generated(lat, gens, "both")
-        f = S.delta_from_hom(lat, phi, sub)
-        assert "meet_preserving" in f.certified
+        sub, phi = phi_witness(lat, gens)
+        f = delta_witness(lat, phi.table, sub, 3)
         coords = F.delta_coords(2)
         row = [f.table[i] for i, c in enumerate(coords) if c[1] == F.OMEGA]
         back = {e: k for k, e in enumerate(sub)}
@@ -905,7 +895,7 @@ class TestDeltaFromHom:
         # phi sends row i of the constructed delta map to {i}, on every host
         # of the pipeline's first steps
         host, gens, elements, phi = quotient(name)
-        f = S.delta_from_hom(host, phi, elements)
+        f = delta_witness(host, phi.table, elements, len(gens))
         coords = F.delta_coords(len(gens) - 1)
         row = [f.table[i] for i, c in enumerate(coords) if c[1] == F.OMEGA]
         assert [phi.table[elements.index(r)] for r in row] == [
@@ -913,13 +903,10 @@ class TestDeltaFromHom:
 
     def test_minimal_two_columns(self):
         b2 = F.finite_powerset(2)
-        phi = S.MapWitness(b2, b2, tuple(range(4)),
-                           frozenset({"lattice_hom", "surjective"}))
-        f = S.delta_from_hom(b2, phi)
+        f = delta_witness(b2, tuple(range(4)), range(4), 2)
         assert S.check_delta_map(b2, list(f.table)).conditions_hold
 
     def test_rejects_non_surjective(self):
-        b2 = F.finite_powerset(2)
-        phi = S.certify(P.chain(2), b2, (0, 3), {"lattice_hom"})
-        with pytest.raises(S.NotSurjective):
-            S.delta_from_hom(b2, phi, [0, 3])
+        # the chain 0 < 3 of B_2 maps onto {} and {0, 1}: no element maps to {0}
+        with pytest.raises(S.NotSurjective, match="^no element maps to 0x1$"):
+            S._delta_table(F.finite_powerset(2), (0, 3), [0, 3], 2)

@@ -2,6 +2,7 @@
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ordercraft"
@@ -80,9 +81,9 @@ def test_bound_oracle_stays_outside_the_kernel():
 
 
 def test_ideal_join_oracle_stays_in_the_suites():
-    # the closure loop checks constructions.ideal_join in the tests only: no
-    # other module names it, and the separating suite, which the benchmark
-    # runs, does not call it
+    # the closure loop checks the separating test's {x} v J = down(x v top J)
+    # in the tests only: no other module names it, and the separating suite,
+    # which the benchmark runs, does not call it
     suites = ast.parse((SRC / "suites.py").read_text())
     assert "ideal_join_oracle" in {node.name for node in ast.walk(suites)
                                    if isinstance(node, ast.FunctionDef)}
@@ -109,11 +110,10 @@ def _function(tree, qualname):
 # the callers that read joins and meets one pair at a time
 PER_PAIR_CALLERS = {
     "semilattice.py": ["is_independent", "find_independent_set", "join_of", "_closure",
-                       "subsemilattice_generated", "check_delta_map", "delta_from_hom",
+                       "subsemilattice_generated", "check_delta_map",
                        "MapWitness.check_flag", "MapWitness._check", "f_vee",
                        "_phi_table", "_delta_table", "_lift_table"],
-    "constructions.py": ["ChainOfDownSets.__post_init__", "ideal_join",
-                         "_is_separating_masks", "independent_from_separating",
+    "constructions.py": ["ChainOfDownSets.__post_init__", "_is_separating_masks", "independent_from_separating",
                          "dichotomy_extract", "_dichotomy_case_grid",
                          "_triple_class", "ramsey_extract", "_ramsey_fields",
                          "_check_ramsey", "thm8_pipeline"],
@@ -139,14 +139,13 @@ def test_per_pair_callers_build_no_tables():
 
 def test_ideal_oracle_tests_the_definition():
     # enumerate_ideals is the by-definition oracle for "every ideal is
-    # principal": it and its mask test, which DownSet.is_ideal shares, filter
-    # the downsets for directedness and take no shortcut through a top
+    # principal": it and its mask test filter the downsets for directedness
+    # and take no shortcut through a top
     tree = ast.parse((SRC / "downsets.py").read_text())
     shortcuts = {"principal", "down_closure", "maximals", "_ideal_top"}
     for qualname in ("enumerate_ideals", "_is_ideal_mask"):
         assert set(_names(_function(tree, qualname))) & shortcuts == set(), qualname
-    for qualname in ("enumerate_ideals", "DownSet.is_ideal"):
-        assert "_is_ideal_mask" in set(_names(_function(tree, qualname))), qualname
+    assert "_is_ideal_mask" in set(_names(_function(tree, "enumerate_ideals")))
 
 
 def test_oracles_never_touch_the_coordinates():
@@ -262,8 +261,7 @@ def test_pipeline_builds_tables_and_checks_once():
 def test_one_distributivity_test_and_one_topological_sort():
     # the constructions that need a distributive host ask Poset.birkhoff,
     # not the structure report, which leaves no cache on the Poset
-    for module, name in (("constructions.py", "thm8_pipeline"),
-                         ("semilattice.py", "phi_quotient"), ("semilattice.py", "f_vee")):
+    for module, name in (("constructions.py", "thm8_pipeline"), ("semilattice.py", "f_vee")):
         used = set(_names(_function(ast.parse((SRC / module).read_text()), name)))
         assert "birkhoff" in used and "structure_report" not in used, name
     tree = ast.parse((SRC / "poset.py").read_text())
@@ -298,13 +296,13 @@ def test_chain_walks_ask_the_kernel():
 
 
 def test_chain_tops_found_once():
-    # a chain finds its members' tops when it is built and keeps them;
-    # ideal_join, which takes a bare mask, is the one other finder
+    # a chain finds its members' tops when it is built and keeps them, and
+    # nothing else in the module finds one
     tree = ast.parse((SRC / "constructions.py").read_text())
 
     def names_top(node):
         return isinstance(node, ast.Name) and node.id == "_ideal_top"
-    assert _holders(tree, names_top) == ["__post_init__", "ideal_join"]
+    assert _holders(tree, names_top) == ["__post_init__"]
     chain = _function(tree, "ChainOfDownSets")
     assert _holders(chain, names_top) == ["__post_init__"]
 
@@ -455,3 +453,42 @@ def test_no_public_budget_parameter():
             found += [f"{path.name}:{qualname}({arg.arg})" for arg in params
                       if arg.arg == "limit" or arg.arg.endswith("_budget")]
     assert found == []
+
+
+# public names that nothing in the package or the bench calls, each kept
+# for the tests that check other code against it
+NO_CALLER_NEEDED = {
+    "validate": "poset.Poset's reference check of given down masks",
+    "family_poset": "the inclusion order nonempty_downset_lattice is compared with",
+    "ideal_join_oracle": "the closure that is_separating is checked against",
+    "to_json": "the compact form the golden tests compare",
+}
+
+
+def _uses(tree):
+    """How often a tree names each identifier or holds it as a whole string,
+    as tracing's method table does."""
+    return Counter([*_names(tree), *(node.value for node in ast.walk(tree)
+                                     if isinstance(node, ast.Constant)
+                                     and isinstance(node.value, str))])
+
+
+def test_every_public_name_has_a_caller():
+    # each public function, class and method of a public class is named in
+    # the package outside its own definition or in the bench; a re-export
+    # from __init__ is no caller
+    trees = [ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    bench = sorted((SRC.parents[1] / "perfbench").glob("*.py"))
+    assert bench
+    uses = sum((_uses(tree) for tree in trees), Counter())
+    uses += sum((_uses(ast.parse(path.read_text())) for path in bench), Counter())
+    uncalled = set()
+    for tree in trees:
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.ClassDef)
+                and not node.name.startswith("_")] + list(_public_functions(tree))
+        for qualname, node in defs:
+            name = qualname.rsplit(".", 1)[-1]
+            if uses[name] - _uses(node)[name] <= 0:
+                uncalled.add(name)
+    assert sorted(uncalled) == sorted(NO_CALLER_NEEDED)
