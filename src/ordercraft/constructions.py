@@ -530,12 +530,13 @@ def _ramsey_fields(host: Poset, xs, m: int) -> dict:
     return fields
 
 
+# the pattern family of each classification that carries a pattern map
+_PATTERN_FAMILY = {DELTA_LIKE: "delta", GAMMA_LIKE: "gamma", V_LIKE: "v"}
+
+
 def _pattern_descriptor(classification: str, cols: int) -> dict:
-    if classification == DELTA_LIKE:
-        return {"family": "delta", "n": cols - 1}
-    if classification == GAMMA_LIKE:
-        return {"family": "gamma", "n": cols - 1}
-    return {"family": "v", "n": cols}
+    family = _PATTERN_FAMILY[classification]
+    return {"family": family, "n": cols if family == "v" else cols - 1}
 
 
 def _pattern_poset(descriptor) -> Poset:
@@ -622,14 +623,24 @@ def thm8_pipeline(t: Poset, k: int) -> Certificate:
 
 def _check_sublattice_pattern(host: Poset, payload):
     inds = _indices(payload["independent_set"], host.n, "independent_set")
+    k = payload["k"]
+    if type(k) is not int or k != len(inds):
+        raise ValueError("k must be the size of independent_set")
     row = _indices(payload["delta_row"], host.n, "delta_row")
     sub = _poset.induced(host, _indices(payload["sublattice_elements"], host.n,
                                         "sublattice_elements"))
-    powerset = _families.shape("finite_powerset", len(inds))
+    powerset = _families.shape("finite_powerset", k)
     phi = _witness(sub, powerset, payload, "phi_table")
-    delta_dom = _families.shape("delta", len(inds) - 1)
+    delta_dom = _families.shape("delta", k - 1)
     f = _witness(delta_dom, host, payload, "delta_table")
+    if row != [v for v, (_i, j) in zip(f.table, _families.delta_coords(k - 1))
+               if j == _families.OMEGA]:
+        raise ValueError("delta_row must be the omega row of delta_table")
     pattern = _pattern_poset(payload["pattern"])
+    classification = payload["classification"]
+    if not (isinstance(classification, str)
+            and _PATTERN_FAMILY.get(classification) == payload["pattern"]["family"]):
+        raise ValueError("classification must name the pattern's family")
     h = _witness(pattern, host, payload, "pattern_table")
     _masks, lift_source = _downsets.nonempty_downset_lattice(pattern)
     lift = _witness(lift_source, host, payload, "lift_table")

@@ -555,37 +555,68 @@ def add_bottom(p: Poset, label: str = "0") -> Poset:
 
 
 def induced(p: Poset, elements: Sequence[int], labels=None) -> Poset:
-    """Subposet on the given elements, in the given order."""
-    pos = {e: i for i, e in enumerate(elements)}
-    if len(pos) != len(elements):
+    """Subposet on the given elements, in the given order. The elements split
+    into maximal runs of consecutive host indices; each row moves one block
+    of its cone per run the cone meets, at most one step per selected bit."""
+    # a tuple keeps the order given, even if the caller changes elements later
+    elements = tuple(elements)
+    if len(set(elements)) != len(elements):
         raise ValueError("induced subposet elements must be distinct")
-    selected = sum(1 << e for e in pos)
+    # run_of[e]: (a, 2^w - 1, b) for e's run of w from host index a to b
+    run_of, selected, start = {}, 0, 0
+    for b in range(1, len(elements) + 1):
+        if b == len(elements) or elements[b] != elements[b - 1] + 1:
+            run = (elements[start], (1 << (b - start)) - 1, start)
+            for e in elements[start:b]:
+                run_of[e] = run
+            selected |= run[1] << run[0]
+            start = b
+    # written out for up and for down: a loop over the pair cost small
+    # selections a tenth more
     up, down = [], []
-    # each row keeps only the selected bits of the cone, renumbered; the bit
-    # loop stays inline, as in Poset.__init__
     for e in elements:
-        for rows, m in ((up, p.up[e] & selected), (down, p.down[e] & selected)):
-            row = 0
-            while m:
-                low = m & -m
-                row |= 1 << pos[low.bit_length() - 1]
-                m ^= low
-            rows.append(row)
-    # pos keeps the order given, even if the caller changes elements later
+        m, row = p.up[e] & selected, 0
+        while m:
+            a, width, b = run_of[(m & -m).bit_length() - 1]
+            block = (m >> a) & width
+            row |= block << b
+            m ^= block << a
+        up.append(row)
+        m, row = p.down[e] & selected, 0
+        while m:
+            a, width, b = run_of[(m & -m).bit_length() - 1]
+            block = (m >> a) & width
+            row |= block << b
+            m ^= block << a
+        down.append(row)
     return Poset(len(elements), up, labels if labels is not None
-                 else (lambda: [p.label(e) for e in pos]), down)
+                 else (lambda: [p.label(e) for e in elements]), down)
 
 
 def inclusion_order(masks: Sequence[int], labels=None) -> Poset:
-    """Distinct bitmasks ordered by inclusion, element order = list order."""
-    up = []
+    """Distinct bitmasks ordered by inclusion, element order = list order.
+    holders[e], keyed by the bit of e, holds the positions whose mask holds
+    e; above a is the AND of holders[e] over e in a, below a the AND of
+    ~holders[e] over the rest: O(N w) mask operations on N masks over w."""
+    n = len(masks)
+    everything = (1 << n) - 1
+    holders = {}
     for i, a in enumerate(masks):
-        m = 0
-        for j, b in enumerate(masks):
-            if a & b == a and i != j:
-                m |= 1 << j
-        up.append(m)
-    return Poset(len(masks), up, labels)
+        while a:  # inline bit loop, as in Poset.__init__
+            low = a & -a
+            holders[low] = holders.get(low, 0) | 1 << i
+            a ^= low
+    up, down = [], []
+    for i, a in enumerate(masks):
+        above, outside = everything, 0
+        for bit, h in holders.items():
+            if a & bit:
+                above &= h
+            else:
+                outside |= h
+        up.append(above ^ 1 << i)  # both hold position i itself
+        down.append((everything & ~outside) ^ 1 << i)
+    return Poset(n, up, labels, down)
 
 
 def set_lattice(base: Poset, masks: Sequence[int], labels=None) -> Poset:

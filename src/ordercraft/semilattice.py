@@ -185,17 +185,17 @@ def is_independent(p: Poset, xs: Sequence[int]) -> bool:
         return False
     for idx, x in enumerate(xs):
         rest = xs[:idx] + xs[idx + 1:]
-        m = len(rest)
-        # inline bit loop: the oracle's innermost loop, run 2^(k-1) times per x
-        for fmask in range(1, 1 << m):
-            acc = None
-            mm = fmask
-            while mm:
-                e = rest[(mm & -mm).bit_length() - 1]
-                acc = e if acc is None else join(acc, e)
-                mm ^= mm & -mm
+        # joins[f]: vF over rest's members at the bits of f, one join per F:
+        # v(F minus its highest member) joined with that member. The list
+        # grows with the loop (lower < fmask), as far as the Fs checked
+        joins = [None]
+        for fmask in range(1, 1 << len(rest)):
+            high = fmask.bit_length() - 1
+            lower = fmask ^ (1 << high)
+            acc = join(joins[lower], rest[high]) if lower else rest[high]
             if p.leq(x, acc):
                 return False
+            joins.append(acc)
     return True
 
 

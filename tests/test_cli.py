@@ -297,13 +297,22 @@ class TestExitCodes:
         ("ramsey_b4_atoms_m4", ("payload", "pattern"), ["v", 4]),
         ("ramsey_b4_atoms_m4", ("payload", "pattern", "n"), [4]),
         ("pipeline_b5_k5", ("payload", "phi_table", 0), True),
+        # the pipeline's k, classification and delta_row are tied to the rest
+        ("pipeline_delta3_k4", ("payload", "k"), 99),
+        ("pipeline_delta3_k4", ("payload", "k"), 4.0),
+        ("pipeline_delta3_k4", ("payload", "classification"), "anything"),
+        ("pipeline_delta3_k4", ("payload", "classification"), "VLike"),
+        ("pipeline_delta3_k4", ("payload", "classification"), ["DeltaLike"]),
+        ("pipeline_delta3_k4", ("payload", "delta_row"), [30, 17, 11, 7]),
     ], ids=["document_list", "payload_list", "evidence_int", "evidence_entry_int",
             "kind_list", "kind_unknown", "table_int", "lift_table_int", "chain_int",
             "chain_member_int", "antichain_99", "sublattice_elements_99",
             "independent_set_99", "element_string", "depth_string", "depth_float",
             "depth_bool", "achieved_string", "table_short",
             "rows_empty",
-            "subset_past_antichain", "pattern_list", "pattern_n_list", "phi_table_bool"])
+            "subset_past_antichain", "pattern_list", "pattern_n_list", "phi_table_bool",
+            "k_99", "k_float", "classification_anything", "classification_of_v",
+            "classification_list", "delta_row_reversed"])
     def test_malformed_certificate_is_3(self, golden, keys, value, tmp_path, capsys):
         doc = json.loads((GOLDEN / f"{golden}.json").read_text())
         if keys:
@@ -389,6 +398,16 @@ class TestExitCodes:
         assert dict(C.verify_certificate(C.Certificate.from_json_dict(doc))) == {
             "requested_depth_reached": True, "grid_join_preserving": False,
             "grid_injective": True}
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 1
+        assert json.loads(capsys.readouterr().out) == {"valid": False}
+
+    def test_whole_host_as_independent_set_fails_fast(self, tmp_path, capsys):
+        # all 32 elements of B_5: the check stops at the first F, so it must
+        # not set aside room for all 2^31 subsets of the rest first
+        doc = json.loads((GOLDEN / "independent_b5.json").read_text())
+        doc["payload"]["independent_set"] = list(range(32))
         f = tmp_path / "cert.json"
         f.write_text(json.dumps(doc))
         assert cli.main(["verify-cert", str(f)]) == 1

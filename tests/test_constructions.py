@@ -534,6 +534,22 @@ class TestPipeline:
         golden = GOLDEN / f"{name}.json"
         assert C.thm8_pipeline(host(), k).to_json() + "\n" == golden.read_text()
 
+    @pytest.mark.parametrize("host,k,digest", [
+        (lambda: F.finite_powerset(11), 11,
+         "a446b31e5eb9297f994795554f80cb9e0fefadcfaf75eccd184806a1773e272d"),
+        (lambda: D.downset_lattice(F.delta(4)), 5,
+         "0dffb7106b1e42c2fc79f02e14613acf87c8b3a6ea16108664529397d70a7468"),
+    ], ids=["B_11 k=11", "O(delta 4) k=5"])
+    def test_certificate_digest(self, host, k, digest):
+        # sha256 of certificates written before the lift source was read off
+        # element holders and the checker's subposet off index runs
+        cert = C.thm8_pipeline(host(), k)
+        assert hashlib.sha256(cert.to_json().encode()).hexdigest() == digest
+
+    def test_powerset_host_at_its_independence_number(self):
+        cert = C.thm8_pipeline(F.finite_powerset(12), 12)
+        assert cert.ok() and C.certificate_valid(cert)
+
 
 @pytest.mark.parametrize("name,extract", [
     ("independent_b5", lambda: C.independent_from_separating(powerset_suffix_chain(5))),

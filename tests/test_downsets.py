@@ -177,6 +177,11 @@ class TestEnumeration:
         nonempty = tuple(d for d in D.enumerate_downsets(p).sets if d.members)
         assert masks == tuple(d.mask for d in nonempty)
         assert lattice == D.family_poset(D.DownSetFamily(p, nonempty, "custom"))
+        # family_poset shares inclusion_order; set_lattice reads the order
+        # off its covers instead
+        full = D.downset_lattice(p)
+        ref = P.induced(full, range(1, full.n))
+        assert lattice == ref and lattice.down == ref.down
         assert D.nonempty_downset_lattice(p)[1] is lattice
 
     def test_nonempty_lattice_hit_honours_the_budget(self, monkeypatch):

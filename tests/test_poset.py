@@ -8,7 +8,7 @@ from math import comb
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ordercraft import constructions as C
 from ordercraft import downsets as D
@@ -804,26 +804,74 @@ class TestBirkhoffCache:
         assert all(p._join is None and p._meet is None for p in loaded)
 
 
+def _selections(p, data):
+    """A list of distinct elements of p: any order, a contiguous range (one
+    index run), or a descending list (runs of one)."""
+    if not p.n:
+        return []
+    kind = data.draw(st.sampled_from(["any", "range", "descending"]))
+    if kind == "range":
+        a = data.draw(st.integers(0, p.n))
+        return list(range(a, data.draw(st.integers(a, p.n))))
+    sub = data.draw(st.lists(st.sampled_from(range(p.n)), unique=True))
+    return sorted(sub, reverse=True) if kind == "descending" else sub
+
+
+def assert_induced_rows(p, sub):
+    """induced(p, sub) against the restricted strict order, pair by pair."""
+    # the rows alone in the assertions: a wrong row would hang repr(q)
+    q = P.induced(p, sub)
+    up, down, labels = q.up, q.down, q.labels
+    assert up == tuple(sum(1 << b for b, j in enumerate(sub) if p.lt(i, j))
+                       for i in sub)
+    assert down == tuple(sum(1 << b for b, j in enumerate(sub) if p.lt(j, i))
+                         for i in sub)
+    assert labels == tuple(p.label(e) for e in sub)
+
+
 class TestInduced:
     @given(permuted_posets(max_n=7), st.data())
     def test_matches_the_restricted_relation(self, p, data):
-        sub = data.draw(st.lists(st.sampled_from(range(p.n)), unique=True)) if p.n else []
-        q = P.induced(p, sub)
-        assert relation_pairs(q) == {(a, b) for a, i in enumerate(sub)
-                                     for b, j in enumerate(sub) if p.lt(i, j)}
-        assert q.labels == tuple(p.label(e) for e in sub)
-        assert q.down == P.Poset(q.n, q.up).down
+        assert_induced_rows(p, _selections(p, data))
+
+    @pytest.mark.parametrize("p", [P.chain(4), F.shape("finite_powerset", 2),
+                                   P.direct_sum(P.chain(2), P.chain(2))],
+                             ids=["chain4", "B_2", "two_chains"])
+    def test_every_selection_of_a_small_poset(self, p):
+        # every order and every mix of runs, where a cone meets several runs
+        for k in range(p.n + 1):
+            for sub in itertools.permutations(range(p.n), k):
+                assert_induced_rows(p, sub)
 
     def test_rejects_repeated_elements(self):
         with pytest.raises(ValueError, match="distinct"):
             P.induced(P.chain(3), [0, 2, 0])
+        with pytest.raises(ValueError, match="distinct"):
+            P.induced(P.chain(3), [1, 2, 1, 2])
+
+
+class TestInclusionOrder:
+    @given(st.lists(st.integers(0, 255), unique=True, max_size=12), st.integers(0, 8))
+    @example([], 0)
+    @example([0], 0)
+    @example([0, 1, 9], 8)
+    def test_matches_pairwise_inclusion(self, masks, shift):
+        # masks over up to 8 ground elements, shifted so that bits below and
+        # between the used ones go unused
+        masks = [m << (8 * shift) for m in masks]
+        # the masks alone in the assertions: a wrong down would hang repr(q)
+        q = P.inclusion_order(masks)
+        up, down = q.up, q.down
+        assert up == tuple(sum(1 << j for j, b in enumerate(masks) if i != j and a & b == a)
+                           for i, a in enumerate(masks))
+        assert down == P.Poset(len(up), up).down
 
 
 class TestValidate:
     @given(permuted_posets(max_n=6), random_posets(max_n=4), st.data())
     def test_every_constructor_keeps_down_the_transpose(self, a, b, data):
         pairs = sorted(relation_pairs(a))
-        sub = data.draw(st.lists(st.sampled_from(range(a.n)), unique=True)) if a.n else []
+        sub = _selections(a, data)
         made = [
             P.build(a.n, "leq", pairs),
             P.build(a.n, "covers", a.cover_pairs()),
@@ -834,6 +882,8 @@ class TestValidate:
             P.direct_sum(b, P.dual(a)),
             P.direct_product(a, b),
             P.induced(a, sub),
+            P.inclusion_order([a.down_incl(x) for x in range(a.n)]),
+            P.inclusion_order(downset_masks(b)),
             P.set_lattice(b, downset_masks(b)),
             P.dual(P.set_lattice(b, downset_masks(b))),
         ]

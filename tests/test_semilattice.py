@@ -266,6 +266,21 @@ class TestIrreducibles:
         assert {fam.sets[i].mask for i in irr} == principal
 
 
+def independent_by_definition(p, jt, xs) -> bool:
+    """Oracle: x not<= vF for every x in xs and every nonempty F inside the
+    rest, each vF folded from the join table jt."""
+    for x in xs:
+        rest = [y for y in xs if y != x]
+        for size in range(1, len(rest) + 1):
+            for fs in itertools.combinations(rest, size):
+                acc = fs[0]
+                for y in fs[1:]:
+                    acc = jt[acc][y]
+                if p.leq(x, acc):
+                    return False
+    return True
+
+
 class TestIndependence:
     def test_powerset_atoms_independent(self):
         b4 = F.finite_powerset(4)
@@ -291,6 +306,20 @@ class TestIndependence:
         oracle = any(S.is_independent(lat, list(c))
                      for c in itertools.combinations(range(lat.n), k))
         assert (S.find_independent_set(lat, k) is not None) == oracle
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_exhaustive_check_matches_the_definition(self, seed):
+        # every subset of up to 4, in both orders, on a random
+        # join-semilattice and a random downset lattice
+        rng = Random(seed)
+        for p in (SU.random_join_semilattice(rng.randint(1, 12), seed),
+                  D.downset_lattice(SU.random_poset(rng.randint(1, 4), rng.random(), seed))):
+            jt = SU.bound_oracle(p, True)
+            for k in range(1, min(p.n, 4) + 1):
+                for xs in itertools.combinations(range(p.n), k):
+                    want = independent_by_definition(p, jt, xs)
+                    assert S.is_independent(p, xs) == want, (p.n, xs)
+                    assert S.is_independent(p, xs[::-1]) == want, (p.n, xs)
 
 
     @pytest.mark.parametrize("n", [2, 3, 4])
