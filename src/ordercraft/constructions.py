@@ -504,9 +504,9 @@ def _ramsey_fields(host: Poset, xs, m: int) -> dict:
     if picked is None:
         raise NoMonochromaticSubset(f"no monochromatic subset of size {m}")
     cls = _triple_class(host, xs, picked[0], picked[1], picked[2])
-    fields = {"subset": picked, "ramsey_class": cls}
+    classification = _CLASSIFICATION[cls]
+    fields = {"subset": picked, "ramsey_class": cls, "classification": classification}
     if cls in (1, 2):
-        fields["classification"] = NOT_WQO_EVIDENCE
         return fields
     meet = host.meet
     h_elems = [xs[c] for c in picked]
@@ -515,19 +515,21 @@ def _ramsey_fields(host: Poset, xs, m: int) -> dict:
         row = [xs[c] for c in thinned]
         table = [row[i] if j == _families.OMEGA else meet(row[i], row[j])
                  for (i, j) in _families.delta_coords(len(thinned) - 1)]
-        classification = DELTA_LIKE
     elif cls == 5:
         thinned = picked
         table = [h_elems[i] if j == _families.OMEGA else meet(h_elems[i], h_elems[i + 1])
                  for (i, j) in _families.gamma_coords(len(picked) - 1)]
-        classification = GAMMA_LIKE
     else:  # class 4
         thinned = picked
         table = [meet(h_elems[0], h_elems[1])] + h_elems
-        classification = V_LIKE
-    fields.update(thinned=thinned, classification=classification,
-                  pattern=_pattern_descriptor(classification, len(thinned)), table=table)
+    fields.update(thinned=thinned, pattern=_pattern_descriptor(classification, len(thinned)),
+                  table=table)
     return fields
+
+
+# the classification of each meet class; classes 1 and 2 carry no pattern
+_CLASSIFICATION = {1: NOT_WQO_EVIDENCE, 2: NOT_WQO_EVIDENCE, 3: DELTA_LIKE, 4: V_LIKE,
+                   5: GAMMA_LIKE}
 
 
 # the pattern family of each classification that carries a pattern map
@@ -551,6 +553,8 @@ def _check_ramsey(host: Poset, payload):
     _semilattice.require_meets(host)
     xs = _indices(payload["antichain"], host.n, "antichain")
     picked = _indices(payload["subset"], len(xs), "subset")
+    if type(payload["m"]) is not int or payload["m"] != len(picked):
+        raise ValueError("m must be the size of subset")
     classes = {
         _triple_class(host, xs, picked[a], picked[b], picked[c])
         for a in range(len(picked))
@@ -558,6 +562,17 @@ def _check_ramsey(host: Poset, payload):
         for c in range(b + 1, len(picked))
     }
     mono = len(classes) == 1
+    if mono:
+        # a monochromatic subset fixes the class, its name and the thinning
+        (cls,) = classes
+        if type(payload["ramsey_class"]) is not int or payload["ramsey_class"] != cls:
+            raise ValueError("ramsey_class must be the class of subset")
+        if payload["classification"] != _CLASSIFICATION[cls]:
+            raise ValueError("classification must name ramsey_class")
+        if cls > 2 and _indices(payload["thinned"], len(xs), "thinned") != (
+                picked[0::2] if cls == 3 else picked):
+            raise ValueError("thinned must be every other index of subset for class 3, "
+                             "else subset")
     out = [("antichain", _comparable_pair(host, xs) is None), ("monochromatic", mono)]
     if payload["classification"] == NOT_WQO_EVIDENCE:
         out.append(("wqo_evidence", False))

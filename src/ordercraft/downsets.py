@@ -187,16 +187,14 @@ def family_poset(family: DownSetFamily) -> Poset:
 def nonempty_downset_lattice(p: Poset):
     """(masks, lattice): the nonempty downsets of p in canonical order, and
     the poset of them ordered by inclusion with set labels, the source of
-    the f-vee lift. Built once per Poset and cached on it; a cached answer
-    still raises BudgetExceeded when the enumeration would, under the
-    budget in force now."""
-    if p._nonempty is None:
+    the f-vee lift. Built once per Poset and budget, and cached on the
+    Poset keyed by the budget in force when it was built."""
+    limit = _budget.limit(_budget.ENUM_BUDGET)
+    if p._nonempty is None or p._nonempty[0] != limit:
         masks = tuple(_downset_masks(p)[1:])  # the empty set is first
-        p._nonempty = masks, _poset.inclusion_order(masks, lambda: _poset.set_labels(masks))
-    elif len(p._nonempty[0]) >= (limit := _budget.limit(_budget.ENUM_BUDGET)):
-        # with the empty set, over the limit
-        raise BudgetExceeded(f"more than {limit} downsets")
-    return p._nonempty
+        p._nonempty = limit, (masks, _poset.inclusion_order(
+            masks, lambda: _poset.set_labels(masks)))
+    return p._nonempty[1]
 
 
 def downset_lattice(p: Poset) -> Poset:

@@ -144,34 +144,16 @@ class FamilySpec:
 # concrete generators
 
 
-def _check_budget(family: str, n: int, size: Optional[int] = None) -> None:
-    """Raise BudgetExceeded, before anything is built, when family(n) is
-    over the enumeration budget: 2^n elements for finite_powerset, the
-    element count for the _COUNTED generators, and size^2 for the generators
-    that test every pair of elements. size is the element count where n
-    alone does not fix it (lattice_sierp, s_alpha)."""
+def _check_size(what: str, size: int, pairs: bool = False) -> None:
+    """Raise BudgetExceeded, before anything is built, when a generator's
+    size elements, or its size^2 pair tests when pairs is set, are over the
+    enumeration budget. what names the family and its parameter."""
     limit = _budget.limit(_budget.ENUM_BUDGET)
-    if family == "finite_powerset":
-        if n >= limit.bit_length():  # 2^n > limit, without forming 2^n
-            raise BudgetExceeded(
-                f"finite_powerset n={n} has 2^{n} elements, more than {limit}")
-        return
-    if family in _COUNTED:
-        name, count = _COUNTED[family]
-        size = count(n) if size is None else size
-        if size > limit:
-            raise BudgetExceeded(f"{family} {name}={n} has {size} elements, more than {limit}")
-        return
-    if family == "omega_eta" and 2 * n >= limit.bit_length():
-        # at least 2^n elements, so 2^(2n) > limit pair tests, without forming 2^n
-        raise BudgetExceeded(
-            f"omega_eta n={n} has 2^{n + 1}-1 elements, so more than {limit} pair tests")
-    if size is None:
-        size = _PAIR_TESTED[family](n)
-    if size * size > limit:
-        raise BudgetExceeded(
-            f"{family} n={n} has {size} elements, so {size}^2 pair tests, "
-            f"more than {limit}")
+    if pairs and size * size > limit:
+        raise BudgetExceeded(f"{what} has {size} elements, so {size}^2 pair tests, "
+                             f"more than {limit}")
+    if not pairs and size > limit:
+        raise BudgetExceeded(f"{what} has {size} elements, more than {limit}")
 
 
 def finite_powerset(n: int) -> Poset:
@@ -181,7 +163,9 @@ def finite_powerset(n: int) -> Poset:
     enumeration budget."""
     if n < 0:
         raise UnsupportedParams("n must be >= 0")
-    _check_budget("finite_powerset", n)
+    if n >= (limit := _budget.limit(_budget.ENUM_BUDGET)).bit_length():
+        # 2^n > limit, without forming 2^n
+        raise BudgetExceeded(f"finite_powerset n={n} has 2^{n} elements, more than {limit}")
     size = 1 << n
     return _poset.set_lattice(_poset.antichain(n), range(size),
                               _poset.set_labels(range(size)))
@@ -192,7 +176,7 @@ def omega_star_grid(n: int) -> Poset:
     j <= j'. A join-semilattice: (i,j) v (i',j') = (min i, max j)."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    _check_budget("omega_star_grid", n)
+    _check_size(f"omega_star_grid n={n}", n * (n + 1) // 2, pairs=True)
     coords = grid_coords(n)
     return _from_leq(coords, lambda c, d: d[0] <= c[0] and c[1] <= d[1],
                      [f"({i},{j})" for (i, j) in coords])
@@ -250,7 +234,7 @@ def delta(n: int) -> Poset:
     A meet-semilattice with (i,w) ^ (j,w) = (i,j)."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    _check_budget("delta", n)
+    _check_size(f"delta n={n}", delta_size(n), pairs=True)
     return _poset_from_coords(delta_coords(n))
 
 
@@ -258,7 +242,7 @@ def gamma(n: int) -> Poset:
     """The delta(n) elements with j = i+1 or j = w, induced order."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    _check_budget("gamma", n)
+    _check_size(f"gamma n={n}", 2 * n + 1, pairs=True)
     return _poset_from_coords(gamma_coords(n))
 
 
@@ -290,7 +274,7 @@ def v_family(n: int) -> Poset:
     """n-element antichain with a least element added; bottom at index 0."""
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    _check_budget("v", n)
+    _check_size(f"v n={n}", n + 1)
     up = [((1 << (n + 1)) - 1) & ~1] + [0] * n
     return Poset(n + 1, up, _poset.set_labels([0] + [1 << i for i in range(n)]))
 
@@ -300,7 +284,7 @@ def l_alpha(a: int) -> Poset:
     non-modular pentagon."""
     if a < 1:
         raise UnsupportedParams("a must be >= 1")
-    _check_budget("l_alpha", a)
+    _check_size(f"l_alpha a={a}", a + 3)
     middle = _poset.direct_sum(_poset.chain(1), _poset.chain(a))
     out = _poset.lexicographic_sum(
         _poset.chain(3), [_poset.chain(1), middle, _poset.chain(1)])
@@ -311,7 +295,11 @@ def omega_eta(n: int) -> Poset:
     """Dyadic grid {(m, i/2^m) : m <= n, 0 <= i < 2^m}, componentwise order."""
     if n < 0:
         raise UnsupportedParams("n must be >= 0")
-    _check_budget("omega_eta", n)
+    if 2 * n >= (limit := _budget.limit(_budget.ENUM_BUDGET)).bit_length():
+        # at least 2^n elements, so 2^(2n) > limit pair tests, without forming 2^n
+        raise BudgetExceeded(
+            f"omega_eta n={n} has 2^{n + 1}-1 elements, so more than {limit} pair tests")
+    _check_size(f"omega_eta n={n}", (1 << (n + 1)) - 1, pairs=True)
     coords = [(m, i) for m in range(n + 1) for i in range(1 << m)]
     return _from_leq([(m, Fraction(i, 1 << m)) for (m, i) in coords], _componentwise,
                      [f"({m},{i}/{1 << m})" for (m, i) in coords])
@@ -374,7 +362,7 @@ def sierpinskisation(alpha, n: int, scheme: str = "column_alternating",
     alpha_prime = alpha.div_omega()
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    _check_budget("sierpinskisation", n)
+    _check_size(f"sierpinskisation n={n}", n, pairs=True)
     seq = _sierp_sequence(alpha_prime, n, scheme, seed)
 
     def alpha_key(m):
@@ -402,8 +390,8 @@ def lattice_sierp(alpha_prime, n: int) -> Poset:
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
     # n * m cells for a finite alpha' = m, else the staircase j <= i < n
-    _check_budget("lattice_sierp", n, n * alpha_prime.coeffs[0]
-                  if alpha_prime.is_finite else n * (n + 1) // 2)
+    _check_size(f"lattice_sierp n={n}", n * alpha_prime.coeffs[0]
+                if alpha_prime.is_finite else n * (n + 1) // 2, pairs=True)
     if alpha_prime.is_finite:
         m = alpha_prime.coeffs[0]
         cells = [(i, (a,)) for i in range(n) for a in range(m)]
@@ -421,30 +409,12 @@ def s_alpha(alpha_prime, n_tail: int, trunc: int,
     chain tail."""
     if n_tail < 0:
         raise UnsupportedParams("n_tail must be >= 0")
-    _check_budget("s_alpha", n_tail, trunc + n_tail)
+    _check_size(f"s_alpha tail={n_tail}", trunc + n_tail)
     core = sierpinskisation(OrdinalCNF.parse(alpha_prime).times_omega(),
                             trunc, scheme, seed)
     if n_tail == 0:
         return core
     return _poset.direct_sum(core, _poset.chain(n_tail))
-
-
-# (parameter name, element count) of the generators that build no more than
-# their elements; s_alpha passes its count, trunc + tail
-_COUNTED = {
-    "v": ("n", lambda n: n + 1),
-    "l_alpha": ("a", lambda a: a + 3),
-    "s_alpha": ("tail", None),
-}
-
-# element counts of the generators that test every pair before they build
-_PAIR_TESTED = {
-    "omega_star_grid": lambda n: n * (n + 1) // 2,
-    "delta": delta_size,
-    "gamma": lambda n: 2 * n + 1,
-    "sierpinskisation": lambda n: n,
-    "omega_eta": lambda n: (1 << (n + 1)) - 1,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -456,17 +426,16 @@ SHAPES = ("finite_powerset", "delta", "gamma", "v", "omega_star_grid")
 def shape(family: str, n: int) -> Poset:
     """family(n) for a family in SHAPES, built once per process and shared
     by every caller, so its covers, tables and structure report are built
-    once too. Callers must not modify it. The budget is checked on every
-    call, so a memo hit raises what a fresh build would raise."""
+    once too. Callers must not modify it. The memo is keyed by the budget
+    in force, so a shape is only shared under the budget it was built
+    under."""
     if family not in SHAPES:
         raise UnsupportedParams(f"{family!r} is not one of {SHAPES}")
-    n = int(n)
-    _check_budget(family, n)
-    return _built_shape(family, n)
+    return _built_shape(family, int(n), _budget.limit(_budget.ENUM_BUDGET))
 
 
 @functools.lru_cache(maxsize=32)
-def _built_shape(family: str, n: int) -> Poset:
+def _built_shape(family: str, n: int, _limit: int) -> Poset:
     return generate(FamilySpec(family, {"n": n}))
 
 

@@ -58,7 +58,7 @@ class Poset:
         self._linext = None
         self._birkhoff = None  # birkhoff() or set_lattice fills it: (coords, index) or False
         self._few_covers = None  # at_most_one_cover fills it, by direction
-        self._nonempty = None  # downsets.nonempty_downset_lattice fills it
+        self._nonempty = None  # downsets.nonempty_downset_lattice fills it: (budget, answer)
 
     # -- basic queries -----------------------------------------------------
 
@@ -554,10 +554,11 @@ def add_bottom(p: Poset, label: str = "0") -> Poset:
     return Poset(n + 1, up, labels, down)
 
 
-def induced(p: Poset, elements: Sequence[int], labels=None) -> Poset:
-    """Subposet on the given elements, in the given order. The elements split
-    into maximal runs of consecutive host indices; each row moves one block
-    of its cone per run the cone meets, at most one step per selected bit."""
+def induced(p: Poset, elements: Sequence[int]) -> Poset:
+    """Subposet on the given elements, in the given order, with the host's
+    labels. The elements split into maximal runs of consecutive host
+    indices; each row moves one block of its cone per run the cone meets,
+    at most one step per selected bit."""
     # a tuple keeps the order given, even if the caller changes elements later
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
@@ -589,8 +590,7 @@ def induced(p: Poset, elements: Sequence[int], labels=None) -> Poset:
             row |= block << b
             m ^= block << a
         down.append(row)
-    return Poset(len(elements), up, labels if labels is not None
-                 else (lambda: [p.label(e) for e in elements]), down)
+    return Poset(len(elements), up, lambda: [p.label(e) for e in elements], down)
 
 
 def inclusion_order(masks: Sequence[int], labels=None) -> Poset:

@@ -228,9 +228,8 @@ def find_independent_set(p: Poset, k: int):
 # certified maps
 
 
-# join/meet preservation is binary-only; sending the least element to the
-# least element is the separate optional zero_preserving flag (the two
-# notions interconvert by adjoining a zero)
+# join/meet preservation is binary-only: no flag asks that the least
+# element go to the least element
 FLAGS = (
     "order_preserving",
     "order_embedding",
@@ -239,7 +238,6 @@ FLAGS = (
     "lattice_hom",
     "injective",
     "surjective",
-    "zero_preserving",
 )
 
 
@@ -314,9 +312,6 @@ class MapWitness:
             return True
         if flag == "lattice_hom":
             return self.check_flag("join_preserving") and self.check_flag("meet_preserving")
-        if flag == "zero_preserving":
-            sb, tb = s.bottom(), t.bottom()
-            return sb is not None and tb is not None and f[sb] == tb
         raise ValueError(flag)
 
     def verify_all(self) -> bool:

@@ -304,6 +304,12 @@ class TestExitCodes:
         ("pipeline_delta3_k4", ("payload", "classification"), "VLike"),
         ("pipeline_delta3_k4", ("payload", "classification"), ["DeltaLike"]),
         ("pipeline_delta3_k4", ("payload", "delta_row"), [30, 17, 11, 7]),
+        # so are a monochromatic Ramsey subset's m, class, classification
+        # and thinning
+        ("ramsey_delta5_m6", ("payload", "m"), 99),
+        ("ramsey_delta5_m6", ("payload", "ramsey_class"), -7),
+        ("ramsey_delta5_m6", ("payload", "thinned"), []),
+        ("ramsey_delta5_m6", ("payload", "classification"), "GammaLike"),
     ], ids=["document_list", "payload_list", "evidence_int", "evidence_entry_int",
             "kind_list", "kind_unknown", "table_int", "lift_table_int", "chain_int",
             "chain_member_int", "antichain_99", "sublattice_elements_99",
@@ -312,7 +318,8 @@ class TestExitCodes:
             "rows_empty",
             "subset_past_antichain", "pattern_list", "pattern_n_list", "phi_table_bool",
             "k_99", "k_float", "classification_anything", "classification_of_v",
-            "classification_list", "delta_row_reversed"])
+            "classification_list", "delta_row_reversed", "m_99", "ramsey_class_negative",
+            "thinned_empty", "ramsey_classification_gamma"])
     def test_malformed_certificate_is_3(self, golden, keys, value, tmp_path, capsys):
         doc = json.loads((GOLDEN / f"{golden}.json").read_text())
         if keys:

@@ -531,6 +531,29 @@ class TestSAlpha:
         assert F.s_alpha("2", 0, 6) == F.sierpinskisation("0,2", 6)
 
 
+# parameters that give each family two or more elements; the finite alphas
+# keep ordinals_below, which has its own budget check, out of the way
+AT_LEAST_TWO = {
+    "finite_powerset": {"n": 1}, "omega_star_grid": {"n": 2}, "delta": {"n": 1},
+    "gamma": {"n": 1}, "v": {"n": 1}, "l_alpha": {"a": 1}, "m5": {}, "omega_eta": {"n": 1},
+    "sierpinskisation": {"alpha": "0,2", "n": 2}, "lattice_sierp": {"alpha": "2", "n": 1},
+    "s_alpha": {"alpha": "1", "trunc": 2},
+}
+
+
+class TestEveryFamilyBudget:
+    def test_every_family_is_listed(self):
+        assert set(AT_LEAST_TWO) == set(F.FAMILIES)
+
+    @pytest.mark.parametrize("family", F.FAMILIES)
+    def test_generate_checks_the_size(self, family, monkeypatch):
+        # under a budget of 1, each generator refuses its own size before
+        # it builds anything
+        monkeypatch.setenv("OC_BUDGET", "1")
+        with pytest.raises(BudgetExceeded, match=r" has .*more than 1\b"):
+            F.generate(F.FamilySpec(family, AT_LEAST_TWO[family]))
+
+
 class TestGenerateDispatch:
     CASES = [
         F.FamilySpec("finite_powerset", {"n": 3}),

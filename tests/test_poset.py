@@ -958,8 +958,6 @@ class TestLazyLabels:
         with pytest.raises(P.ArityMismatch):
             c2.relabel(["a", "b", "c"])
         with pytest.raises(P.ArityMismatch):
-            P.induced(P.chain(3), [0, 2], labels=["x"])
-        with pytest.raises(P.ArityMismatch):
             P.inclusion_order([0, 1], ["x"])
         with pytest.raises(P.ArityMismatch):
             P.set_lattice(P.chain(1), [0, 1], [])

@@ -538,13 +538,6 @@ class TestMapWitness:
         w = S.embedding_search(F.finite_powerset(2), F.finite_powerset(3), "join")
         assert w.verify_all()
 
-    def test_zero_preserving_flag(self):
-        b2 = F.finite_powerset(2)
-        keeps = S.certify(P.chain(2), b2, (0, 1), {"zero_preserving"})
-        moves = S.certify(P.chain(2), b2, (1, 3), {"zero_preserving"})
-        assert "zero_preserving" in keeps.certified
-        assert "zero_preserving" not in moves.certified
-
     def test_certify_checks_each_wanted_flag_once(self, monkeypatch):
         checked, real = [], S.MapWitness._check
 

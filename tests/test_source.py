@@ -368,6 +368,31 @@ def test_search_budget_read_by_the_search_cores_only():
         assert "_first_subset" in set(_names(_function(tree, name))), name
 
 
+def test_enumeration_budget_readers():
+    # each generator states its size once, to families._check_size or, for
+    # the two whose size is a power of two, to its own check; the memos
+    # read the budget only to key their entries by it, and no table maps a
+    # family's name to its size
+    def reads_budget(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "ENUM_BUDGET"
+                or isinstance(node, ast.Name) and node.id == "ENUM_BUDGET")
+
+    readers = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "budget.py" and (held := _holders(tree, reads_budget)):
+            readers[path.name] = held
+    assert readers == {
+        "downsets.py": ["_downset_masks", "nonempty_downset_lattice", "union_closure"],
+        "families.py": ["_check_size", "finite_powerset", "omega_eta", "ordinals_below",
+                        "shape"],
+        "poset.py": ["build"],
+    }
+    tree = ast.parse((SRC / "families.py").read_text())
+    defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert (defined | set(_names(tree))) & {"_check_budget", "_COUNTED", "_PAIR_TESTED"} == set()
+
+
 def test_package_imports_form_no_cycle():
     # every package import sits at module level, and the modules import
     # each other in one order, so none leans on a function-local import
@@ -391,8 +416,8 @@ def test_package_imports_form_no_cycle():
 
 
 # where each label-taking function takes its labels, by position
-LABEL_ARGS = {"Poset": 2, "relabel": 0, "build": 3, "induced": 2,
-              "inclusion_order": 1, "set_lattice": 2}
+LABEL_ARGS = {"Poset": 2, "relabel": 0, "build": 3, "inclusion_order": 1,
+              "set_lattice": 2}
 
 
 def _passes_label_source(node):
