@@ -396,8 +396,8 @@ def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
 
 
 def _check_descending_chain(host: Poset, payload):
-    if type(payload["depth"]) is not int:
-        raise ValueError("depth must be an integer")
+    if type(payload["depth"]) is not int or payload["depth"] < 1:
+        raise ValueError("depth must be an integer >= 1")
     # the walk starts in the chain's first member and stays inside it
     first = _payload_chain(host, payload).members[0].mask
     xs = _indices(payload["elements"], host.n, "elements")
@@ -411,8 +411,8 @@ def _check_descending_chain(host: Poset, payload):
 
 def _check_grid_map(host: Poset, payload):
     achieved, depth = payload["achieved"], payload["depth"]
-    if type(achieved) is not int or type(depth) is not int:
-        raise ValueError("achieved and depth must be integers")
+    if type(achieved) is not int or type(depth) is not int or min(achieved, depth) < 1:
+        raise ValueError("achieved and depth must be integers >= 1")
     # each row is a join of elements of a member, so it lies in the first one
     first = _payload_chain(host, payload).members[0].mask
     rows = _indices(payload["rows"], host.n, "rows")
@@ -577,7 +577,12 @@ def _check_ramsey(host: Poset, payload):
     if payload["classification"] == NOT_WQO_EVIDENCE:
         out.append(("wqo_evidence", False))
         return out
-    witness = _witness(_pattern_poset(payload["pattern"]), host, payload, "table")
+    pattern = _pattern_poset(payload["pattern"])
+    # checked after the pattern is built, so its budget and family errors come first
+    if mono and cls > 2 and payload["pattern"] != _pattern_descriptor(
+            payload["classification"], len(payload["thinned"])):
+        raise ValueError("pattern must be the shape of thinned's class")
+    witness = _witness(pattern, host, payload, "table")
     out.append(("map_meet_preserving", witness.check_flag("meet_preserving")))
     out.append(("map_injective", witness.check_flag("injective")))
     return out

@@ -40,9 +40,6 @@ class DownSet:
     def sorted_members(self):
         return tuple(sorted(self.members))
 
-    def __le__(self, other):
-        return self.mask & ~other.mask == 0
-
 
 def down_closure(host: Poset, elements) -> DownSet:
     """Least downset containing the given elements."""
@@ -176,12 +173,6 @@ def principal_ideals(p: Poset) -> DownSetFamily:
     enumerate_ideals, by the definition, stays the oracle for this."""
     return DownSetFamily(p, canonical_sort(_from_mask(p, p.down_incl(x))
                                            for x in range(p.n)), "ideals")
-
-
-def family_poset(family: DownSetFamily) -> Poset:
-    """The family ordered by inclusion, element order = family order."""
-    masks = family.masks()
-    return _poset.inclusion_order(masks, lambda: _poset.set_labels(masks))
 
 
 def nonempty_downset_lattice(p: Poset):

@@ -8,6 +8,7 @@ properties of the infinite objects they approximate.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -20,20 +21,6 @@ from .errors import BudgetExceeded, UnsupportedOrdinal, UnsupportedParams
 from .poset import Poset
 
 OMEGA = "w"  # sentinel second coordinate, strictly above every integer
-
-FAMILIES = (
-    "finite_powerset",
-    "omega_star_grid",
-    "delta",
-    "gamma",
-    "v",
-    "l_alpha",
-    "m5",
-    "omega_eta",
-    "sierpinskisation",
-    "lattice_sierp",
-    "s_alpha",
-)
 
 SIERP_SCHEMES = ("column_alternating", "block", "seeded_shuffle")
 
@@ -291,6 +278,11 @@ def l_alpha(a: int) -> Poset:
     return out.relabel(["0", "a"] + [f"c{k}" for k in range(a)] + ["1"])
 
 
+def m5() -> Poset:
+    """The five-element pentagon, l_alpha(2)."""
+    return l_alpha(2)
+
+
 def omega_eta(n: int) -> Poset:
     """Dyadic grid {(m, i/2^m) : m <= n, 0 <= i < 2^m}, componentwise order."""
     if n < 0:
@@ -378,43 +370,40 @@ def sierpinskisation(alpha, n: int, scheme: str = "column_alternating",
     return Poset(n, up, labels)
 
 
-def lattice_sierp(alpha_prime, n: int) -> Poset:
-    """Join-closed window of a lattice sierpinskisation: vertical lines are
-    non-empty and finite, horizontal lines cofinite in the window. Finite
-    alpha' gives the full grid chain_n x chain_m; infinite alpha' gives the
-    staircase over the canonical enumeration (the omega case is the set of
-    pairs (i,j), j <= i < n)."""
-    alpha_prime = OrdinalCNF.parse(alpha_prime)
-    if alpha_prime.is_zero:
+def lattice_sierp(alpha, n: int) -> Poset:
+    """Join-closed window of a lattice sierpinskisation of w*alpha (alpha is
+    the alpha' of w*alpha'): vertical lines are non-empty and finite,
+    horizontal lines cofinite in the window. Finite alpha = m gives the full
+    grid chain_n x chain_m; infinite alpha gives the staircase over the
+    canonical enumeration (the omega case is the pairs (i,j), j <= i < n)."""
+    alpha = OrdinalCNF.parse(alpha)
+    if alpha.is_zero:
         raise UnsupportedOrdinal("alpha' must be nonzero")
     if n < 1:
         raise UnsupportedParams("n must be >= 1")
-    # n * m cells for a finite alpha' = m, else the staircase j <= i < n
-    _check_size(f"lattice_sierp n={n}", n * alpha_prime.coeffs[0]
-                if alpha_prime.is_finite else n * (n + 1) // 2, pairs=True)
-    if alpha_prime.is_finite:
-        m = alpha_prime.coeffs[0]
+    # n * m cells for a finite alpha = m, else the staircase j <= i < n
+    _check_size(f"lattice_sierp n={n}", n * alpha.coeffs[0]
+                if alpha.is_finite else n * (n + 1) // 2, pairs=True)
+    if alpha.is_finite:
+        m = alpha.coeffs[0]
         cells = [(i, (a,)) for i in range(n) for a in range(m)]
     else:
-        cols = ordinals_below(alpha_prime, n)
+        cols = ordinals_below(alpha, n)
         cells = [(i, cols[j]) for i in range(n) for j in range(len(cols)) if j <= i]
     order = sorted(cells, key=lambda c: (c[0], _cnf_key(c[1])))
     return _from_leq([(i, _cnf_key(a)) for (i, a) in order], _componentwise,
                      [f"({i},{OrdinalCNF(a) if len(a) > 1 else a[0]})" for (i, a) in order])
 
 
-def s_alpha(alpha_prime, n_tail: int, trunc: int,
+def s_alpha(alpha, trunc: int, tail: int = 0,
             scheme: str = "column_alternating", seed: Optional[int] = None) -> Poset:
-    """Direct sum of a monotonic sierpinskisation of w*alpha' with a finite
-    chain tail."""
-    if n_tail < 0:
-        raise UnsupportedParams("n_tail must be >= 0")
-    _check_size(f"s_alpha tail={n_tail}", trunc + n_tail)
-    core = sierpinskisation(OrdinalCNF.parse(alpha_prime).times_omega(),
-                            trunc, scheme, seed)
-    if n_tail == 0:
-        return core
-    return _poset.direct_sum(core, _poset.chain(n_tail))
+    """Direct sum of a monotonic sierpinskisation of w*alpha, trunc elements
+    long, with a chain of tail elements; alpha plays the part of alpha'."""
+    if tail < 0:
+        raise UnsupportedParams("tail must be >= 0")
+    _check_size(f"s_alpha tail={tail}", trunc + tail)
+    core = sierpinskisation(OrdinalCNF.parse(alpha).times_omega(), trunc, scheme, seed)
+    return core if tail == 0 else _poset.direct_sum(core, _poset.chain(tail))
 
 
 # ---------------------------------------------------------------------------
@@ -436,60 +425,32 @@ def shape(family: str, n: int) -> Poset:
 
 @functools.lru_cache(maxsize=32)
 def _built_shape(family: str, n: int, _limit: int) -> Poset:
-    return generate(FamilySpec(family, {"n": n}))
+    return _GENERATORS[family](n)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
+# each family's generator, in listing order; a spec's params are passed to
+# it by name, so its signature is where a parameter and its default are set
+_GENERATORS = {
+    "finite_powerset": finite_powerset, "omega_star_grid": omega_star_grid, "delta": delta,
+    "gamma": gamma, "v": v_family, "l_alpha": l_alpha, "m5": m5, "omega_eta": omega_eta,
+    "sierpinskisation": sierpinskisation, "lattice_sierp": lattice_sierp, "s_alpha": s_alpha,
+}
+FAMILIES = tuple(_GENERATORS)
+
 
 def generate(spec: FamilySpec) -> Poset:
-    p = dict(spec.params)
-
-    def take(name, default=None, required=False):
-        if required and name not in p:
+    """The spec's family built by its generator from spec.params, checked
+    against the generator's parameters first, with a least element added
+    when spec.with_bottom is set."""
+    make = _GENERATORS[spec.family]
+    params = inspect.signature(make).parameters
+    for name, param in params.items():
+        if param.default is param.empty and name not in spec.params:
             raise UnsupportedParams(f"{spec.family} needs parameter {name!r}")
-        return p.pop(name, default)
-
-    fam = spec.family
-    if fam == "finite_powerset":
-        out = finite_powerset(int(take("n", required=True)))
-    elif fam == "omega_star_grid":
-        out = omega_star_grid(int(take("n", required=True)))
-    elif fam == "delta":
-        out = delta(int(take("n", required=True)))
-    elif fam == "gamma":
-        out = gamma(int(take("n", required=True)))
-    elif fam == "v":
-        out = v_family(int(take("n", required=True)))
-    elif fam == "l_alpha":
-        out = l_alpha(int(take("a", required=True)))
-    elif fam == "m5":
-        out = l_alpha(2)
-    elif fam == "omega_eta":
-        out = omega_eta(int(take("n", required=True)))
-    elif fam == "sierpinskisation":
-        out = sierpinskisation(take("alpha", required=True),
-                               int(take("n", required=True)),
-                               take("scheme", "column_alternating"),
-                               take("seed"))
-    elif fam == "lattice_sierp":
-        out = lattice_sierp(take("alpha", required=True),
-                            int(take("n", required=True)))
-    elif fam == "s_alpha":
-        out = s_alpha(take("alpha", required=True),
-                      int(take("tail", 0)),
-                      int(take("trunc", required=True)),
-                      take("scheme", "column_alternating"),
-                      take("seed"))
-    else:  # pragma: no cover - FamilySpec validates the name
-        raise UnsupportedParams(fam)
-    _reject_leftovers(fam, p)
-    if spec.with_bottom:
-        out = _poset.add_bottom(out, "()")
-    return out
-
-
-def _reject_leftovers(fam, leftovers):
-    if leftovers:
-        raise UnsupportedParams(f"{fam} got unknown parameters {sorted(leftovers)}")
+    if unknown := sorted(spec.params.keys() - params.keys()):
+        raise UnsupportedParams(f"{spec.family} got unknown parameters {unknown}")
+    out = make(**spec.params)
+    return _poset.add_bottom(out, "()") if spec.with_bottom else out

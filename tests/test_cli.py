@@ -1,6 +1,8 @@
 """CLI behaviour: golden outputs, round trips, exit codes end to end."""
 
 import argparse
+import ast
+import inspect
 import json
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from ordercraft import constructions as C
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import suites as SU
+from test_families import AT_LEAST_TWO
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -73,7 +76,35 @@ def grid_chain(n):
     }
 
 
+class Fields(dict):
+    """Payload fields that a case of test_malformed_certificate_is_3 sets
+    together, in place of one value at one key."""
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("family", F.FAMILIES)
+    def test_every_family_in_process(self, family, capsys):
+        params = AT_LEAST_TWO[family]
+        argv = ["generate", "--family", family]
+        for name, value in params.items():
+            argv += [f"--{name}", str(value)]
+        assert cli.main(argv) == 0
+        p = F.generate(F.FamilySpec(family, params))
+        assert capsys.readouterr().out == json.dumps(
+            P.to_json_dict(p), sort_keys=True, indent=2) + "\n"
+
+    def test_options_are_the_generator_parameters(self):
+        # _cmd_generate passes these options on, and the parser offers them
+        taken = next(node for node in ast.walk(ast.parse(inspect.getsource(cli._cmd_generate)))
+                     if isinstance(node, ast.Tuple))
+        params = {name for make in F._GENERATORS.values()
+                  for name in inspect.signature(make).parameters}
+        g = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["generate"]
+        offered = {a.dest for a in g._actions if a.option_strings} - {
+            "help", "family", "with_bottom", "out"}
+        assert {elt.value for elt in taken.elts} == params == offered
+
     @pytest.mark.parametrize("args,name", GOLDEN_SPECS, ids=[n for _a, n in GOLDEN_SPECS])
     def test_golden_equality(self, args, name):
         proc = subprocess.run([sys.executable, "-m", "ordercraft.cli", "generate", *args],
@@ -310,6 +341,12 @@ class TestExitCodes:
         ("ramsey_delta5_m6", ("payload", "ramsey_class"), -7),
         ("ramsey_delta5_m6", ("payload", "thinned"), []),
         ("ramsey_delta5_m6", ("payload", "classification"), "GammaLike"),
+        # the dichotomy's depth and the grid it achieved are at least 1
+        ("grid_chain6_d3", ("payload", "depth"), -5),
+        ("grid_chain6_d3", ("payload", "depth"), 0),
+        ("grid_chain6_d3", ("payload",), Fields(achieved=0, rows=[0], table=[])),
+        ("grid_chain6_d3", ("payload",), Fields(achieved=-1, rows=[], table=[], depth=-3)),
+        ("descending_chain6_d3", ("payload",), Fields(depth=0, elements=[])),
     ], ids=["document_list", "payload_list", "evidence_int", "evidence_entry_int",
             "kind_list", "kind_unknown", "table_int", "lift_table_int", "chain_int",
             "chain_member_int", "antichain_99", "sublattice_elements_99",
@@ -319,10 +356,13 @@ class TestExitCodes:
             "subset_past_antichain", "pattern_list", "pattern_n_list", "phi_table_bool",
             "k_99", "k_float", "classification_anything", "classification_of_v",
             "classification_list", "delta_row_reversed", "m_99", "ramsey_class_negative",
-            "thinned_empty", "ramsey_classification_gamma"])
+            "thinned_empty", "ramsey_classification_gamma", "grid_depth_negative",
+            "grid_depth_0", "achieved_0", "achieved_negative", "descending_depth_0"])
     def test_malformed_certificate_is_3(self, golden, keys, value, tmp_path, capsys):
         doc = json.loads((GOLDEN / f"{golden}.json").read_text())
-        if keys:
+        if isinstance(value, Fields):
+            doc[keys[0]].update(value)
+        elif keys:
             inner = doc
             for key in keys[:-1]:
                 inner = inner[key]
@@ -334,6 +374,24 @@ class TestExitCodes:
         assert cli.main(["verify-cert", str(f)]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "input error" in err
+
+    @pytest.mark.parametrize("pattern", [{"family": "gamma", "n": 1}, {"family": "v", "n": 2}],
+                             ids=["gamma", "v"])
+    def test_ramsey_pattern_of_another_class_is_3(self, pattern, tmp_path, capsys):
+        # three column tops of delta(5) thin to a delta n=1 pattern, and
+        # gamma n=1 and v n=2 are the same 3-element poset
+        d5 = F.delta(5)
+        tops = [x for x, c in enumerate(F.delta_coords(5)) if c[1] == F.OMEGA]
+        doc = C.ramsey_extract(d5, tops, 3).to_json_dict()
+        assert doc["payload"]["pattern"] == {"family": "delta", "n": 1}
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 0
+        doc["payload"]["pattern"] = pattern
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: {f}: pattern must be the shape of thinned's class\n")
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc.update(kind="Nope"),

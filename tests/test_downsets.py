@@ -174,10 +174,8 @@ class TestEnumeration:
     @given(random_posets(max_n=6))
     def test_nonempty_lattice_matches_the_family(self, p):
         masks, lattice = D.nonempty_downset_lattice(p)
-        nonempty = tuple(d for d in D.enumerate_downsets(p).sets if d.members)
-        assert masks == tuple(d.mask for d in nonempty)
-        assert lattice == D.family_poset(D.DownSetFamily(p, nonempty, "custom"))
-        # family_poset shares inclusion_order; set_lattice reads the order
+        assert masks == tuple(d.mask for d in D.enumerate_downsets(p).sets if d.members)
+        # the lattice is an inclusion_order; set_lattice reads the order
         # off its covers instead
         full = D.downset_lattice(p)
         ref = P.induced(full, range(1, full.n))
@@ -293,12 +291,11 @@ class TestDownsetLattice:
     def test_ordinal_sum_composes_principal_posets(self, a, b):
         # principal-downset posets compose as the ordinal sum of the parts
         total = P.lexicographic_sum(P.chain(2), [a, b])
-        fam = D.enumerate_ideals(total)
-        ideal_poset = D.family_poset(fam)
+        ideal_poset = P.inclusion_order(D.enumerate_ideals(total).masks())
         parts = P.lexicographic_sum(
             P.chain(2),
-            [D.family_poset(D.enumerate_ideals(a)),
-             D.family_poset(D.enumerate_ideals(b))])
+            [P.inclusion_order(D.enumerate_ideals(a).masks()),
+             P.inclusion_order(D.enumerate_ideals(b).masks())])
         assert P.is_isomorphic(ideal_poset, parts) is not None
 
 

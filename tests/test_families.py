@@ -113,11 +113,11 @@ class TestCountBudget:
     def test_element_counted_generators(self, monkeypatch):
         # each checks its element count, not its pair tests, before it builds
         monkeypatch.setenv("OC_BUDGET", "100")
-        assert F.l_alpha(97).n == 100 and F.s_alpha("1", 90, 10).n == 100
+        assert F.l_alpha(97).n == 100 and F.s_alpha("1", 10, 90).n == 100
         with pytest.raises(BudgetExceeded, match="l_alpha a=98 has 101 elements, more than 100"):
             F.l_alpha(98)
         with pytest.raises(BudgetExceeded, match="s_alpha tail=91 has 101 elements, more than 100"):
-            F.s_alpha("1", 91, 10)
+            F.s_alpha("1", 10, 91)
 
 
 class TestGrid:
@@ -521,14 +521,14 @@ class TestLatticeSierp:
 
 class TestSAlpha:
     def test_direct_sum_shape(self):
-        p = F.s_alpha("1", 3, 4)
+        p = F.s_alpha("1", 4, 3)
         core = F.sierpinskisation("0,1", 4)
         assert p.n == core.n + 3
         assert P.is_isomorphic(
             p, P.direct_sum(core, P.chain(3))) is not None
 
     def test_no_tail(self):
-        assert F.s_alpha("2", 0, 6) == F.sierpinskisation("0,2", 6)
+        assert F.s_alpha("2", 6, 0) == F.sierpinskisation("0,2", 6)
 
 
 # parameters that give each family two or more elements; the finite alphas

@@ -917,7 +917,6 @@ def _every_other_downset(q):
 # elements and one r of up to 3
 LAZY_LABELS = {
     "downset_lattice": lambda q, r: D.downset_lattice(q),
-    "family_poset": lambda q, r: D.family_poset(D.enumerate_downsets(q)),
     "nonempty_downset_lattice": lambda q, r: D.nonempty_downset_lattice(q)[1],
     "induced": lambda q, r: _every_other_downset(q),
     "direct_product": lambda q, r: P.direct_product(D.downset_lattice(q), r),

@@ -393,6 +393,19 @@ def test_enumeration_budget_readers():
     assert (defined | set(_names(tree))) & {"_check_budget", "_COUNTED", "_PAIR_TESTED"} == set()
 
 
+def test_generate_names_no_family():
+    # a family's parameters and defaults are stated once, in its generator's
+    # signature, which generate reads: it compares nothing with a family name
+    tree = ast.parse((SRC / "families.py").read_text())
+    named = [node.lineno for node in ast.walk(_function(tree, "generate"))
+             if isinstance(node, ast.Compare)
+             and any(isinstance(side, ast.Constant) and isinstance(side.value, str)
+                     for side in (node.left, *node.comparators))]
+    assert named == []
+    defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert defined & {"take", "_reject_leftovers"} == set()
+
+
 def test_package_imports_form_no_cycle():
     # every package import sits at module level, and the modules import
     # each other in one order, so none leans on a function-local import
@@ -439,8 +452,7 @@ def test_only_package_constructors_pass_a_label_source():
     passers = {path.name: _holders(ast.parse(path.read_text()), _passes_label_source)
                for path in sorted(SRC.glob("*.py"))}
     assert passers.pop("poset.py") == ["direct_product", "direct_sum", "induced"]
-    assert passers.pop("downsets.py") == ["downset_lattice", "family_poset",
-                                          "nonempty_downset_lattice"]
+    assert passers.pop("downsets.py") == ["downset_lattice", "nonempty_downset_lattice"]
     assert all(holders == [] for holders in passers.values()), passers
 
 
@@ -485,7 +497,6 @@ def test_no_public_budget_parameter():
 # for the tests that check other code against it
 NO_CALLER_NEEDED = {
     "validate": "poset.Poset's reference check of given down masks",
-    "family_poset": "the inclusion order nonempty_downset_lattice is compared with",
     "ideal_join_oracle": "the closure that is_separating is checked against",
     "to_json": "the compact form the golden tests compare",
 }
