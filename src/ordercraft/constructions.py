@@ -619,6 +619,10 @@ def thm8_pipeline(t: Poset, k: int) -> Certificate:
         if ramsey["classification"] != NOT_WQO_EVIDENCE:
             break
     if ramsey is None or ramsey["classification"] == NOT_WQO_EVIDENCE:
+        # unreachable on _delta_table's row: for a < b < c, row[c] >= b_c >=
+        # row[a] ^ row[b], so m_ab <= m_ac and every triple is of class 3, 4
+        # or 5; any three positions then answer at m = 3. Kept so a broken
+        # core stalls with a typed error, not a KeyError below
         raise ConstructionStalled("no usable monochromatic subset")
 
     masks, _lattice = _downsets.nonempty_downset_lattice(_pattern_poset(ramsey["pattern"]))

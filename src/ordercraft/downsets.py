@@ -90,9 +90,6 @@ class DownSetFamily:
                 raise ValueError("duplicate downset in family")
             masks.add(d.mask)
 
-    def masks(self):
-        return [d.mask for d in self.sets]
-
     def to_json_dict(self) -> dict:
         return {
             "host": _poset.to_json_dict(self.host),

@@ -49,10 +49,6 @@ class NotDistributive(OrderError):
     pass
 
 
-class NotMeetPreserving(OrderError):
-    pass
-
-
 class NotSurjective(OrderError):
     pass
 

@@ -4,19 +4,15 @@ search, and the certified-map machinery used by the constructive pipeline.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from . import downsets as _downsets
 from . import families as _families
 from . import poset as _poset
 from .errors import (
     BaseHypothesisViolated,
     NoLeastElement,
-    NotDistributive,
     NotJoinSemilattice,
-    NotMeetPreserving,
     NotSurjective,
     StructureMismatch,
 )
@@ -325,17 +321,6 @@ class MapWitness:
             "certified": {fl: True for fl in sorted(self.certified)},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-
-def certify(source: Poset, target: Poset, table, wanted) -> MapWitness:
-    """Witness with exactly the wanted flags that hold, each checked once."""
-    probe = MapWitness(source, target, tuple(table))
-    held = frozenset(fl for fl in wanted if probe.check_flag(fl))
-    object.__setattr__(probe, "certified", held)
-    return probe
-
 
 # ---------------------------------------------------------------------------
 # embedding search
@@ -413,24 +398,24 @@ def _closure(start, rows, partners=None) -> set:
 
 
 def subsemilattice_generated(p: Poset, seeds: Sequence[int], ops: str = "both"):
-    """Least superset of seeds closed under the selected operations.
+    """Least superset of seeds closed under meets ("meet") or under joins
+    and meets ("both").
 
-    Under one operation the closure holds its values on the nonempty subsets
+    Under meets alone the closure holds its values on the nonempty subsets
     of seeds, so each new element is combined with the seeds only. On a
     distributive lattice (one with Birkhoff coordinates) the sublattice is
     the joins of the meet closure M of the seeds, since (v a_i) ^ (v b_j) =
     v (a_i ^ b_j); each new join is combined with M only. Otherwise each new
     element is combined with every element found.
     """
-    if ops not in ("join", "meet", "both"):
-        raise ValueError(f"ops must be join|meet|both, got {ops!r}")
-    if ops != "meet":
+    if ops not in ("meet", "both"):
+        raise ValueError(f"ops must be meet|both, got {ops!r}")
+    if ops == "both":
         require_joins(p)
-    if ops != "join":
-        require_meets(p)
+    require_meets(p)
     seeds = list(seeds)
-    if ops != "both":
-        closed = _closure(seeds, [p.joins if ops == "join" else p.meets], seeds)
+    if ops == "meet":
+        closed = _closure(seeds, [p.meets], seeds)
     elif p.birkhoff() is not None:
         meets = list(_closure(seeds, [p.meets], seeds))
         closed = _closure(meets, [p.joins], meets)
@@ -517,27 +502,13 @@ def check_delta_map(target: Poset, table: Sequence[int]) -> DeltaMapReport:
 # f-vee: lifting a meet-preserving map to the nonempty-downset lattice
 
 
-def f_vee(f: MapWitness) -> MapWitness:
-    """Lift f: P -> T to the lattice of nonempty downsets of P by joining
-    images. Certified a lattice homomorphism, and an injective order
-    embedding when its table is injective (the fvee suite checks this
-    against the two-part criterion: f injective; f(x) = vf(X) forces x in X).
-    """
-    if "meet_preserving" not in f.certified or not f.check_flag("meet_preserving"):
-        raise NotMeetPreserving("f must be certified meet-preserving")
-    if f.target.birkhoff() is None:
-        raise NotDistributive("target must be a distributive lattice")
-    masks, i0 = _downsets.nonempty_downset_lattice(f.source)
-    table = _lift_table(f.target, f.table, masks)
-    flags = {"lattice_hom", "order_preserving", "join_preserving", "meet_preserving"}
-    if len(set(table)) == len(table):
-        flags.update({"injective", "order_embedding"})
-    return MapWitness(i0, f.target, table, frozenset(flags))
-
-
 def _lift_table(t: Poset, table, masks) -> tuple:
-    """f_vee's table: each downset mask sent to the join in t of the images
-    of its members under table."""
+    """The table of f-vee, the lift of a meet-preserving f: P -> t, given
+    by its table, to the nonempty downsets of P, given by their masks
+    (downsets.nonempty_downset_lattice): each downset goes to the join in t
+    of the images of its members. On a distributive t the lift is a lattice
+    homomorphism, injective exactly when suites.lift_injectivity_criterion
+    holds of f."""
     return tuple(join_of(t, [table[e] for e in _poset.bits(m)]) for m in masks)
 
 

@@ -357,20 +357,23 @@ def _suite_fvee(rng: Random, max_n: int):
     c = rng.randrange(t.n)
     table = tuple(t.meets(c, elements))
     bundle = {"host": t, "elements": elements, "cap": c}
-    f = _semilattice.certify(sub, t, table, {"meet_preserving"})
-    if "meet_preserving" not in f.certified:
+    f = _semilattice.MapWitness(sub, t, table)
+    if not f.check_flag("meet_preserving"):
         # x -> x ^ c preserves meets by associativity alone
         return False, bundle
-    lift = _semilattice.f_vee(f)
-    ok = lift.check_flag("lattice_hom")
-    crit = "injective" in lift.certified
-    ok = ok and crit == lift.check_flag("injective") == lift_injectivity_criterion(f)
-    bundle["lift_injective"] = crit
+    masks, source = _downsets.nonempty_downset_lattice(sub)
+    lift = _semilattice.MapWitness(source, t, _semilattice._lift_table(t, table, masks))
+    injective = lift.check_flag("injective")
+    flags = ["lattice_hom", "order_preserving", "join_preserving", "meet_preserving"]
+    flags += ["order_embedding"] if injective else []
+    ok = all(map(lift.check_flag, flags)) and injective == lift_injectivity_criterion(f)
+    bundle["lift_injective"] = injective
     return ok, bundle
 
 
 def lift_injectivity_criterion(f) -> bool:
-    """The two-part criterion for f_vee(f) to be injective: f is injective,
+    """The two-part criterion for the lift of f to the nonempty downsets of
+    its source (semilattice._lift_table) to be injective: f is injective,
     and no f(x) is the join of the images of a nonempty X strictly below x.
     Joins are monotone in X, so X can be everything strictly below x."""
     p, t, table = f.source, f.target, f.table

@@ -29,6 +29,8 @@ from ordercraft.errors import (
     NotSeparating,
 )
 
+from test_semilattice import lift_witness
+
 
 def powerset_suffix_chain(n):
     host = F.finite_powerset(n)
@@ -480,8 +482,15 @@ class TestRamsey:
                              for v in cert.payload["table"])
         witness = S.MapWitness(pattern, lat, lifted_table,
                                frozenset({"meet_preserving", "injective"}))
-        lift = S.f_vee(witness)
-        assert "injective" in lift.certified
+        assert "injective" in lift_witness(pattern, lat, witness.table).certified
+
+
+def pipeline_row(host, k):
+    """The omega row of the delta table thm8_pipeline builds on host at k,
+    from the same table cores."""
+    elements, phi = S._phi_table(host, S.find_independent_set(host, k))
+    table = S._delta_table(host, phi, elements, k)
+    return [v for v, (_i, j) in zip(table, F.delta_coords(k - 1)) if j == F.OMEGA]
 
 
 class TestPipeline:
@@ -523,6 +532,36 @@ class TestPipeline:
             C.thm8_pipeline(F.finite_powerset(5), 5)
         assert isinstance(info.value.partial, C.Certificate)
         assert not info.value.partial.ok()
+
+    def test_unusable_row_stalls(self, monkeypatch):
+        # a class core that calls every triple class 1 leaves no pattern at
+        # any m: the pipeline stalls typed instead of reading a missing key
+        monkeypatch.setattr(C, "_triple_class", lambda host, xs, i, j, k: 1)
+        with pytest.raises(ConstructionStalled, match="^no usable monochromatic subset$"):
+            C.thm8_pipeline(F.finite_powerset(5), 5)
+
+    def test_every_row_triple_is_usable(self):
+        # row[c] >= row[a] ^ row[b] for a < b < c, so each triple of the
+        # pipeline's delta row has m_ab <= m_ac: class 3, 4 or 5, never 1 or 2
+        bases = [P.antichain(n) for n in range(4, 8)] + [
+            F.generate(F.FamilySpec(fam, {"n": n})) for fam in ("delta", "gamma", "v")
+            for n in (3, 4)]
+        rng = Random(5)
+        while len(bases) < 310:
+            q = SU.random_poset(rng.randint(4, 7), rng.random(), rng.randrange(1 << 30))
+            if q.width() >= 4:
+                bases.append(q)
+        classes = collections.Counter()
+        for base in bases:
+            host = D.downset_lattice(base)
+            # the independence number of a downset lattice is its base's width
+            for k in range(4, base.width() + 1):
+                row = pipeline_row(host, k)
+                classes.update(C._triple_class(host, row, *triple)
+                               for triple in itertools.combinations(range(k), 3))
+        assert set(classes) == {3, 4, 5}
+        b5 = F.finite_powerset(5)
+        assert pipeline_row(b5, 5) == C.thm8_pipeline(b5, 5).payload["delta_row"]
 
     @pytest.mark.parametrize("name,host,k", [
         ("pipeline_b5_k5", lambda: F.finite_powerset(5), 5),

@@ -208,7 +208,7 @@ class TestDownsetLattice:
         family = D.enumerate_downsets(p)
         lat = D.downset_lattice(p)
         labels = ["{" + ",".join(map(str, d.sorted_members())) + "}" for d in family.sets]
-        ref = P.inclusion_order(family.masks(), labels)
+        ref = P.inclusion_order([d.mask for d in family.sets], labels)
         assert lat == ref and lat.down == ref.down and lat.labels == ref.labels
         assert lat.cover_pairs() == ref.cover_pairs()
         assert lat.linear_extension() == ref.linear_extension()
@@ -291,11 +291,11 @@ class TestDownsetLattice:
     def test_ordinal_sum_composes_principal_posets(self, a, b):
         # principal-downset posets compose as the ordinal sum of the parts
         total = P.lexicographic_sum(P.chain(2), [a, b])
-        ideal_poset = P.inclusion_order(D.enumerate_ideals(total).masks())
+        ideal_poset = P.inclusion_order([d.mask for d in D.enumerate_ideals(total).sets])
         parts = P.lexicographic_sum(
             P.chain(2),
-            [P.inclusion_order(D.enumerate_ideals(a).masks()),
-             P.inclusion_order(D.enumerate_ideals(b).masks())])
+            [P.inclusion_order([d.mask for d in D.enumerate_ideals(a).sets]),
+             P.inclusion_order([d.mask for d in D.enumerate_ideals(b).sets])])
         assert P.is_isomorphic(ideal_poset, parts) is not None
 
 

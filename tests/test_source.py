@@ -111,8 +111,8 @@ def _function(tree, qualname):
 PER_PAIR_CALLERS = {
     "semilattice.py": ["is_independent", "find_independent_set", "join_of", "_closure",
                        "subsemilattice_generated", "check_delta_map",
-                       "MapWitness.check_flag", "MapWitness._check", "f_vee",
-                       "_phi_table", "_delta_table", "_lift_table"],
+                       "MapWitness.check_flag", "MapWitness._check", "_phi_table",
+                       "_delta_table", "_lift_table"],
     "constructions.py": ["ChainOfDownSets.__post_init__", "_is_separating_masks", "independent_from_separating",
                          "dichotomy_extract", "_dichotomy_case_grid",
                          "_triple_class", "ramsey_extract", "_ramsey_fields",
@@ -259,11 +259,11 @@ def test_pipeline_builds_tables_and_checks_once():
 
 
 def test_one_distributivity_test_and_one_topological_sort():
-    # the constructions that need a distributive host ask Poset.birkhoff,
+    # the construction that needs a distributive host asks Poset.birkhoff,
     # not the structure report, which leaves no cache on the Poset
-    for module, name in (("constructions.py", "thm8_pipeline"), ("semilattice.py", "f_vee")):
-        used = set(_names(_function(ast.parse((SRC / module).read_text()), name)))
-        assert "birkhoff" in used and "structure_report" not in used, name
+    used = set(_names(_function(ast.parse((SRC / "constructions.py").read_text()),
+                                "thm8_pipeline")))
+    assert "birkhoff" in used and "structure_report" not in used
     tree = ast.parse((SRC / "poset.py").read_text())
     slots = next(node.value for node in _function(tree, "Poset").body
                  if isinstance(node, ast.Assign) and node.targets[0].id == "__slots__")
@@ -426,6 +426,7 @@ def test_package_imports_form_no_cycle():
         assert ready, sorted(graph.keys() - done)
         done |= ready
     assert "semilattice" not in graph["downsets"]
+    assert "downsets" not in graph["semilattice"]
 
 
 # where each label-taking function takes its labels, by position
@@ -494,38 +495,67 @@ def test_no_public_budget_parameter():
 
 
 # public names that nothing in the package or the bench calls, each kept
-# for the tests that check other code against it
+# for the tests that check other code against it, by module and qualified name
 NO_CALLER_NEEDED = {
-    "validate": "poset.Poset's reference check of given down masks",
-    "ideal_join_oracle": "the closure that is_separating is checked against",
-    "to_json": "the compact form the golden tests compare",
+    "poset.validate": "poset.Poset's reference check of given down masks",
+    "suites.ideal_join_oracle": "the closure that is_separating is checked against",
+    "poset.to_json": "the compact form the golden tests compare",
+    "constructions.Certificate.to_json": "the compact form the golden tests compare",
+    "downsets.DownSetFamily.to_json": "the compact form the enumeration test compares",
+    "suites.SuiteReport.to_json": "the compact form the report test reads back",
 }
 
 
+def _free_names(node, bound=frozenset()):
+    """The names a tree reads that no enclosing function binds, as a
+    parameter or as a name it stores to."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        args = node.args
+        bound = bound | {arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                             args.vararg, args.kwarg) if arg}
+        bound |= {sub.id for sub in ast.walk(node)
+                  if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        yield node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _free_names(child, bound)
+
+
 def _uses(tree):
-    """How often a tree names each identifier or holds it as a whole string,
-    as tracing's method table does."""
-    return Counter([*_names(tree), *(node.value for node in ast.walk(tree)
-                                     if isinstance(node, ast.Constant)
-                                     and isinstance(node.value, str))])
+    """(attribute and string uses, free-name uses) of each identifier in a
+    tree: a method is reached through x.name, or by a whole string, as
+    tracing's method table reaches it; a module-level name also through a
+    free name."""
+    held = Counter([*(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)),
+                    *(node.value for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str))])
+    return held, Counter(_free_names(tree))
 
 
 def test_every_public_name_has_a_caller():
-    # each public function, class and method of a public class is named in
+    # each public function, class and method of a public class is used in
     # the package outside its own definition or in the bench; a re-export
-    # from __init__ is no caller
-    trees = [ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    # from __init__ is no caller, and a local variable of the same name is
+    # no use
+    modules = {path.stem: ast.parse(path.read_text())
+               for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     bench = sorted((SRC.parents[1] / "perfbench").glob("*.py"))
     assert bench
-    uses = sum((_uses(tree) for tree in trees), Counter())
-    uses += sum((_uses(ast.parse(path.read_text())) for path in bench), Counter())
+    held, free = Counter(), Counter()
+    for tree in [*modules.values(), *(ast.parse(path.read_text()) for path in bench)]:
+        tree_held, tree_free = _uses(tree)
+        held += tree_held
+        free += tree_free
     uncalled = set()
-    for tree in trees:
+    for module, tree in modules.items():
         defs = [(node.name, node) for node in tree.body if isinstance(node, ast.ClassDef)
                 and not node.name.startswith("_")] + list(_public_functions(tree))
         for qualname, node in defs:
             name = qualname.rsplit(".", 1)[-1]
-            if uses[name] - _uses(node)[name] <= 0:
-                uncalled.add(name)
+            own_held, own_free = _uses(node)
+            count = held[name] - own_held[name]
+            if "." not in qualname:
+                count += free[name] - own_free[name]
+            if count <= 0:
+                uncalled.add(f"{module}.{qualname}")
     assert sorted(uncalled) == sorted(NO_CALLER_NEEDED)
