@@ -8,9 +8,9 @@ constructive extractions with re-verifiable certificates.
 from .poset import Poset, build, chain, antichain, dual, direct_product, \
     direct_sum, lexicographic_sum, is_isomorphic
 from .downsets import DownSet, DownSetFamily, down_closure, enumerate_downsets, \
-    enumerate_ideals, downset_lattice
+    downset_lattice
 from .semilattice import MapWitness, StructureReport, structure_report, \
-    join_irreducibles, join_primes, find_independent_set, embedding_search
+    find_independent_set, embedding_search
 from .families import FamilySpec, OrdinalCNF, generate
 from .constructions import Certificate, ChainOfDownSets, is_separating, \
     independent_from_separating, dichotomy_extract, ramsey_extract, \

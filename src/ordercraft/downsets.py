@@ -59,27 +59,11 @@ def _from_mask(host: Poset, mask: int) -> DownSet:
     return DownSet(host, frozenset(_poset.bits(mask)))
 
 
-def _is_ideal_mask(host: Poset, mask: int) -> bool:
-    """The downset mask is non-empty and every two of its members have an
-    upper bound in it: their cones, cut to the mask, meet."""
-    up, cones = host.up, []
-    m = mask
-    while m:
-        low = m & -m
-        cone = (up[low.bit_length() - 1] | low) & mask
-        for other in cones:
-            if not cone & other:
-                return False
-        cones.append(cone)
-        m ^= low
-    return bool(cones)
-
-
 @dataclass(frozen=True)
 class DownSetFamily:
     host: Poset
     sets: tuple
-    role: str = "custom"   # all | ideals | custom
+    role: str   # all | ideals
 
     def __post_init__(self):
         masks = set()
@@ -153,21 +137,10 @@ def enumerate_downsets(p: Poset) -> DownSetFamily:
     return DownSetFamily(p, sets, "all")
 
 
-def enumerate_ideals(p: Poset) -> DownSetFamily:
-    """All non-empty up-directed downsets, by the definition, tested as masks.
-
-    On a finite poset these are exactly the principal downsets; that equality
-    is asserted as a test property, not assumed here.
-    """
-    ideals = tuple([_from_mask(p, m) for m in _downset_masks(p)
-                    if _is_ideal_mask(p, m)])
-    return DownSetFamily(p, ideals, "ideals")
-
-
 def principal_ideals(p: Poset) -> DownSetFamily:
     """The principal downsets down(x), in canonical order: the ideals of a
     finite poset, from the n cones with no enumeration of the downsets.
-    enumerate_ideals, by the definition, stays the oracle for this."""
+    suites.enumerate_ideals, by the definition, is the oracle for this."""
     return DownSetFamily(p, canonical_sort(_from_mask(p, p.down_incl(x))
                                            for x in range(p.n)), "ideals")
 
@@ -196,25 +169,3 @@ def downset_lattice(p: Poset) -> Poset:
     masks = _downset_masks(p)
     return _poset.set_lattice(p, masks, lambda: _poset.set_labels(masks))
 
-
-def union_closure(closed, new) -> set:
-    """The union-closed set of masks ``closed`` extended by ``new``: only
-    unions with a new mask, or with one they produce, are formed. Raises
-    BudgetExceeded when the unions it adds take the set past the
-    enumeration budget."""
-    limit = _budget.limit(_budget.ENUM_BUDGET)
-    out = set(closed)
-    out.update(new)
-    frontier = list(new)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(out):
-                u = a | b
-                if u not in out:
-                    out.add(u)
-                    if len(out) > limit:
-                        raise BudgetExceeded(f"more than {limit} unions")
-                    nxt.append(u)
-        frontier = nxt
-    return out

@@ -196,15 +196,6 @@ def delta_size(n: int) -> int:
     return n * (n + 1) // 2 + n + 1
 
 
-def delta_params_from_size(size: int) -> int:
-    n = 0
-    while delta_size(n) < size:
-        n += 1
-    if delta_size(n) != size:
-        raise UnsupportedParams(f"{size} is not a delta-family size")
-    return n
-
-
 def _delta_leq(a, b) -> bool:
     (i, j), (i2, j2) = a, b
     if j != OMEGA and j2 != OMEGA:

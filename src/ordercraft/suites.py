@@ -11,7 +11,7 @@ import json
 import time
 from dataclasses import dataclass
 from random import Random
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import budget as _budget
 from . import constructions as _constructions
@@ -19,7 +19,7 @@ from . import downsets as _downsets
 from . import families as _families
 from . import poset as _poset
 from . import semilattice as _semilattice
-from .errors import BudgetExceeded, UnknownSuite
+from .errors import BaseHypothesisViolated, BudgetExceeded, NoLeastElement, UnknownSuite
 from .poset import Poset
 
 @dataclass(frozen=True)
@@ -75,13 +75,36 @@ def random_join_semilattice(n: int, seed: int) -> Poset:
     for m in candidates:
         # unions of downsets of base are downsets of base, which the budget
         # already counted: the union budget never trips
-        closure = _downsets.union_closure(family, [m])
+        closure = union_closure(family, [m])
         if len(closure) <= n:
             family = closure
         if len(family) == n:
             break
     masks = sorted(family, key=lambda m: (m.bit_count(), m))
     return _poset.inclusion_order(masks, [format(m, "b") for m in masks])
+
+
+def union_closure(closed, new) -> set:
+    """The union-closed set of masks ``closed`` extended by ``new``: only
+    unions with a new mask, or with one they produce, are formed. Raises
+    BudgetExceeded when the unions it adds take the set past the
+    enumeration budget."""
+    limit = _budget.limit(_budget.ENUM_BUDGET)
+    out = set(closed)
+    out.update(new)
+    frontier = list(new)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(out):
+                u = a | b
+                if u not in out:
+                    out.add(u)
+                    if len(out) > limit:
+                        raise BudgetExceeded(f"more than {limit} unions")
+                    nxt.append(u)
+        frontier = nxt
+    return out
 
 
 def small_lattices():
@@ -253,6 +276,112 @@ def ideal_join_oracle(host: Poset, x: int, ideal_mask: int) -> int:
     return out
 
 
+def _is_ideal_mask(host: Poset, mask: int) -> bool:
+    """The downset mask is non-empty and every two of its members have an
+    upper bound in it: their cones, cut to the mask, meet."""
+    up, cones = host.up, []
+    m = mask
+    while m:
+        low = m & -m
+        cone = (up[low.bit_length() - 1] | low) & mask
+        for other in cones:
+            if not cone & other:
+                return False
+        cones.append(cone)
+        m ^= low
+    return bool(cones)
+
+
+def enumerate_ideals(p: Poset) -> list:
+    """The masks of all non-empty up-directed downsets, in canonical order,
+    by the definition, tested as masks.
+
+    The oracle for downsets.principal_ideals: on a finite poset these are
+    exactly the principal downsets, which the ideal_principal suite checks
+    rather than assumes."""
+    return [m for m in _downsets._downset_masks(p) if _is_ideal_mask(p, m)]
+
+
+def join_primes(p: Poset):
+    """Elements x != 0 with x <= a v b forcing x <= a or x <= b.
+
+    The oracle for the irreducibles (semilattice._join_irreducibles_no_zero)
+    on distributive lattices, where the two sets are equal."""
+    _semilattice.require_joins(p)
+    jt = p.join_table()
+    bot = p.bottom()
+    if bot is None:
+        raise NoLeastElement("join-primes need a least element")
+    below = [p.down_incl(a) for a in range(p.n)]  # bit x of below[a]: x <= a
+    not_prime = 1 << bot
+    for a in range(p.n):
+        row, below_a = jt[a], below[a]
+        for b in range(a, p.n):
+            # the x <= a v b with x not<= a and x not<= b
+            not_prime |= below[row[b]] & ~(below_a | below[b])
+    return [x for x in range(p.n) if not (not_prime >> x) & 1]
+
+
+@dataclass(frozen=True)
+class DeltaMapReport:
+    n: int
+    conditions: dict          # keys ii..vi -> bool
+    cond_a: bool
+    cond_b: bool
+    injective: bool
+    all_equivalent: bool      # ii..vi share one truth value
+
+    @property
+    def conditions_hold(self) -> bool:
+        return self.conditions["ii"]
+
+
+def check_delta_map(target: Poset, table: Sequence[int], n: int) -> DeltaMapReport:
+    """Evaluate the order/meet-preservation conditions of Lemma 2.3 for a
+    map from delta(n) into a meet-semilattice, given by its table over
+    families.delta_coords(n) with columnwise meets.
+
+    The base hypothesis f(i,j) = f(i,w) ^ f(j,w) is checked first and its
+    violation is an error, not a report entry.
+    """
+    dom = _families.shape("delta", n)
+    coords = _families.delta_coords(n)
+    _semilattice.require_meets(target)
+    meet = target.meet
+    idx = {c: i for i, c in enumerate(coords)}
+    OMEGA = _families.OMEGA
+
+    def f(i, j):
+        return table[idx[(i, j)]]
+
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            if f(i, j) != meet(f(i, OMEGA), f(j, OMEGA)):
+                raise BaseHypothesisViolated(
+                    f"f({i},{j}) != f({i},w) ^ f({j},w)")
+
+    triples = [(i, j, k) for i in range(n + 1)
+               for j in range(i + 1, n + 1) for k in range(j + 1, n + 1)]
+    cond = {}
+    cond["iii"] = all(target.leq(f(i, j), f(k, OMEGA)) for i, j, k in triples)
+    cond["iv"] = all(target.leq(f(i, j), f(j, k)) for i, j, k in triples)
+    cond["v"] = all(target.leq(f(i, j), f(i, k)) for i, j, k in triples)
+    cond["vi"] = all(f(i, j) == meet(f(i, k), f(j, k)) for i, j, k in triples)
+    # the target order is transitive, so the covers of the domain suffice
+    cond["ii"] = all(target.leq(table[x], table[y]) for x, y in dom.cover_pairs())
+    # a) and b) also range over k = w: a collision like f(i,n) = f(i,w) has
+    # no finite witness triple inside the truncation, and with the w-column
+    # included the biconditional with injectivity is valid at every size
+    triples_w = triples + [(i, j, OMEGA) for i in range(n + 1)
+                           for j in range(i + 1, n + 1)]
+    cond_a = all(target.lt(f(i, j), f(j, k)) for i, j, k in triples_w)
+    cond_b = all(target.lt(f(i, j), f(i, k)) for i, j, k in triples_w)
+    injective = len(set(table)) == len(table)
+    all_equivalent = len(set(cond.values())) == 1
+    return DeltaMapReport(n=n, conditions=cond, cond_a=cond_a, cond_b=cond_b,
+                          injective=injective, all_equivalent=all_equivalent)
+
+
 # ---------------------------------------------------------------------------
 # individual suites; each yields (ok, bundle) per trial, the bundle holding
 # its posets as Poset values until run_suite serializes a failing one
@@ -290,8 +419,8 @@ def _suite_irr_eq(rng: Random, max_n: int):
     bundle = {"poset": q, "seed": seed}
     masks = _downsets._downset_masks(q)
     lattice = _poset.set_lattice(q, masks)
-    irr = _semilattice.join_irreducibles(lattice)
-    pri = _semilattice.join_primes(lattice)
+    irr = _semilattice._join_irreducibles_no_zero(lattice)
+    pri = join_primes(lattice)
     principal_masks = {q.down_incl(x) for x in range(q.n)}
     got = {masks[i] for i in irr}
     ok = irr == pri and got == principal_masks
@@ -320,11 +449,12 @@ def _suite_ideal_principal(rng: Random, max_n: int):
     seed = rng.randrange(1 << 30)
     q = random_poset(n, rng.random(), seed)
     bundle = {"poset": q}
-    ideals = _downsets.enumerate_ideals(q)
-    principal_masks = {q.down_incl(x) for x in range(q.n)}
-    ok = (len(ideals.sets) == q.n
-          and {d.mask for d in ideals.sets} == principal_masks)
-    bundle["ideal_count"] = len(ideals.sets)
+    # the cones the ideals subcommand prints, in its order, against the
+    # downsets filtered by the definition
+    ideals = enumerate_ideals(q)
+    ok = (len(ideals) == q.n
+          and [d.mask for d in _downsets.principal_ideals(q).sets] == ideals)
+    bundle["ideal_count"] = len(ideals)
     return ok, bundle
 
 
@@ -341,7 +471,7 @@ def _suite_lem2_3(rng: Random, max_n: int):
     table = [row[i] if j == _families.OMEGA else host.meet(row[i], row[j])
              for (i, j) in coords]
     bundle = {"host": host, "row": row}
-    report = _semilattice.check_delta_map(host, table)
+    report = check_delta_map(host, table, cols - 1)
     ok = report.all_equivalent
     if report.conditions_hold:
         ok = ok and report.injective == (report.cond_a and report.cond_b)
@@ -352,7 +482,7 @@ def _suite_lem2_3(rng: Random, max_n: int):
 def _suite_fvee(rng: Random, max_n: int):
     t = _random_meet_semilattice(rng, max_n)
     seeds = sorted(rng.sample(range(t.n), min(t.n, rng.randint(1, 3))))
-    elements = _semilattice.subsemilattice_generated(t, seeds, "meet")
+    elements = sorted(_semilattice._closure(seeds, t.meets, seeds))
     sub = _poset.induced(t, elements)
     c = rng.randrange(t.n)
     table = tuple(t.meets(c, elements))

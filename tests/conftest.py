@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, settings
 
 from ordercraft import families as F
 from ordercraft import poset as P
-from ordercraft import semilattice as S
+from ordercraft import suites as SU
 
 settings.register_profile(
     "ordercraft",
@@ -42,7 +42,7 @@ def planted_lem2_3():
         host, row = P.chain(4), [3, 2, 1]
         table = [row[i] if j == F.OMEGA else host.meet(row[i], row[j])
                  for (i, j) in F.delta_coords(len(row) - 1)]
-        report = S.check_delta_map(host, table)
+        report = SU.check_delta_map(host, table, len(row) - 1)
         return (report.all_equivalent and report.conditions_hold,
                 {"host": host, "row": row, "conditions": report.conditions})
 

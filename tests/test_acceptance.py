@@ -67,10 +67,10 @@ def test_criterion_04_ideals_principal_everywhere(monkeypatch):
     # their sum, irr_eq one poset per trial
     assert len(collected) == 2 * 300 + 200 + 3 * 200
     for p in collected:
-        ideals = D.enumerate_ideals(p)
-        assert len(ideals.sets) == p.n
+        ideals = SU.enumerate_ideals(p)
+        assert len(ideals) == p.n
         principal = {D.principal(p, x).mask for x in range(p.n)}
-        assert {d.mask for d in ideals.sets} == principal
+        assert set(ideals) == principal
     _announce(4, f"ideals are principal on all {len(collected)} "
                  "posets touched by criteria 1-3")
 
@@ -238,7 +238,7 @@ def test_criterion_10_lem2_3_suite(monkeypatch, planted_lem2_3):
     coords = F.delta_coords(2)
     table = [row[i] if j == F.OMEGA else mt[row[i]][row[j]]
              for (i, j) in coords]
-    rep = S.check_delta_map(host, table)
+    rep = SU.check_delta_map(host, table, 2)
     assert rep.all_equivalent and not rep.conditions_hold
     assert all(v is False for v in rep.conditions.values())
     monkeypatch.setitem(SU._SUITE_FUNCS, "lem2_3", (planted_lem2_3, 4))

@@ -1,6 +1,7 @@
 """Downset/ideal enumeration and the derived lattice constructions."""
 
 import itertools
+import json
 import sys
 
 import pytest
@@ -10,6 +11,7 @@ from ordercraft import downsets as D
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import semilattice as S
+from ordercraft import suites as SU
 from ordercraft.suites import bound_oracle
 from ordercraft.errors import BudgetExceeded
 
@@ -127,7 +129,7 @@ class TestEnumeration:
 
     @given(random_posets(max_n=7))
     def test_ideals_match_definition_oracle(self, p):
-        got = {d.members for d in D.enumerate_ideals(p).sets}
+        got = {frozenset(P.bits(m)) for m in SU.enumerate_ideals(p)}
         assert got == brute_ideals(p)
 
     @given(random_posets(max_n=8))
@@ -141,31 +143,31 @@ class TestEnumeration:
 
         want = [c for r in range(p.n + 1) for c in itertools.combinations(range(p.n), r)
                 if directed_downset(set(c))]
-        ideals = D.enumerate_ideals(p)
-        assert [d.sorted_members() for d in ideals.sets] == want
-        assert ideals.role == "ideals"
-        assert [d for d in D.enumerate_downsets(p).sets
-                if D._is_ideal_mask(p, d.mask)] == list(ideals.sets)
+        ideals = SU.enumerate_ideals(p)
+        assert [tuple(P.bits(m)) for m in ideals] == want
+        assert [d.mask for d in D.enumerate_downsets(p).sets
+                if SU._is_ideal_mask(p, d.mask)] == ideals
 
     @given(random_posets(max_n=8))
     def test_ideals_are_exactly_principal(self, p):
-        ideals = D.enumerate_ideals(p)
-        assert len(ideals.sets) == p.n
-        principal = {D.principal(p, x).members for x in range(p.n)}
-        assert {d.members for d in ideals.sets} == principal
+        ideals = SU.enumerate_ideals(p)
+        assert len(ideals) == p.n
+        assert set(ideals) == {D.principal(p, x).mask for x in range(p.n)}
 
     @given(random_posets(max_n=8))
     def test_principal_ideals_match_the_oracle(self, p):
         # the n cones, sorted, against the downsets filtered by definition
-        got, want = D.principal_ideals(p), D.enumerate_ideals(p)
-        assert got.sets == want.sets and got.role == want.role == "ideals"
-        assert got.to_json() == want.to_json()
+        got, want = D.principal_ideals(p), SU.enumerate_ideals(p)
+        assert [d.mask for d in got.sets] == want and got.role == "ideals"
+        assert got.to_json() == json.dumps({
+            "host": P.to_json_dict(p), "sets": [list(P.bits(m)) for m in want],
+            "role": "ideals"}, sort_keys=True)
 
     def test_principal_ideals_enumerate_nothing(self, monkeypatch):
         monkeypatch.setenv("OC_BUDGET", "100")
         b6 = F.finite_powerset(6)
         with pytest.raises(BudgetExceeded):
-            D.enumerate_ideals(b6)
+            SU.enumerate_ideals(b6)
         ideals = D.principal_ideals(b6)
         assert [d.mask for d in ideals.sets] == [
             b6.down_incl(x) for x in sorted(range(64), key=lambda x: (
@@ -194,9 +196,8 @@ class TestEnumeration:
             D.enumerate_downsets(v3)
 
     def test_chain_and_antichain_ideals(self):
-        assert len(D.enumerate_ideals(P.chain(3)).sets) == 3
-        singles = [d.sorted_members() for d in D.enumerate_ideals(P.antichain(2)).sets]
-        assert singles == [(0,), (1,)]
+        assert SU.enumerate_ideals(P.chain(3)) == [0b1, 0b11, 0b111]
+        assert SU.enumerate_ideals(P.antichain(2)) == [0b01, 0b10]
 
 
 class TestDownsetLattice:
@@ -275,8 +276,7 @@ class TestDownsetLattice:
     def test_ideals_of_downset_lattice_are_principal(self, p):
         # J(I(P)) ~ I(P): ideals of the lattice are principal and count |I(P)|
         lat = D.downset_lattice(p)
-        ideals = D.enumerate_ideals(lat)
-        assert len(ideals.sets) == lat.n
+        assert len(SU.enumerate_ideals(lat)) == lat.n
 
     @settings(max_examples=20, deadline=None)
     @given(random_posets(max_n=5), random_posets(max_n=5))
@@ -291,11 +291,11 @@ class TestDownsetLattice:
     def test_ordinal_sum_composes_principal_posets(self, a, b):
         # principal-downset posets compose as the ordinal sum of the parts
         total = P.lexicographic_sum(P.chain(2), [a, b])
-        ideal_poset = P.inclusion_order([d.mask for d in D.enumerate_ideals(total).sets])
+        ideal_poset = P.inclusion_order(SU.enumerate_ideals(total))
         parts = P.lexicographic_sum(
             P.chain(2),
-            [P.inclusion_order([d.mask for d in D.enumerate_ideals(a).sets]),
-             P.inclusion_order([d.mask for d in D.enumerate_ideals(b).sets])])
+            [P.inclusion_order(SU.enumerate_ideals(a)),
+             P.inclusion_order(SU.enumerate_ideals(b))])
         assert P.is_isomorphic(ideal_poset, parts) is not None
 
 
@@ -317,13 +317,13 @@ class TestUnionClosure:
         # set per example: @given runs every example inside one test call
         with pytest.MonkeyPatch.context() as mp:
             mp.setenv("OC_BUDGET", "256")
-            assert D.union_closure(closed, new) == brute_union_closure(closed | new)
-            assert D.union_closure(set(), base) == closed
+            assert SU.union_closure(closed, new) == brute_union_closure(closed | new)
+            assert SU.union_closure(set(), base) == closed
 
     def test_budget_counts_added_unions(self, monkeypatch):
         singletons = [1 << i for i in range(4)]
         monkeypatch.setenv("OC_BUDGET", "15")
-        assert len(D.union_closure(set(), singletons)) == 15
+        assert len(SU.union_closure(set(), singletons)) == 15
         monkeypatch.setenv("OC_BUDGET", "14")
         with pytest.raises(BudgetExceeded, match="more than 14 unions"):
-            D.union_closure(set(), singletons)
+            SU.union_closure(set(), singletons)

@@ -206,12 +206,6 @@ class TestDeltaGamma:
         assert len(cols) == 4
         assert S.is_independent(lat, cols)
 
-    def test_delta_size_inverse(self):
-        for n in range(1, 9):
-            assert F.delta_params_from_size(F.delta(n).n) == n
-        with pytest.raises(UnsupportedParams):
-            F.delta_params_from_size(7)
-
 
 class TestSmallFamilies:
     def test_v(self):

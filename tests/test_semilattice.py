@@ -2,6 +2,9 @@
 certified-map machinery."""
 
 import itertools
+import os
+import subprocess
+import sys
 from random import Random
 
 import pytest
@@ -215,8 +218,8 @@ class TestDistributiveHost:
 class TestIrreducibles:
     def test_powerset_atoms(self):
         b3 = F.finite_powerset(3)
-        assert S.join_irreducibles(b3) == [1, 2, 4]
-        assert S.join_primes(b3) == [1, 2, 4]
+        assert S._join_irreducibles_no_zero(b3) == [1, 2, 4]
+        assert SU.join_primes(b3) == [1, 2, 4]
 
     def test_pentagon_primes_differ(self):
         p = pentagon()
@@ -230,18 +233,18 @@ class TestIrreducibles:
             p.leq(x, a) or p.leq(x, b)
             for a in range(p.n) for b in range(p.n)
             if p.leq(x, p.join(a, b)))]
-        assert S.join_irreducibles(p) == irr and len(irr) == 3
-        assert S.join_primes(p) == pri and len(pri) == 2
+        assert S._join_irreducibles_no_zero(p) == irr and len(irr) == 3
+        assert SU.join_primes(p) == pri and len(pri) == 2
         assert set(pri) < set(irr)
 
     def test_requires_least_element(self):
         grid = F.omega_star_grid(3)
         with pytest.raises(NoLeastElement):
-            S.join_irreducibles(grid)
+            SU.join_primes(grid)
 
     def test_requires_join_semilattice(self):
         with pytest.raises(NotJoinSemilattice):
-            S.join_irreducibles(P.antichain(2))
+            SU.join_primes(P.antichain(2))
 
     @given(join_closed_hosts())
     def test_cover_count_matches_pairwise_loop(self, p):
@@ -250,8 +253,8 @@ class TestIrreducibles:
     @given(random_posets(max_n=6))
     def test_primes_subset_irreducibles_and_downset_lattice_equality(self, p):
         lat = D.downset_lattice(p)
-        irr = S.join_irreducibles(lat)
-        pri = S.join_primes(lat)
+        irr = S._join_irreducibles_no_zero(lat)
+        pri = SU.join_primes(lat)
         assert set(pri) <= set(irr)
         assert pri == irr  # distributive case: equality
         fam = D.enumerate_downsets(p)
@@ -489,13 +492,13 @@ def all_pairs_closure(tables, seeds):
 class TestGenerated:
     def test_powerset_closure_of_atoms(self):
         b3 = F.finite_powerset(3)
-        assert S.subsemilattice_generated(b3, [1, 2, 4], "both") == list(range(8))
+        assert S._phi_table(b3, [1, 2, 4])[0] == list(range(8))
 
     def test_empty_seed(self):
-        assert S.subsemilattice_generated(F.finite_powerset(2), [], "both") == []
+        assert S._phi_table(F.finite_powerset(2), [])[0] == []
 
     def test_chain_is_closed(self):
-        assert S.subsemilattice_generated(P.chain(4), [1, 3], "both") == [1, 3]
+        assert S._phi_table(P.chain(4), [1, 3])[0] == [1, 3]
 
     def test_joins_of_meets_of_the_seeds(self):
         # {0,1} ^ {1,2,3} and {0,2} ^ {1,2,3} join to {1,2}, which joins of
@@ -503,20 +506,23 @@ class TestGenerated:
         b4 = F.finite_powerset(4)
         want = all_pairs_closure([b4.join_table(), b4.meet_table()], [3, 5, 14])
         assert 6 in want
-        assert S.subsemilattice_generated(F.finite_powerset(4), [3, 5, 14], "both") == want
+        assert S._phi_table(F.finite_powerset(4), [3, 5, 14])[0] == want
 
     @given(st.one_of(lattices(), join_closed_hosts()), st.data())
     def test_matches_the_all_pairs_closure(self, p, data):
+        # the meet closure on every host with all meets, and the sublattice
+        # on the distributive ones, the only hosts _phi_table is given
         seeds = data.draw(st.lists(st.integers(0, p.n - 1), max_size=4))
         fresh_p = fresh(p)
-        for ops in ("meet", "both"):
-            tables = [t for name, t in (("join", p.join_table()), ("meet", p.meet_table()))
-                      if ops in (name, "both")]
-            if any(None in row for t in tables for row in t):
-                continue
-            want = all_pairs_closure(tables, seeds)
-            assert S.subsemilattice_generated(fresh_p, seeds, ops) == want
-            assert S.subsemilattice_generated(p, seeds, ops) == want
+        meet_table = p.meet_table()
+        if not any(None in row for row in meet_table):
+            want = all_pairs_closure([meet_table], seeds)
+            assert sorted(S._closure(seeds, fresh_p.meets, seeds)) == want
+            assert sorted(S._closure(seeds, p.meets, seeds)) == want
+        if p.birkhoff() is not None:
+            want = all_pairs_closure([p.join_table(), meet_table], seeds)
+            assert S._phi_table(fresh_p, seeds)[0] == want
+            assert S._phi_table(p, seeds)[0] == want
 
 
 class TestMapWitness:
@@ -524,6 +530,23 @@ class TestMapWitness:
         c2 = P.chain(2)
         with pytest.raises(ValueError):
             S.MapWitness(c2, c2, (1, 0), frozenset({"order_preserving"}))
+
+    def test_error_names_the_same_flag_under_any_hash_seed(self):
+        # order_preserving and join_preserving both fail; a set of strings
+        # iterates in an order that depends on the hash seed, so the flags
+        # are checked in FLAGS order, after the unknown ones in sorted order
+        code = ("from ordercraft import families as F, poset as P, semilattice as S\n"
+                "for flags in ({'order_preserving', 'injective', 'join_preserving'},\n"
+                "              {'zeta', 'order_preserving', 'alpha'}):\n"
+                "    try:\n"
+                "        S.MapWitness(P.chain(2), F.finite_powerset(2), (3, 0), flags)\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        for seed in ("1", "6"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.stdout == ("flag 'order_preserving' does not hold for this table\n"
+                                   "unknown flag 'alpha'\n"), (seed, proc.stderr)
 
     def test_self_audit(self):
         w = S.embedding_search(F.finite_powerset(2), F.finite_powerset(3), "join")
@@ -782,13 +805,13 @@ class TestCheckDeltaMap:
 
     def test_principal_map_all_conditions(self):
         host, table = self._principal_table(3)
-        rep = S.check_delta_map(host, table)
+        rep = SU.check_delta_map(host, table, 3)
         assert rep.conditions_hold and rep.all_equivalent
         assert rep.injective and rep.cond_a and rep.cond_b
 
     def test_constant_map(self):
         host = D.downset_lattice(F.delta(2))
-        rep = S.check_delta_map(host, [3] * 6)
+        rep = SU.check_delta_map(host, [3] * 6, 2)
         assert rep.conditions_hold and rep.all_equivalent
         assert not rep.cond_a and not rep.cond_b and not rep.injective
 
@@ -800,7 +823,7 @@ class TestCheckDeltaMap:
         coords = F.delta_coords(2)
         table = [row[i] if j == F.OMEGA else mt[row[i]][row[j]]
                  for (i, j) in coords]
-        rep = S.check_delta_map(host, table)
+        rep = SU.check_delta_map(host, table, 2)
         assert rep.all_equivalent and not rep.conditions_hold
 
     def test_base_hypothesis_enforced(self):
@@ -809,7 +832,7 @@ class TestCheckDeltaMap:
         # rows map to the atoms but the pair entry is not their meet
         table = [([1, 2][i] if j == F.OMEGA else 3) for (i, j) in coords]
         with pytest.raises(BaseHypothesisViolated):
-            S.check_delta_map(host, table)
+            SU.check_delta_map(host, table, 1)
 
     def test_truncation_collision_detected(self):
         # f(0,2) = f(0,w) has no finite witness triple; the w-extension of
@@ -823,7 +846,7 @@ class TestCheckDeltaMap:
         coords = F.delta_coords(2)
         table = [row[i] if j == F.OMEGA else mt[row[i]][row[j]]
                  for (i, j) in coords]
-        rep = S.check_delta_map(host, table)
+        rep = SU.check_delta_map(host, table, 2)
         if rep.conditions_hold:
             assert rep.injective == (rep.cond_a and rep.cond_b)
 
@@ -837,7 +860,7 @@ class TestCheckDeltaMap:
         coords = F.delta_coords(cols - 1)
         table = [row[i] if j == F.OMEGA else mt[row[i]][row[j]]
                  for (i, j) in coords]
-        rep = S.check_delta_map(host, table)
+        rep = SU.check_delta_map(host, table, cols - 1)
         assert rep.all_equivalent
         if rep.conditions_hold:
             assert rep.injective == (rep.cond_a and rep.cond_b)
@@ -925,7 +948,7 @@ class TestDeltaFromHom:
     def test_minimal_two_columns(self):
         b2 = F.finite_powerset(2)
         f = delta_witness(b2, tuple(range(4)), range(4), 2)
-        assert S.check_delta_map(b2, list(f.table)).conditions_hold
+        assert SU.check_delta_map(b2, list(f.table), 1).conditions_hold
 
     def test_rejects_non_surjective(self):
         # the chain 0 < 3 of B_2 maps onto {} and {0, 1}: no element maps to {0}

@@ -110,7 +110,6 @@ def _function(tree, qualname):
 # the callers that read joins and meets one pair at a time
 PER_PAIR_CALLERS = {
     "semilattice.py": ["is_independent", "find_independent_set", "join_of", "_closure",
-                       "subsemilattice_generated", "check_delta_map",
                        "MapWitness.check_flag", "MapWitness._check", "_phi_table",
                        "_delta_table", "_lift_table"],
     "constructions.py": ["ChainOfDownSets.__post_init__", "_is_separating_masks", "independent_from_separating",
@@ -118,7 +117,8 @@ PER_PAIR_CALLERS = {
                          "_triple_class", "ramsey_extract", "_ramsey_fields",
                          "_check_ramsey", "thm8_pipeline"],
     "families.py": ["grid_join_preserving"],
-    "suites.py": ["_suite_fvee", "lift_injectivity_criterion", "_suite_lem2_3"],
+    "suites.py": ["_suite_fvee", "lift_injectivity_criterion", "_suite_lem2_3",
+                  "check_delta_map"],
 }
 
 
@@ -141,7 +141,7 @@ def test_ideal_oracle_tests_the_definition():
     # enumerate_ideals is the by-definition oracle for "every ideal is
     # principal": it and its mask test filter the downsets for directedness
     # and take no shortcut through a top
-    tree = ast.parse((SRC / "downsets.py").read_text())
+    tree = ast.parse((SRC / "suites.py").read_text())
     shortcuts = {"principal", "down_closure", "maximals", "_ideal_top"}
     for qualname in ("enumerate_ideals", "_is_ideal_mask"):
         assert set(_names(_function(tree, qualname))) & shortcuts == set(), qualname
@@ -383,10 +383,11 @@ def test_enumeration_budget_readers():
         if path.name != "budget.py" and (held := _holders(tree, reads_budget)):
             readers[path.name] = held
     assert readers == {
-        "downsets.py": ["_downset_masks", "nonempty_downset_lattice", "union_closure"],
+        "downsets.py": ["_downset_masks", "nonempty_downset_lattice"],
         "families.py": ["_check_size", "finite_powerset", "omega_eta", "ordinals_below",
                         "shape"],
         "poset.py": ["build"],
+        "suites.py": ["union_closure"],
     }
     tree = ast.parse((SRC / "families.py").read_text())
     defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
@@ -458,16 +459,28 @@ def test_only_package_constructors_pass_a_label_source():
 
 
 def test_principal_ideals_stay_out_of_their_oracle():
-    # principal_ideals reads the ideals off the cones; enumerate_ideals, the
-    # definition, checks it, and the ideal_principal suite checks that
+    # principal_ideals reads the ideals off the cones, and the ideals
+    # subcommand prints them; enumerate_ideals, the definition, never calls
+    # it, and the ideal_principal suite checks the one against the other
     downsets = ast.parse((SRC / "downsets.py").read_text())
     suites = ast.parse((SRC / "suites.py").read_text())
     cli = ast.parse((SRC / "cli.py").read_text())
     assert "down_incl" in set(_names(_function(downsets, "principal_ideals")))
     assert "principal_ideals" in set(_names(_function(cli, "_cmd_ideals")))
-    for tree, qualname in ((downsets, "enumerate_ideals"), (suites, "_suite_ideal_principal")):
-        assert "principal_ideals" not in set(_names(_function(tree, qualname))), qualname
-    assert "enumerate_ideals" in set(_names(_function(suites, "_suite_ideal_principal")))
+    assert "principal_ideals" not in set(_names(_function(suites, "enumerate_ideals")))
+    assert {"principal_ideals", "enumerate_ideals"} <= set(
+        _names(_function(suites, "_suite_ideal_principal")))
+
+
+def test_suite_oracles_and_generators_live_in_the_suites():
+    # the kernels hold only what a subcommand runs: each oracle and input
+    # generator a suite alone reads is defined once in suites.py, and no
+    # other module names it
+    for oracle, suite in (("enumerate_ideals", "_suite_ideal_principal"),
+                          ("join_primes", "_suite_irr_eq"),
+                          ("check_delta_map", "_suite_lem2_3"),
+                          ("union_closure", "random_join_semilattice")):
+        _oracle_only_in_suites(oracle, suite)
 
 
 def _public_functions(tree):
@@ -494,16 +507,22 @@ def test_no_public_budget_parameter():
     assert found == []
 
 
-# public names that nothing in the package or the bench calls, each kept
-# for the tests that check other code against it, by module and qualified name
+# names that nothing in the package or the bench calls, each kept for the
+# tests that check other code against it, by module and qualified name
 NO_CALLER_NEEDED = {
     "poset.validate": "poset.Poset's reference check of given down masks",
+    "poset.dual": "the suites' dual hosts; only poset.py may pass down",
+    "poset.is_isomorphic": "sum_prod's check; it shares _search with embedding_search",
     "suites.ideal_join_oracle": "the closure that is_separating is checked against",
     "poset.to_json": "the compact form the golden tests compare",
     "constructions.Certificate.to_json": "the compact form the golden tests compare",
     "downsets.DownSetFamily.to_json": "the compact form the enumeration test compares",
     "suites.SuiteReport.to_json": "the compact form the report test reads back",
 }
+
+# the modules that hold only what a subcommand runs; the oracles and input
+# generators that only the suites read live in suites.py
+KERNELS = ("poset", "downsets", "semilattice", "families")
 
 
 def _free_names(node, bound=frozenset()):
@@ -534,23 +553,37 @@ def _uses(tree):
 
 def test_every_public_name_has_a_caller():
     # each public function, class and method of a public class is used in
-    # the package outside its own definition or in the bench; a re-export
+    # the package outside its own definition or in the bench; in a kernel
+    # module so is each private top-level function and class, and a use in
+    # suites.py does not count for a kernel's top-level name. A re-export
     # from __init__ is no caller, and a local variable of the same name is
     # no use
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     bench = sorted((SRC.parents[1] / "perfbench").glob("*.py"))
     assert bench
-    held, free = Counter(), Counter()
-    for tree in [*modules.values(), *(ast.parse(path.read_text()) for path in bench)]:
-        tree_held, tree_free = _uses(tree)
-        held += tree_held
-        free += tree_free
+    uses = {module: _uses(tree) for module, tree in modules.items()}
+    uses.update((path, _uses(ast.parse(path.read_text()))) for path in bench)
+
+    def totals(skip):
+        held, free = Counter(), Counter()
+        for user, (user_held, user_free) in uses.items():
+            if user != skip:
+                held += user_held
+                free += user_free
+        return held, free
+
+    everywhere, outside_suites = totals(None), totals("suites")
     uncalled = set()
     for module, tree in modules.items():
-        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.ClassDef)
-                and not node.name.startswith("_")] + list(_public_functions(tree))
+        kernel = module in KERNELS
+        defs = [(node.name, node) for node in tree.body
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                and (kernel or not node.name.startswith("_"))]
+        defs += [(qualname, node) for qualname, node in _public_functions(tree)
+                 if "." in qualname]
         for qualname, node in defs:
+            held, free = outside_suites if kernel and "." not in qualname else everywhere
             name = qualname.rsplit(".", 1)[-1]
             own_held, own_free = _uses(node)
             count = held[name] - own_held[name]

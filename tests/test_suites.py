@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from ordercraft import downsets as D
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import semilattice as S
@@ -93,7 +94,7 @@ class TestRunSuite:
         coords = F.delta_coords(len(row) - 1)
         table = [row[i] if j == F.OMEGA else mt[row[i]][row[j]]
                  for (i, j) in coords]
-        again = S.check_delta_map(host, table)
+        again = SU.check_delta_map(host, table, len(row) - 1)
         assert not again.conditions_hold and again.all_equivalent
         assert again.conditions == bundle["conditions"]
 
@@ -139,6 +140,8 @@ class TestRunSuite:
         monkeypatch.setitem(SU._SUITE_FUNCS, "lem2_3", (planted_lem2_3, 4))
         rep = SU.run_suite("lem2_3", 5, seed=3)
         assert len(rep.failures) == 5
+        # each fails on its verdict, not on a raise inside the planted trial
+        assert all("error" not in bundle for _t, bundle in rep.failures)
 
 
 class TestMovedCrossChecks:
@@ -157,6 +160,27 @@ class TestMovedCrossChecks:
         f = S.MapWitness(source, target, table, frozenset({"meet_preserving"}))
         assert SU.lift_injectivity_criterion(f) is injective
         assert lift_witness(source, target, table).check_flag("injective") is injective
+
+    @pytest.mark.parametrize("fault", ["drop", "swap"])
+    def test_ideal_principal_fails_a_trial_whose_ideals_are_wrong(self, monkeypatch, fault):
+        # the suite checks principal_ideals, the ideals subcommand's path,
+        # against the definition, list order included
+        real = D.principal_ideals
+
+        def planted(q):
+            sets = real(q).sets
+            sets = sets[1:] if fault == "drop" else sets[1::-1] + sets[2:]
+            return D.DownSetFamily(q, sets, "ideals")
+
+        assert SU.run_suite("ideal_principal", 30, 3).ok
+        monkeypatch.setattr(D, "principal_ideals", planted)
+        rep = SU.run_suite("ideal_principal", 30, 3)
+        counts = [bundle["ideal_count"] for _t, bundle in rep.failures]
+        # a swap leaves the one ideal of a single element in place
+        if fault == "drop":
+            assert len(counts) == 30
+        else:
+            assert counts and min(counts) >= 2
 
     def test_fvee_fails_a_trial_whose_criterion_disagrees(self, monkeypatch):
         real = SU.lift_injectivity_criterion
