@@ -6,9 +6,8 @@ constructive extractions with re-verifiable certificates.
 """
 
 from .poset import Poset, build, chain, antichain, dual, direct_product, \
-    direct_sum, lexicographic_sum, is_isomorphic
-from .downsets import DownSet, DownSetFamily, down_closure, enumerate_downsets, \
-    downset_lattice
+    direct_sum, is_isomorphic
+from .downsets import DownSet, DownSetFamily, enumerate_downsets, downset_lattice
 from .semilattice import MapWitness, StructureReport, structure_report, \
     find_independent_set, embedding_search
 from .families import FamilySpec, OrdinalCNF, generate

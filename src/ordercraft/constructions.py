@@ -9,6 +9,7 @@ runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -418,14 +419,14 @@ def _check_grid_map(host: Poset, payload):
     rows = _indices(payload["rows"], host.n, "rows")
     if len(rows) != achieved + 1 or any(first >> y & 1 == 0 for y in rows):
         raise ValueError(f"rows must be {achieved + 1} elements of the chain's first member")
-    table = _indices(payload["table"], host.n, "table")
-    if len(table) != achieved * (achieved + 1) // 2:
-        raise ValueError(f"table needs one entry per cell of the depth-{achieved} grid")
-    coords = _families.grid_coords(achieved)
+    grid = _witness(_families.shape("omega_star_grid", achieved), host, payload, "table")
+    if list(grid.table) != [host.join(rows[i], rows[j])
+                            for (i, j) in _families.grid_coords(achieved)]:
+        raise ValueError("table must send each cell (i,j) to the join of rows i and j")
     return [
         ("requested_depth_reached", achieved >= depth),
-        ("grid_join_preserving", _families.grid_join_preserving(host, coords, table)),
-        ("grid_injective", len(set(table)) == len(table)),
+        ("grid_join_preserving", grid.check_flag("join_preserving")),
+        ("grid_injective", grid.check_flag("injective")),
     ]
 
 
@@ -549,6 +550,18 @@ def _pattern_poset(descriptor) -> Poset:
     return _families.shape(descriptor["family"], descriptor["n"])
 
 
+def _pattern_map(host: Poset, family: str, tops) -> list:
+    """The table of the pattern map with the given column tops: on delta and
+    gamma, (i,w) goes to tops[i] and (i,j) to tops[i] ^ tops[j]; on v, the
+    least element goes to the meet of the first two tops, then the tops."""
+    if family == "v":
+        # reduce: a payload's v(1) has one top and no pair to meet
+        return [functools.reduce(host.meet, tops[:2]), *tops]
+    coords = _families.delta_coords if family == "delta" else _families.gamma_coords
+    return [tops[i] if j == _families.OMEGA else host.meet(tops[i], tops[j])
+            for (i, j) in coords(len(tops) - 1)]
+
+
 def _check_ramsey(host: Poset, payload):
     _semilattice.require_meets(host)
     xs = _indices(payload["antichain"], host.n, "antichain")
@@ -569,7 +582,7 @@ def _check_ramsey(host: Poset, payload):
             raise ValueError("ramsey_class must be the class of subset")
         if payload["classification"] != _CLASSIFICATION[cls]:
             raise ValueError("classification must name ramsey_class")
-        if cls > 2 and _indices(payload["thinned"], len(xs), "thinned") != (
+        if cls > 2 and (thinned := _indices(payload["thinned"], len(xs), "thinned")) != (
                 picked[0::2] if cls == 3 else picked):
             raise ValueError("thinned must be every other index of subset for class 3, "
                              "else subset")
@@ -583,6 +596,9 @@ def _check_ramsey(host: Poset, payload):
             payload["classification"], len(payload["thinned"])):
         raise ValueError("pattern must be the shape of thinned's class")
     witness = _witness(pattern, host, payload, "table")
+    if mono and cls > 2 and list(witness.table) != _pattern_map(
+            host, payload["pattern"]["family"], [xs[c] for c in thinned]):
+        raise ValueError("table must be the pattern map of thinned's antichain elements")
     out.append(("map_meet_preserving", witness.check_flag("meet_preserving")))
     out.append(("map_injective", witness.check_flag("injective")))
     return out
@@ -666,6 +682,13 @@ def _check_sublattice_pattern(host: Poset, payload):
             and _PATTERN_FAMILY.get(classification) == payload["pattern"]["family"]):
         raise ValueError("classification must name the pattern's family")
     h = _witness(pattern, host, payload, "pattern_table")
+    # the column tops are the images of the maximal elements; each must be
+    # found in delta_row after the one before it
+    tops, later = [h.table[x] for x in pattern.maximals()], iter(row)
+    if not all(t in later for t in tops) or list(h.table) != _pattern_map(
+            host, payload["pattern"]["family"], tops):
+        raise ValueError("pattern_table must be the pattern map of column tops "
+                         "taken from delta_row in order")
     _masks, lift_source = _downsets.nonempty_downset_lattice(pattern)
     lift = _witness(lift_source, host, payload, "lift_table")
     return [

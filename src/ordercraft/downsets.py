@@ -41,18 +41,11 @@ class DownSet:
         return tuple(sorted(self.members))
 
 
-def down_closure(host: Poset, elements) -> DownSet:
-    """Least downset containing the given elements."""
-    mask = 0
-    for x in elements:
-        if not (0 <= x < host.n):
-            raise ValueError(f"element {x} outside host")
-        mask |= host.down_incl(x)
-    return _from_mask(host, mask)
-
-
 def principal(host: Poset, x: int) -> DownSet:
-    return down_closure(host, [x])
+    """down(x), the least downset containing x, read off its cone."""
+    if not (0 <= x < host.n):
+        raise ValueError(f"element {x} outside host")
+    return _from_mask(host, host.down_incl(x))
 
 
 def _from_mask(host: Poset, mask: int) -> DownSet:

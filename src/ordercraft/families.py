@@ -173,15 +173,6 @@ def grid_coords(n: int):
     return sorted((i, j) for i in range(n) for j in range(i + 1, n + 1))
 
 
-def grid_join_preserving(host: Poset, coords, table) -> bool:
-    """Whether the grid cells coords, cell k sent to host element table[k],
-    keep the grid join law: host.join of the images of (i,j) and (a,b) is
-    the image of (min(i,a), max(j,b))."""
-    idx = {c: k for k, c in enumerate(coords)}
-    return all(host.join(table[k], table[l]) == table[idx[(min(i, a), max(j, b))]]
-               for k, (i, j) in enumerate(coords) for l, (a, b) in enumerate(coords))
-
-
 def delta_coords(n: int):
     """Canonical element order of delta(n): column-major, omega last."""
     coords = []
@@ -263,10 +254,9 @@ def l_alpha(a: int) -> Poset:
     if a < 1:
         raise UnsupportedParams("a must be >= 1")
     _check_size(f"l_alpha a={a}", a + 3)
-    middle = _poset.direct_sum(_poset.chain(1), _poset.chain(a))
-    out = _poset.lexicographic_sum(
-        _poset.chain(3), [_poset.chain(1), middle, _poset.chain(1)])
-    return out.relabel(["0", "a"] + [f"c{k}" for k in range(a)] + ["1"])
+    return _poset.build(a + 3, "covers", [(0, 1), (0, 2), (1, a + 2), (a + 1, a + 2)]
+                        + [(k, k + 1) for k in range(2, a + 1)],
+                        ["0", "a"] + [f"c{k}" for k in range(a)] + ["1"])
 
 
 def m5() -> Poset:

@@ -96,9 +96,6 @@ class Poset:
         labels = self._label_tuple()
         return labels[i] if labels is not None else str(i)
 
-    def relabel(self, labels) -> "Poset":
-        return Poset(self.n, self.up, labels, self.down)
-
     def __eq__(self, other):
         return (
             isinstance(other, Poset)
@@ -520,29 +517,6 @@ def direct_sum(a: Poset, b: Poset) -> Poset:
     down = list(a.down) + [m << a.n for m in b.down]
     return Poset(n, up, lambda: [f"L{a.label(i)}" for i in range(a.n)]
                  + [f"R{b.label(i)}" for i in range(b.n)], down)
-
-
-def lexicographic_sum(index: Poset, parts: Sequence[Poset]) -> Poset:
-    """Sum over an index poset: (i,x) <= (j,y) iff i < j or (i = j and x <= y)."""
-    if len(parts) != index.n:
-        raise ArityMismatch(f"index has {index.n} elements but {len(parts)} parts given")
-    offsets = []
-    total = 0
-    for part in parts:
-        offsets.append(total)
-        total += part.n
-    up = [0] * total
-    labels = [""] * total
-    part_mask = [((1 << parts[i].n) - 1) << offsets[i] for i in range(index.n)]
-    for i in range(index.n):
-        above_parts = 0
-        for j in bits(index.up[i]):
-            above_parts |= part_mask[j]
-        for x in range(parts[i].n):
-            g = offsets[i] + x
-            up[g] = (parts[i].up[x] << offsets[i]) | above_parts
-            labels[g] = f"({index.label(i)},{parts[i].label(x)})"
-    return Poset(total, up, labels)
 
 
 def add_bottom(p: Poset, label: str = "0") -> Poset:

@@ -16,6 +16,7 @@ from ordercraft import constructions as C
 from ordercraft import families as F
 from ordercraft import poset as P
 from ordercraft import suites as SU
+from test_constructions import with_rows
 from test_families import AT_LEAST_TWO
 
 
@@ -222,6 +223,18 @@ class TestExitCodes:
         assert cli.main(["generate", *args]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "elements, more than 1000" in err
+
+    def test_grid_map_check_over_budget_is_4(self, monkeypatch, capsys):
+        # the checker reads the table as a map of the grid, which counts its
+        # cells^2 pair tests against the budget
+        f = str(GOLDEN / "grid_chain6_d3.json")
+        monkeypatch.setenv("OC_BUDGET", "35")
+        assert cli.main(["verify-cert", f]) == 4
+        assert capsys.readouterr() == ("", "budget exceeded: omega_star_grid n=3 has 6 "
+                                       "elements, so 6^2 pair tests, more than 35\n")
+        monkeypatch.setenv("OC_BUDGET", "36")
+        assert cli.main(["verify-cert", f]) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True}
 
     def test_poset_document_over_budget_is_4(self, tmp_path, monkeypatch, capsys):
         # the loader checks n against the budget before it allocates a row
@@ -456,10 +469,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("i,j", [(0, 1), (0, 5), (2, 3)])
     def test_grid_map_with_swapped_cells_fails(self, i, j, tmp_path, capsys):
-        # the table stays injective, and the grid join law breaks
+        # the table is no longer the joins of the rows: a malformed payload
         doc = json.loads((GOLDEN / "grid_chain6_d3.json").read_text())
         table = doc["payload"]["table"]
         table[i], table[j] = table[j], table[i]
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(doc))
+        assert cli.main(["verify-cert", str(f)]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: {f}: table must send each cell (i,j) to the join of rows i and j\n")
+
+    def test_grid_map_with_swapped_rows_fails(self, tmp_path, capsys):
+        # rows 0 and 1 swapped, with their joins as the table: the table
+        # stays injective, and the grid join law breaks
+        doc = json.loads((GOLDEN / "grid_chain6_d3.json").read_text())
+        with_rows(doc["payload"], [6, 0, 11, 15])
         assert dict(C.verify_certificate(C.Certificate.from_json_dict(doc))) == {
             "requested_depth_reached": True, "grid_join_preserving": False,
             "grid_injective": True}
@@ -570,7 +594,6 @@ class TestCommands:
         assert json.loads(out)["payload"]["classification"] == "VLike"
 
     def test_dichotomy_and_verify_cert(self, tmp_path):
-        grid = F.omega_star_grid(6)
         chain = grid_chain(6)
         cf = tmp_path / "chain.json"
         cf.write_text(json.dumps(chain))
@@ -580,9 +603,9 @@ class TestCommands:
         assert code == 0
         code, out, _ = run_cli(["verify-cert", str(out_cert)])
         assert code == 0 and json.loads(out)["valid"]
-        # tampering flips the exit code
+        # tampering flips the exit code: a repeated row repeats a cell
         data = json.loads(out_cert.read_text())
-        data["payload"]["table"][0] = (data["payload"]["table"][0] + 1) % grid.n
+        with_rows(data["payload"], [data["payload"]["rows"][1], *data["payload"]["rows"][1:]])
         out_cert.write_text(json.dumps(data))
         code, out, _ = run_cli(["verify-cert", str(out_cert)])
         assert code == 1

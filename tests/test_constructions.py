@@ -11,6 +11,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordercraft import constructions as C
 from ordercraft import downsets as D
@@ -30,6 +31,14 @@ from ordercraft.errors import (
 )
 
 from test_semilattice import lift_witness
+
+
+def with_rows(payload, rows):
+    """A GridMap payload's rows set to rows, and its table to their joins,
+    the only table its checker accepts."""
+    host = P.from_json_dict(payload["host"])
+    payload.update(rows=rows, table=[host.join(rows[i], rows[j])
+                                     for (i, j) in F.grid_coords(len(rows) - 1)])
 
 
 def powerset_suffix_chain(n):
@@ -187,6 +196,32 @@ class TestDichotomy:
                 join = (min(a[0], b[0]), max(a[1], b[1]))
                 assert jt[table[idx[a]]][table[idx[b]]] == table[idx[join]]
         assert len(set(table)) == len(table)
+
+    @given(st.integers(0, 1 << 30), st.integers(1, 4), st.booleans())
+    def test_grid_map_evidence_is_the_all_pairs_law(self, seed, n, joined):
+        # the oracle: the image of (i,j) v (a,b) = (min(i,a), max(j,b)) is the
+        # join of the images, over every pair of cells. Half of the tables
+        # are the joins of random rows, as the checker reads them; the rest
+        # are random, for the flag the checker answers with
+        rng = Random(seed)
+        host = SU.random_join_semilattice(rng.randint(1, 12), rng.randrange(1 << 30))
+        coords = F.grid_coords(n)
+        idx = {c: k for k, c in enumerate(coords)}
+        rows = [rng.randrange(host.n) for _ in range(n + 1)]
+        table = ([host.join(rows[i], rows[j]) for (i, j) in coords] if joined
+                 else [rng.randrange(host.n) for _ in coords])
+        law = all(host.join(table[k], table[l]) == table[idx[(min(i, a), max(j, b))]]
+                  for k, (i, j) in enumerate(coords) for l, (a, b) in enumerate(coords))
+        grid = S.MapWitness(F.omega_star_grid(n), host, tuple(table))
+        assert grid.check_flag("join_preserving") is law
+        if joined:
+            # the host's top bounds the one-member chain, so every row is in it
+            cert = C.Certificate("GridMap", {
+                "host": P.to_json_dict(host), "chain": [list(range(host.n))], "depth": 1,
+                "achieved": n, "rows": rows, "table": table})
+            assert dict(C.verify_certificate(cert)) == {
+                "requested_depth_reached": True, "grid_join_preserving": law,
+                "grid_injective": len(set(table)) == len(table)}
 
     def test_principal_chain_gives_descending(self):
         host = P.chain(6)
@@ -649,9 +684,27 @@ class TestCertificateIO:
         with pytest.raises(ValueError, match=f"^{message}$"):
             C.verify_certificate(C.Certificate.from_json_dict(data))
 
+    @pytest.mark.parametrize("name,key,message", [
+        ("grid_chain6_d3", "table", "table must send each cell (i,j) to the join of rows i and j"),
+        ("ramsey_delta5_m6", "table",
+         "table must be the pattern map of thinned's antichain elements"),
+        ("ramsey_b4_atoms_m4", "table",
+         "table must be the pattern map of thinned's antichain elements"),
+        ("pipeline_gamma4_k5", "pattern_table",
+         "pattern_table must be the pattern map of column tops taken from delta_row in order"),
+    ], ids=["GridMap", "RamseyClass delta", "RamseyClass V", "SublatticePattern"])
+    def test_map_tables_are_tied_to_their_payload(self, name, key, message):
+        # each table is a function of the rest of the payload: the joins of
+        # the rows, or the pattern map of the column tops
+        data = json.loads((GOLDEN / f"{name}.json").read_text())
+        data["payload"][key][0] = data["payload"][key][1]
+        with pytest.raises(ValueError) as caught:
+            C.verify_certificate(C.Certificate.from_json_dict(data))
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("name,key,flipped", [
         ("descending_chain6_d3", "elements", "strictly_descending"),
-        ("grid_chain6_d3", "table", "grid_injective"),
+        ("grid_chain6_d3", "rows", "grid_injective"),
         ("ramsey_delta5_m6", "subset", "monochromatic"),
         ("pipeline_b5_k5", "lift_table", "sublattice_injective"),
     ], ids=["DescendingChain", "GridMap", "RamseyClass", "SublatticePattern"])
@@ -659,6 +712,8 @@ class TestCertificateIO:
         data = json.loads((GOLDEN / f"{name}.json").read_text())
         assert C.certificate_valid(C.Certificate.from_json_dict(data))
         data["payload"][key][0] = data["payload"][key][1]
+        if key == "rows":
+            with_rows(data["payload"], data["payload"]["rows"])
         tampered = C.Certificate.from_json_dict(data)
         assert not C.certificate_valid(tampered)
         assert dict(C.verify_certificate(tampered))[flipped] is False

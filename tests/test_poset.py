@@ -176,7 +176,7 @@ class TestTransitiveReduction:
     @given(permuted_posets(max_n=9))
     def test_covers_match_brute_force_oracle(self, p):
         # shuffled indices make the descent step below the lowest index
-        for q in (p, P.dual(p), p.relabel([f"x{i}" for i in range(p.n)])):
+        for q in (p, P.dual(p), P.Poset(p.n, p.up, [f"x{i}" for i in range(p.n)])):
             assert q.cover_pairs() == brute_covers(q)
 
     def test_covers_when_lowest_index_is_not_minimal(self):
@@ -237,26 +237,6 @@ class TestProductsAndSums:
     def test_direct_sum_maximals(self, a, b):
         s = P.direct_sum(a, b)
         assert s.maximals() == a.maximals() + [a.n + m for m in b.maximals()]
-
-    def test_lex_sum_of_points_over_chain(self):
-        s = P.lexicographic_sum(P.chain(2), [P.chain(1), P.chain(1)])
-        assert P.is_isomorphic(s, P.chain(2)) is not None
-
-    def test_lex_sum_pentagon(self):
-        middle = P.direct_sum(P.chain(1), P.chain(2))
-        s = P.lexicographic_sum(P.chain(3), [P.chain(1), middle, P.chain(1)])
-        assert s.n == 5
-        pentagon = P.build(5, "covers", [(0, 1), (0, 2), (2, 3), (1, 4), (3, 4)])
-        assert P.is_isomorphic(s, pentagon) is not None
-
-    @given(random_posets(max_n=4), random_posets(max_n=4))
-    def test_lex_sum_over_antichain_is_direct_sum(self, a, b):
-        s = P.lexicographic_sum(P.antichain(2), [a, b])
-        assert P.is_isomorphic(s, P.direct_sum(a, b)) is not None
-
-    def test_lex_sum_arity(self):
-        with pytest.raises(P.ArityMismatch):
-            P.lexicographic_sum(P.chain(2), [P.chain(1)])
 
 
 class TestIsomorphism:
@@ -548,11 +528,12 @@ class TestSetLattice:
         assert coords == (0, 2, 4, 6, 16, 18, 20, 22)
 
     def test_views_carry_no_sets(self):
-        # dual, relabel and induced do not inherit the masks: the dual's join
-        # is the original meet, which a union of the masks would get wrong
+        # dual, a relabelled copy and induced do not inherit the masks: the
+        # dual's join is the original meet, which a union of the masks would
+        # get wrong
         lat = F.finite_powerset(4)
         dual = P.dual(lat)
-        for view in (dual, lat.relabel(list("abcdefghijklmnop")),
+        for view in (dual, P.Poset(lat.n, lat.up, list("abcdefghijklmnop")),
                      P.induced(lat, [0, 1, 2, 3])):
             assert view.birkhoff()[0] != lat.birkhoff()[0][:view.n]
         assert dual.join_table() == lat.meet_table()
@@ -631,7 +612,7 @@ def lattices_and_posets(draw):
             return json_copy(p)
         # a copy drops the tables built while drawing; set lattices keep
         # the coordinates they were built with
-        return p if p._join is p._meet is None else p.relabel(p.labels)
+        return p if p._join is p._meet is None else P.Poset(p.n, p.up, p.labels)
     return draw(st.one_of(random_posets(max_n=7, min_n=1), permuted_posets(max_n=7)))
 
 
@@ -658,7 +639,7 @@ def coordinate_posets(draw):
         elif view == "dual":
             p = P.dual(p)
         elif view == "relabel":
-            p = p.relabel([f"x{i}" for i in range(p.n)])
+            p = P.Poset(p.n, p.up, [f"x{i}" for i in range(p.n)])
         elif view == "shuffle":
             p = shuffled_copy(p, draw(st.permutations(range(p.n))))
     return p
@@ -781,7 +762,8 @@ class TestBirkhoffCache:
     def test_views_do_not_inherit_them(self):
         lat = json_copy(D.downset_lattice(F.delta(2)))
         assert lat.birkhoff() is not None
-        views = (P.dual(lat), lat.relabel(lat.labels), P.induced(lat, range(lat.n)))
+        views = (P.dual(lat), P.Poset(lat.n, lat.up, lat.labels),
+                 P.induced(lat, range(lat.n)))
         assert all(view._birkhoff is None for view in views)
         # the dual's coordinates are its own: its join is the original meet
         dual = views[0]
@@ -876,7 +858,6 @@ class TestValidate:
             P.build(a.n, "leq", pairs),
             P.build(a.n, "covers", a.cover_pairs()),
             P.dual(a),
-            a.relabel([f"y{i}" for i in range(a.n)]),
             P.add_bottom(a),
             P.direct_sum(a, b),
             P.direct_sum(b, P.dual(a)),
@@ -955,7 +936,7 @@ class TestLazyLabels:
         with pytest.raises(P.ArityMismatch, match="expected 2 labels, got 1"):
             P.Poset(2, c2.up, ["a"])
         with pytest.raises(P.ArityMismatch):
-            c2.relabel(["a", "b", "c"])
+            P.Poset(2, c2.up, ["a", "b", "c"])
         with pytest.raises(P.ArityMismatch):
             P.inclusion_order([0, 1], ["x"])
         with pytest.raises(P.ArityMismatch):

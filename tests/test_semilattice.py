@@ -183,7 +183,7 @@ class TestStructureReportCache:
         # a view starts without the tables the report of p filled
         p = pentagon()
         rep = S.structure_report(p)
-        views = (P.dual(p), p.relabel([str(i) for i in range(p.n)]))
+        views = (P.dual(p), P.Poset(p.n, p.up, [str(i) for i in range(p.n)]))
         assert all(q._join is q._meet is None for q in views)
         assert all(S.structure_report(q) == rep for q in views)
 

@@ -115,8 +115,8 @@ PER_PAIR_CALLERS = {
     "constructions.py": ["ChainOfDownSets.__post_init__", "_is_separating_masks", "independent_from_separating",
                          "dichotomy_extract", "_dichotomy_case_grid",
                          "_triple_class", "ramsey_extract", "_ramsey_fields",
-                         "_check_ramsey", "thm8_pipeline"],
-    "families.py": ["grid_join_preserving"],
+                         "_check_grid_map", "_pattern_map", "_check_ramsey",
+                         "thm8_pipeline", "_check_sublattice_pattern"],
     "suites.py": ["_suite_fvee", "lift_injectivity_criterion", "_suite_lem2_3",
                   "check_delta_map"],
 }
@@ -142,7 +142,7 @@ def test_ideal_oracle_tests_the_definition():
     # principal": it and its mask test filter the downsets for directedness
     # and take no shortcut through a top
     tree = ast.parse((SRC / "suites.py").read_text())
-    shortcuts = {"principal", "down_closure", "maximals", "_ideal_top"}
+    shortcuts = {"principal", "maximals", "_ideal_top"}
     for qualname in ("enumerate_ideals", "_is_ideal_mask"):
         assert set(_names(_function(tree, qualname))) & shortcuts == set(), qualname
     assert "_is_ideal_mask" in set(_names(_function(tree, "enumerate_ideals")))
@@ -321,8 +321,7 @@ def test_only_poset_constructors_pass_down():
     passers = {path.name: _holders(ast.parse(path.read_text()), _passes_down)
                for path in sorted(SRC.glob("*.py"))}
     assert passers.pop("poset.py") == ["add_bottom", "build", "direct_sum", "dual",
-                                       "inclusion_order", "induced", "relabel",
-                                       "set_lattice"]
+                                       "inclusion_order", "induced", "set_lattice"]
     assert all(holders == [] for holders in passers.values()), passers
 
 
@@ -431,8 +430,7 @@ def test_package_imports_form_no_cycle():
 
 
 # where each label-taking function takes its labels, by position
-LABEL_ARGS = {"Poset": 2, "relabel": 0, "build": 3, "inclusion_order": 1,
-              "set_lattice": 2}
+LABEL_ARGS = {"Poset": 2, "build": 3, "inclusion_order": 1, "set_lattice": 2}
 
 
 def _passes_label_source(node):
