@@ -124,6 +124,15 @@ class TestGrid:
     def test_size(self):
         assert F.omega_star_grid(8).n == 36
 
+    def test_join_formula_exhaustive(self):
+        grid = F.omega_star_grid(5)
+        coords = F.grid_coords(5)
+        idx = {c: k for k, c in enumerate(coords)}
+        jt = grid.join_table()
+        for (i, j) in coords:
+            for (a, b) in coords:
+                assert jt[idx[(i, j)]][idx[(a, b)]] == idx[(min(i, a), max(j, b))]
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cone_built_join_is_coordinatewise(self, n):
         # the grid's join comes from its cones; it must be (min i, max j)
