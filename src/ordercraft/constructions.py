@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 from . import downsets as _downsets
@@ -43,14 +43,17 @@ NOT_WQO_EVIDENCE = "NotWqoEvidence"
 
 @dataclass(frozen=True)
 class ChainOfDownSets:
-    """Strictly monotone list of ideals of a join-semilattice host, and their tops."""
+    """Strictly decreasing list of ideals of a join-semilattice host, largest
+    first, and their masks and tops. decreasing=True is the one direction
+    accepted."""
 
     host: Poset
     members: tuple
-    decreasing: bool = False
+    decreasing: InitVar[bool] = True
+    masks: tuple = field(init=False, repr=False, compare=False)
     tops: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, decreasing):
         _semilattice.require_joins(self.host)
         if not self.members:
             raise ValueError("chain must be non-empty")
@@ -62,17 +65,21 @@ class ChainOfDownSets:
             except ValueError:
                 raise ValueError(
                     f"chain member {sorted(d.members)} is not an ideal") from None
-        for a, b in zip(self.members, self.members[1:]):
-            lo, hi = (b, a) if self.decreasing else (a, b)
-            if not (lo.mask & ~hi.mask == 0 and lo.mask != hi.mask):
+        # after the ideal checks, so a chain file reports a bad member first
+        if decreasing is not True:
+            raise ValueError("dichotomy_extract needs a decreasing chain")
+        masks = tuple(d.mask for d in self.members)
+        for hi, lo in zip(masks, masks[1:]):
+            if not (lo & ~hi == 0 and lo != hi):
                 raise ValueError("chain members must be strictly nested")
+        object.__setattr__(self, "masks", masks)
         object.__setattr__(self, "tops", tuple(tops))
 
     def to_json_dict(self) -> dict:
         return {
             "host": _poset.to_json_dict(self.host),
             "sets": [list(d.sorted_members()) for d in self.members],
-            "decreasing": self.decreasing,
+            "decreasing": True,
         }
 
     @classmethod
@@ -139,8 +146,8 @@ def _is_separating_masks(host: Poset, masks: Sequence[int], tops: Sequence[int])
     generators of the host (joins that reach the window boundary would mask
     the behaviour of the object being truncated).
     """
-    # nested masks are ordered as integers
-    union, (least, least_top) = max(masks), min(zip(masks, tops))
+    # a chain is decreasing: its first member is the union, its last the least
+    union, least, least_top = masks[0], masks[-1], tops[-1]
     irr_mask = sum(1 << x for x in _semilattice._join_irreducibles_no_zero(host))
     for i_mask, t in zip(masks, tops):
         if i_mask == union or i_mask == least:
@@ -153,8 +160,7 @@ def _is_separating_masks(host: Poset, masks: Sequence[int], tops: Sequence[int])
 
 def is_separating(chain: ChainOfDownSets):
     """(True, None) or (False, (I, x)) with I the violating member."""
-    ok, witness = _is_separating_masks(
-        chain.host, [d.mask for d in chain.members], chain.tops)
+    ok, witness = _is_separating_masks(chain.host, chain.masks, chain.tops)
     if ok:
         return True, None
     i_mask, x = witness
@@ -237,8 +243,7 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
     ok, _w = is_separating(chain)
     if not ok:
         raise NotSeparating("input chain is not separating")
-    step = 1 if chain.decreasing else -1
-    desc, tops = [d.mask for d in chain.members[::step]], chain.tops[::step]
+    desc, tops = chain.masks, chain.tops
     if len(desc) < 2:
         raise ConstructionStalled("no proper member below the union", None)
     xs = [min(_poset.bits(desc[0] & ~desc[1]))]
@@ -257,9 +262,8 @@ def independent_from_separating(chain: ChainOfDownSets) -> Certificate:
 
 
 def _payload_chain(host: Poset, payload) -> ChainOfDownSets:
-    """payload["chain"] as a decreasing chain, its members largest first."""
-    members = sorted(_members(host, payload["chain"]), key=lambda d: -len(d.members))
-    return ChainOfDownSets(host, tuple(members), decreasing=True)
+    """payload["chain"], read in order: a decreasing chain, largest member first."""
+    return ChainOfDownSets(host, _members(host, payload["chain"]))
 
 
 def _check_independent_set(host: Poset, payload):
@@ -286,15 +290,13 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
     properly below x}, where a member is bounded when its top has at most one
     lower cover; stalls surface as reduced achieved depth in the evidence.
     """
-    if not chain.decreasing:
-        raise ValueError("dichotomy_extract needs a decreasing chain")
     host = chain.host
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if depth > len(chain.members) - 1:
         raise DepthUnreachable(
             f"depth {depth} needs at least {depth + 1} chain members")
-    masks, tops = [d.mask for d in chain.members], chain.tops
+    masks, tops = chain.masks, chain.tops
     # suffixes of length <= 2 have no testable member and are vacuously
     # separating; the suffix from k tests members k+1..L-2 and each x in
     # masks[k] outside them, always against J = masks[-1], so a longer suffix
@@ -328,13 +330,14 @@ def dichotomy_extract(chain: ChainOfDownSets, depth: int) -> Certificate:
             "depth": depth,
             "elements": walk,
         })
-    return _dichotomy_case_grid(host, chain, masks, tops, below, depth)
+    return _dichotomy_case_grid(chain, below, depth)
 
 
-def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
+def _dichotomy_case_grid(chain, below, depth):
     """Case (ii): below the largest member missing E, pull non-separation
     witnesses (x_n, I_n), strengthen them to rows y_n with the join-control
     conditions, and map the grid through (i,j) -> y_i v y_j."""
+    host, masks, tops = chain.host, chain.masks, chain.tops
     # E is an up-set of the union, so a member misses E when its top does
     prev = next(i for i, t in enumerate(tops) if t not in below)
     join = host.join
@@ -370,9 +373,6 @@ def _dichotomy_case_grid(host, chain, masks, tops, below, depth):
         if z is None:
             stall = f"no element of I_{n - 1} escapes the running join"
             break
-        if n == 1:
-            ys.append(join(xs[1], z))
-            continue
         # the scan always finds a t_j: phase 1 put I_j, which holds the later
         # rows, below x_j v top(J) for the least member J, which is in I_{n-1}
         ts = []
@@ -400,7 +400,7 @@ def _check_descending_chain(host: Poset, payload):
     if type(payload["depth"]) is not int or payload["depth"] < 1:
         raise ValueError("depth must be an integer >= 1")
     # the walk starts in the chain's first member and stays inside it
-    first = _payload_chain(host, payload).members[0].mask
+    first = _payload_chain(host, payload).masks[0]
     xs = _indices(payload["elements"], host.n, "elements")
     if any(first >> x & 1 == 0 for x in xs):
         raise ValueError("elements must lie in the chain's first member")
@@ -415,7 +415,7 @@ def _check_grid_map(host: Poset, payload):
     if type(achieved) is not int or type(depth) is not int or min(achieved, depth) < 1:
         raise ValueError("achieved and depth must be integers >= 1")
     # each row is a join of elements of a member, so it lies in the first one
-    first = _payload_chain(host, payload).members[0].mask
+    first = _payload_chain(host, payload).masks[0]
     rows = _indices(payload["rows"], host.n, "rows")
     if len(rows) != achieved + 1 or any(first >> y & 1 == 0 for y in rows):
         raise ValueError(f"rows must be {achieved + 1} elements of the chain's first member")

@@ -298,30 +298,20 @@ def _sierp_sequence(alpha_prime: OrdinalCNF, n: int, scheme: str,
         cols = [(k,) for k in range(c)]
     else:
         cols = ordinals_below(alpha_prime, n)
-    pos = {t: 0 for t in cols}
-    seq = []
-    if scheme == "column_alternating" and alpha_prime.is_finite:
-        for m in range(n):
-            col = cols[m % len(cols)]
-            seq.append((col, pos[col]))
-            pos[col] += 1
-    elif scheme != "seeded_shuffle":
+    if scheme == "seeded_shuffle":
+        rng = random.Random(0 if seed is None else seed)
+        picks = (rng.randrange(len(cols)) for _ in range(n))
+    elif scheme == "column_alternating" and alpha_prime.is_finite:
+        picks = (m % len(cols) for m in range(n))
+    else:
         # round b lists columns 0..b-1; over infinitely many columns this is
         # also column_alternating, the Cantor dovetail
-        b = 1
-        while len(seq) < n:
-            for col in cols[:min(b, len(cols))]:
-                if len(seq) == n:
-                    break
-                seq.append((col, pos[col]))
-                pos[col] += 1
-            b += 1
-    else:  # seeded_shuffle
-        rng = random.Random(0 if seed is None else seed)
-        for _ in range(n):
-            col = cols[rng.randrange(len(cols))]
-            seq.append((col, pos[col]))
-            pos[col] += 1
+        picks = itertools.islice(
+            (k for b in itertools.count(1) for k in range(min(b, len(cols)))), n)
+    pos, seq = [0] * len(cols), []
+    for k in picks:
+        seq.append((cols[k], pos[k]))
+        pos[k] += 1
     return seq
 
 

@@ -538,7 +538,7 @@ def _suite_separating(rng: Random, max_n: int):
     # member k: the subsets of {k, ..., n-1}
     members = tuple(_downsets.DownSet(host, frozenset(
         x for x in range(1 << n) if x & ((1 << k) - 1) == 0)) for k in range(n))
-    chain = _constructions.ChainOfDownSets(host, members, decreasing=True)
+    chain = _constructions.ChainOfDownSets(host, members)
     bundle = {"n": n}
     ok, _w = _constructions.is_separating(chain)
     if not ok:
@@ -551,7 +551,7 @@ def _suite_separating(rng: Random, max_n: int):
     coords = _families.grid_coords(n)
     gmembers = tuple(_downsets.DownSet(grid, frozenset(
         e for e, (i, _j) in enumerate(coords) if i >= k)) for k in range(n))
-    gchain = _constructions.ChainOfDownSets(grid, gmembers, decreasing=True)
+    gchain = _constructions.ChainOfDownSets(grid, gmembers)
     gok, gw = _constructions.is_separating(gchain)
     return size_ok and _constructions.certificate_valid(cert) and not gok, bundle
 

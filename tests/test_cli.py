@@ -456,16 +456,17 @@ class TestExitCodes:
         assert out == "" and err == f"input error: {f}: decreasing must be a boolean\n"
 
     def test_chain_without_decreasing_is_increasing(self, tmp_path, capsys):
-        # the members, listed upward, form a valid increasing chain, which
-        # dichotomy turns down as a fault of the input file
-        doc = grid_chain(6)
-        del doc["decreasing"]
-        doc["sets"].reverse()
-        f = tmp_path / "chain.json"
-        f.write_text(json.dumps(doc))
-        assert cli.main(["dichotomy", str(f), "--depth", "3"]) == 3
-        assert capsys.readouterr().err == (
-            f"input error: {f}: dichotomy_extract needs a decreasing chain\n")
+        # a chain runs downward only: without decreasing, dichotomy turns the
+        # file down as a fault of the input, its members listed either way
+        for order in (-1, 1):
+            doc = grid_chain(6)
+            del doc["decreasing"]
+            doc["sets"] = doc["sets"][::order]
+            f = tmp_path / "chain.json"
+            f.write_text(json.dumps(doc))
+            assert cli.main(["dichotomy", str(f), "--depth", "3"]) == 3
+            assert capsys.readouterr().err == (
+                f"input error: {f}: dichotomy_extract needs a decreasing chain\n")
 
     @pytest.mark.parametrize("i,j", [(0, 1), (0, 5), (2, 3)])
     def test_grid_map_with_swapped_cells_fails(self, i, j, tmp_path, capsys):

@@ -2,6 +2,7 @@
 end-to-end pipeline with certificate re-verification."""
 
 import collections
+import copy
 import functools
 import hashlib
 import itertools
@@ -28,6 +29,7 @@ from ordercraft.errors import (
     NoMonochromaticSubset,
     NotAntichain,
     NotSeparating,
+    OrderError,
 )
 
 from test_semilattice import lift_witness
@@ -257,11 +259,14 @@ class TestDichotomy:
             C.dichotomy_extract(powerset_suffix_chain(6), 2)
 
     def test_increasing_chain_rejected(self):
+        # a chain runs downward: neither the flag nor members listed upward
+        # make an increasing one
         host = P.chain(4)
         members = tuple(D.principal(host, x) for x in (1, 2, 3))
-        chain = C.ChainOfDownSets(host, members, decreasing=False)
-        with pytest.raises(ValueError):
-            C.dichotomy_extract(chain, 2)
+        with pytest.raises(ValueError, match="^dichotomy_extract needs a decreasing chain$"):
+            C.ChainOfDownSets(host, members[::-1], decreasing=False)
+        with pytest.raises(ValueError, match="^chain members must be strictly nested$"):
+            C.ChainOfDownSets(host, members, decreasing=True)
 
 
 def chain_host(rng):
@@ -298,15 +303,14 @@ def chain_tops(rng, host, grid):
 
 
 def random_chains(seed, hosts):
-    """Four random chains per host, each decreasing or increasing."""
+    """Four random chains per host, largest member first."""
     rng = Random(seed)
     for _ in range(hosts):
         host, grid = chain_host(rng)
         for _ in range(4):
-            decreasing = rng.random() < 0.5
             tops = chain_tops(rng, host, grid)
-            members = tuple(D.principal(host, t) for t in (tops if decreasing else tops[::-1]))
-            yield C.ChainOfDownSets(host, members, decreasing)
+            yield C.ChainOfDownSets(host, tuple(D.principal(host, t) for t in tops),
+                                    decreasing=True)
 
 
 def outcome(make):
@@ -320,14 +324,13 @@ def outcome(make):
 class TestChainWalks:
     def test_outputs_are_pinned(self):
         # sha256 of every outcome of both chain constructions, the dichotomy
-        # at every depth its chain allows, recorded before the walks were
-        # rewritten to follow the chain's own order
+        # at every depth its chain allows, recorded before the increasing
+        # chains and the walks' direction checks were removed
         digest, seen = hashlib.sha256(), set()
         for chain in random_chains(0, 400):
             runs = [lambda: C.independent_from_separating(chain)]
-            if chain.decreasing:
-                runs += [lambda d=d: C.dichotomy_extract(chain, d)
-                         for d in range(1, len(chain.members))]
+            runs += [lambda d=d: C.dichotomy_extract(chain, d)
+                     for d in range(1, len(chain.members))]
             for run in runs:
                 out = outcome(run)
                 digest.update(out.encode() + b"\n")
@@ -339,7 +342,7 @@ class TestChainWalks:
                 "NotSeparating: input chain is not separating",
                 "NotSeparating: a suffix of the chain is separating"} <= seen
         assert digest.hexdigest() == (
-            "6fe8add54d9d8e8a11231ca6284ba2f92d554aa1782a36a7809008f8183d15ce")
+            "72611f7d5875f8a73738b9c9cc03aaa84d659c224cb8392d331094f626e25709")
 
     def test_bounded_members_are_those_with_a_join_irreducible_top(self):
         # the elements just below the top t of down(t), the maximal elements
@@ -717,3 +720,96 @@ class TestCertificateIO:
         tampered = C.Certificate.from_json_dict(data)
         assert not C.certificate_valid(tampered)
         assert dict(C.verify_certificate(tampered))[flipped] is False
+
+
+def certificate_goldens():
+    """{name: document} of the golden files that hold a certificate."""
+    docs = {path.stem: json.loads(path.read_text()) for path in sorted(GOLDEN.glob("*.json"))}
+    return {name: doc for name, doc in docs.items()
+            if isinstance(doc, dict) and {"kind", "payload"} <= doc.keys()}
+
+
+def verifies(doc):
+    """What verify-cert answers on a certificate document: True when it is
+    valid; False when it is not, or is an invalid input file (exit 3)."""
+    try:
+        return C.certificate_valid(C.Certificate.from_json_dict(doc))
+    except (KeyError, ValueError, OrderError):
+        return False
+
+
+def integer_paths(node, path=()):
+    """The key path of every integer in a payload, outside its host."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        if type(value) is int:
+            yield path + (key,)
+        elif path or key != "host":
+            yield from integer_paths(value, path + (key,))
+
+
+# the +-1 edits of a certificate golden that still verify; README "File
+# formats" gives each its reason
+EDITS_THAT_VERIFY = {
+    # another true witness: the last member becomes {0}
+    ("descending_chain6_d3", ("chain", 4, 1), -1),
+    # another true witness: the walk 5 > 4 > 2
+    ("descending_chain6_d3", ("elements", 2), -1),
+    # a true claim: achieved 3 reaches depth 2
+    ("grid_chain6_d3", ("depth",), -1),
+    # another true witness: (0,2) v y = (0,1) v y for every other row y
+    ("grid_chain6_d3", ("rows", 0), 1),
+    # open: sublattice_elements is read only through phi_table
+    ("pipeline_delta3_k4", ("sublattice_elements", 0), -1),
+    ("pipeline_gamma4_k5", ("sublattice_elements", 0), -1),
+}
+
+
+class RecordingPayload(dict):
+    """A payload that records each key read through [] or get."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+class TestCertificateGoldensTampered:
+    def test_edits_by_one_that_verify_are_the_listed_ones(self):
+        # each integer outside host, edited by +1 and by -1, one at a time
+        kept, edits = set(), 0
+        for name, golden in certificate_goldens().items():
+            for path in integer_paths(golden["payload"]):
+                for step in (1, -1):
+                    doc = copy.deepcopy(golden)
+                    *keys, last = path
+                    functools.reduce(operator.getitem, keys, doc["payload"])[last] += step
+                    edits += 1
+                    if verifies(doc):
+                        kept.add((name, path, step))
+        assert edits == 1232 and kept == EDITS_THAT_VERIFY
+
+    @pytest.mark.parametrize("name", ["independent_b5", "descending_chain6_d3",
+                                      "grid_chain6_d3"])
+    def test_chain_listed_upward_fails(self, name):
+        # the checkers read chain in order, largest member first
+        doc = certificate_goldens()[name]
+        assert verifies(doc)
+        doc["payload"]["chain"].reverse()
+        with pytest.raises(ValueError, match="^chain members must be strictly nested$"):
+            C.verify_certificate(C.Certificate.from_json_dict(doc))
+
+    @pytest.mark.parametrize("name", sorted(certificate_goldens()))
+    def test_every_payload_field_is_read(self, name):
+        doc = certificate_goldens()[name]
+        payload = RecordingPayload(doc["payload"])
+        C.verify_certificate(C.Certificate(doc["kind"], payload))
+        assert payload.read == set(payload)
